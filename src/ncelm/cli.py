@@ -94,7 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint-every", action="store_true",
                    help="also write <out>.ep<N>.model at each metrics epoch")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="model file; metrics go to <out>.metrics.csv")
     p.set_defaults(func=_cmd_train)
 
@@ -204,8 +203,7 @@ def _cmd_train(args) -> int:
     config = _train_config(args, _OBJECTIVES[args.objective], args.seed)
     prefix = args.out if args.checkpoint_every else None
     params, history = train(
-        config, pairs, n_words,
-        truth=truth, vocab=vocab, checkpoint_prefix=prefix, n_threads=args.threads,
+        config, pairs, n_words, truth=truth, vocab=vocab, checkpoint_prefix=prefix
     )
     save_model(args.out, params, vocab)
     write_metrics_csv(history, args.out + ".metrics.csv")

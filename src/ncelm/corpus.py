@@ -286,18 +286,26 @@ def write_truth(path, truth: GroundTruthTable, vocab: Vocabulary) -> None:
 def read_truth(path) -> tuple[GroundTruthTable, Vocabulary]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
+    if not lines:
+        raise ValueError("ground-truth file is empty")
     header = lines[0].split()
     if len(header) != 3 or header[0] != "gt" or header[1] != "v1":
         raise ValueError(f"bad ground-truth header: {lines[0]!r}")
     n = int(header[2])
+    if len(lines) < 3 + n:
+        raise ValueError(
+            f"ground-truth file truncated: {len(lines)} lines, expected {3 + n}"
+        )
     vocab = build_vocab(lines[1].split())
     if len(vocab) != n:
         raise ValueError("ground-truth vocabulary line does not match header size")
     marg_fields = lines[2].split()
-    if marg_fields[0] != "marginal" or len(marg_fields) != n + 1:
+    if marg_fields[:1] != ["marginal"] or len(marg_fields) != n + 1:
         raise ValueError("bad ground-truth marginal line")
     marginal = np.array([float(x) for x in marg_fields[1:]])
     cond = np.array([[float(x) for x in lines[3 + c].split()] for c in range(n)])
+    if cond.shape != (n, n):
+        raise ValueError(f"ground-truth conditional table has shape {cond.shape}, expected {(n, n)}")
     truth = GroundTruthTable(cond=cond, context_marginal=marginal)
     truth.validate()
     return truth, vocab

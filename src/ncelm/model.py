@@ -117,11 +117,11 @@ def apply_gradient(params: ModelParams, grad: Gradient, scale: float) -> None:
 
 
 def params_finite(params: ModelParams) -> bool:
-    return (
-        bool(np.all(np.isfinite(params.target_emb)))
-        and bool(np.all(np.isfinite(params.context_emb)))
-        and bool(np.all(np.isfinite(params.bias)))
-        and bool(np.all(np.isfinite(params.log_zc)))
+    return bool(
+        np.isfinite(params.target_emb).all()
+        and np.isfinite(params.context_emb).all()
+        and np.isfinite(params.bias).all()
+        and np.isfinite(params.log_zc).all()
     )
 
 
@@ -150,9 +150,11 @@ def scores_for_context(params: ModelParams, context_id: int) -> np.ndarray:
     return params.target_emb @ params.context_emb[context_id] + params.bias
 
 
-def score_matrix(params: ModelParams, context_ids: np.ndarray) -> np.ndarray:
-    """Scores for a batch of contexts, shape (len(context_ids), n_words)."""
-    return params.context_emb[context_ids] @ params.target_emb.T + params.bias
+def score_matrix(params: ModelParams, context_ids: np.ndarray | None = None) -> np.ndarray:
+    """Scores for a batch of contexts, shape (len(context_ids), n_words);
+    every context, in id order, when ``context_ids`` is None."""
+    ctx = params.context_emb if context_ids is None else params.context_emb[context_ids]
+    return ctx @ params.target_emb.T + params.bias
 
 
 def log_partition(params: ModelParams, context_id: int) -> float:
@@ -227,16 +229,24 @@ def grad_log_likelihood(params: ModelParams, pairs: np.ndarray) -> Gradient:
     if pairs.shape[0] == 0:
         raise ValueError("grad_log_likelihood needs at least one pair")
     counts = pair_count_matrix(pairs, params.n_words)
-    n_c = counts.sum(axis=1)
-    active = np.flatnonzero(n_c > 0)
-    probs = softmax_from_scores(score_matrix(params, active))
-    residual = np.zeros_like(counts)
-    residual[active] = counts[active] - n_c[active, None] * probs
+    probs = softmax_from_scores(score_matrix(params))
+    residual = counts - counts.sum(axis=1, keepdims=True) * probs
+    return residual_gradient(params, residual, Z_EXACT)
+
+
+def residual_gradient(params: ModelParams, residual: np.ndarray, z_mode: str) -> Gradient:
+    """Sum of ``residual[c, w] * d(log u_adjusted(w, c))/d(theta)`` over the grid.
+
+    Every objective's gradient has this form once its per-pair coefficients
+    are merged into one (n_contexts, n_words) residual matrix, so the heavy
+    lifting is two small matmuls. The log_zc block is nonzero only for
+    learned normalizers.
+    """
     return Gradient(
         target_emb=residual.T @ params.context_emb,
         context_emb=residual @ params.target_emb,
         bias=residual.sum(axis=0),
-        log_zc=np.zeros_like(params.log_zc),
+        log_zc=-residual.sum(axis=1) if z_mode == Z_LEARNED_ZC else np.zeros_like(params.log_zc),
     )
 
 
@@ -279,14 +289,23 @@ def save_model(path, params: ModelParams, vocab: Vocabulary) -> None:
 
 
 def load_model(path) -> tuple[ModelParams, Vocabulary]:
+    """Read a model written by :func:`save_model`.
+
+    Raises ValueError for a bad header, a missing or truncated block, or any
+    non-finite value.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError("model file is empty")
     header = lines[0].split()
     if len(header) != 5 or header[0] != "lblm" or header[1] != "v1":
         raise ValueError(f"bad model header: {lines[0]!r}")
     n_words, dim, z_mode = int(header[2]), int(header[3]), header[4]
     if z_mode not in Z_MODES:
         raise ValueError(f"unknown z_mode {z_mode!r} in model file")
+    if len(lines) < 1 + n_words:
+        raise ValueError("model file truncated inside the vocabulary")
     vocab = build_vocab(lines[1 : 1 + n_words])
     pos = 1 + n_words
     blocks = {}
@@ -307,6 +326,8 @@ def load_model(path) -> tuple[ModelParams, Vocabulary]:
         )
         if data.shape != (rows, cols):
             raise ValueError(f"block {name!r} has shape {data.shape}, expected {(rows, cols)}")
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"block {name!r} holds a non-finite value")
         blocks[name] = data
         pos += 1 + rows
     params = ModelParams(

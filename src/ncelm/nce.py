@@ -31,6 +31,7 @@ exponentials is never formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .model import (
     Z_FIXED_ONE,
     Z_LEARNED_ZC,
     pair_count_matrix,
+    residual_gradient,
     score_matrix,
 )
 from .noise import NoiseDistribution, sample_array
@@ -92,6 +94,11 @@ class NceConfig:
             raise ValueError("k must be >= 1")
         if self.z_mode not in (Z_LEARNED_ZC, Z_FIXED_ONE):
             raise ValueError(f"NCE z_mode must be learned_zc or fixed_one, got {self.z_mode!r}")
+
+    @cached_property
+    def log_kq(self) -> np.ndarray:
+        """log(k q(w)) per word: the noise term of every classifier logit."""
+        return np.log(self.k * self.q.probs)
 
 
 def as_batch(examples, k: int | None = None) -> ProxyBatch:
@@ -168,19 +175,15 @@ def classifier_logits(
 ) -> np.ndarray:
     """Delta = log u_adjusted - log(k q(w)) for paired context/word arrays.
 
-    ``words`` may be (n,) or (n, k); contexts broadcast along the last axis.
+    ``words`` may be (n,) or (n, k); contexts broadcast along the last axis,
+    so all contexts against words of shape (1, n_words) give the full grid.
+    A lookup into the Delta rows of every context, computed by one matmul.
     """
-    ctx_vecs = params.context_emb[contexts]
+    rows = _logit_rows(params, cfg)
+    contexts = np.asarray(contexts)
     if words.ndim == 2:
-        s = (params.target_emb[words] * ctx_vecs[:, None, :]).sum(axis=-1)
-        lzc = params.log_zc[contexts][:, None]
-    else:
-        s = (params.target_emb[words] * ctx_vecs).sum(axis=-1)
-        lzc = params.log_zc[contexts]
-    s = s + params.bias[words]
-    if cfg.z_mode == Z_LEARNED_ZC:
-        s = s - lzc
-    return s - np.log(cfg.k * cfg.q.probs[words])
+        contexts = contexts[:, None]
+    return rows[contexts, words]
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -195,61 +198,51 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # Monte Carlo objective
 # ---------------------------------------------------------------------------
 
+def cell_counts(batch: ProxyBatch, n_contexts: int, n_words: int) -> tuple[np.ndarray, np.ndarray]:
+    """True and noise sample counts per (context, word) cell, each
+    (n_contexts, n_words).
+
+    The sampled objectives and their gradients depend on a batch only
+    through these two matrices.
+    """
+    size = n_contexts * n_words
+    ctx = batch.contexts * n_words
+    true = np.bincount(ctx + batch.true_words, minlength=size)
+    noise = np.bincount((ctx[:, None] + batch.noise_words).ravel(), minlength=size)
+    return true.reshape(n_contexts, n_words), noise.reshape(n_contexts, n_words)
+
+
+def _delta_grid(params: ModelParams, cfg: NceConfig) -> np.ndarray:
+    """Delta on every (context, word) cell, shape (n_contexts, n_words)."""
+    return classifier_logits(
+        params, np.arange(params.n_contexts), np.arange(params.n_words)[None, :], cfg
+    )
+
+
 def mc_loss(params: ModelParams, examples, cfg: NceConfig) -> float:
     """Sampled two-class log-likelihood of the proxy examples.
 
     Per example: log-posterior of the true word plus the log noise-posterior
-    of each of its k sampled noise words.
+    of each of its k sampled noise words, summed here per cell.
     """
     batch = as_batch(examples, cfg.k)
-    d_true = classifier_logits(params, batch.contexts, batch.true_words, cfg)
-    d_noise = classifier_logits(params, batch.contexts, batch.noise_words, cfg)
-    return float(_log_sigmoid(d_true).sum() + _log_sigmoid(-d_noise).sum())
+    true, noise = cell_counts(batch, params.n_contexts, params.n_words)
+    delta = _delta_grid(params, cfg)
+    return float(np.vdot(true, _log_sigmoid(delta)) + np.vdot(noise, _log_sigmoid(-delta)))
 
 
 def mc_grad(params: ModelParams, examples, cfg: NceConfig) -> Gradient:
     """Exact gradient of :func:`mc_loss` in the active parameter blocks.
 
     The true word pushes with weight (1 - sigma), each noise word pulls with
-    weight sigma, both through d(log u_adjusted)/d(theta).
+    weight sigma, both through d(log u_adjusted)/d(theta); per cell this is
+    the residual ``T sigma(-Delta) - N sigma(Delta)``.
     """
     batch = as_batch(examples, cfg.k)
-    d_true = classifier_logits(params, batch.contexts, batch.true_words, cfg)
-    d_noise = classifier_logits(params, batch.contexts, batch.noise_words, cfg)
-    coef_true = _sigmoid(-d_true)
-    coef_noise = -_sigmoid(d_noise)
-    n, k = batch.n_examples, batch.k
-    ctx_all = np.concatenate([batch.contexts, np.repeat(batch.contexts, k)])
-    word_all = np.concatenate([batch.true_words, batch.noise_words.ravel()])
-    coef_all = np.concatenate([coef_true, coef_noise.ravel()])
-    return _weighted_pair_gradient(params, ctx_all, word_all, coef_all, cfg.z_mode)
-
-
-def _weighted_pair_gradient(
-    params: ModelParams,
-    contexts: np.ndarray,
-    words: np.ndarray,
-    coefs: np.ndarray,
-    z_mode: str,
-) -> Gradient:
-    """Accumulate coef * d(log u_adjusted)/d(theta) over (context, word) pairs.
-
-    Coefficients sharing a (context, word) cell are merged into a dense
-    residual matrix first, so the heavy lifting is two small matmuls.
-    """
-    n_words = params.n_words
-    flat = contexts * n_words + words
-    residual = np.bincount(flat, weights=coefs, minlength=params.n_contexts * n_words)
-    residual = residual.reshape(params.n_contexts, n_words)
-    grad_log_zc = (
-        -residual.sum(axis=1) if z_mode == Z_LEARNED_ZC else np.zeros_like(params.log_zc)
-    )
-    return Gradient(
-        target_emb=residual.T @ params.context_emb,
-        context_emb=residual @ params.target_emb,
-        bias=residual.sum(axis=0),
-        log_zc=grad_log_zc,
-    )
+    true, noise = cell_counts(batch, params.n_contexts, params.n_words)
+    delta = _delta_grid(params, cfg)
+    residual = true * _sigmoid(-delta) - noise * _sigmoid(delta)
+    return residual_gradient(params, residual, cfg.z_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +260,9 @@ def exact_loss(params: ModelParams, pairs: np.ndarray, cfg: NceConfig) -> float:
     if pairs.shape[0] == 0:
         raise ValueError("exact_loss needs at least one pair")
     counts = pair_count_matrix(pairs, params.n_words)
-    n_c = counts.sum(axis=1)
-    active = np.flatnonzero(n_c > 0)
-    delta = _logit_rows(params, active, cfg)
-    true_term = (counts[active] * _log_sigmoid(delta)).sum()
-    noise_term = (n_c[active, None] * cfg.k * cfg.q.probs[None, :] * _log_sigmoid(-delta)).sum()
-    return float(true_term + noise_term)
+    noise_counts = counts.sum(axis=1, keepdims=True) * cfg.k * cfg.q.probs
+    delta = _logit_rows(params, cfg)
+    return float(np.vdot(counts, _log_sigmoid(delta)) + np.vdot(noise_counts, _log_sigmoid(-delta)))
 
 
 def exact_grad_analysis(params: ModelParams, stats: CorpusStats, cfg: NceConfig) -> Gradient:
@@ -283,38 +273,26 @@ def exact_grad_analysis(params: ModelParams, stats: CorpusStats, cfg: NceConfig)
         k q(w) / (u_adj + k q(w)) * (p_emp(w|c) - u_adj(w,c)) * d log u_adj
 
     which is zero exactly when the adjusted model weight matches the
-    empirical conditional. Computed stably as
+    empirical conditional. Computed stably as the residual
+    ``N(c, w) sigma(-Delta) - n_c k q(w) sigma(Delta)``, which is n_c times
     ``sigma(-Delta) * p_emp - k q(w) * sigma(Delta)`` per cell.
     """
     n_c = stats.context_counts.astype(np.float64)
-    active = np.flatnonzero(n_c > 0)
-    if active.size == 0:
+    if not np.any(n_c > 0):
         raise ValueError("exact_grad_analysis needs nonempty statistics")
-    delta = _logit_rows(params, active, cfg)
-    p_emp = stats.bigram_counts[active] / n_c[active, None]
+    delta = _logit_rows(params, cfg)
     kq = cfg.k * cfg.q.probs[None, :]
-    cell = _sigmoid(-delta) * p_emp - kq * _sigmoid(delta)
-    residual = np.zeros((params.n_contexts, params.n_words))
-    residual[active] = n_c[active, None] * cell
-    grad_log_zc = (
-        -residual.sum(axis=1)
-        if cfg.z_mode == Z_LEARNED_ZC
-        else np.zeros_like(params.log_zc)
-    )
-    return Gradient(
-        target_emb=residual.T @ params.context_emb,
-        context_emb=residual @ params.target_emb,
-        bias=residual.sum(axis=0),
-        log_zc=grad_log_zc,
-    )
+    residual = stats.bigram_counts * _sigmoid(-delta) - n_c[:, None] * kq * _sigmoid(delta)
+    return residual_gradient(params, residual, cfg.z_mode)
 
 
-def _logit_rows(params: ModelParams, context_ids: np.ndarray, cfg: NceConfig) -> np.ndarray:
-    """Delta over the whole vocabulary for each listed context."""
-    s = score_matrix(params, context_ids)
+def _logit_rows(params: ModelParams, cfg: NceConfig) -> np.ndarray:
+    """Delta over the whole vocabulary for every context, (n_contexts, n_words)."""
+    s = score_matrix(params)
     if cfg.z_mode == Z_LEARNED_ZC:
-        s = s - params.log_zc[context_ids][:, None]
-    return s - np.log(cfg.k * cfg.q.probs)[None, :]
+        s -= params.log_zc[:, None]
+    s -= cfg.log_kq
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,18 @@ every other regime the posterior is inconsistent with the normalized model,
 so the fitted weights are not maximum-likelihood estimates of it. Both facts
 are exercised by the verification suite.
 
-Deliberately implemented from its own definitions rather than by delegating
-to the NCE kernels, so agreement between the two modules is evidence, not
-tautology.
+The scores and classifier coefficients are deliberately computed from their
+own definitions rather than by delegating to the NCE kernels, so agreement
+between the two modules is evidence, not tautology. Only the batch's cell
+counts and the residual-to-gradient kernel every objective uses are shared.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import Gradient, ModelParams
-from .nce import as_batch
+from .model import Z_FIXED_ONE, Gradient, ModelParams, residual_gradient
+from .nce import as_batch, cell_counts
 
 
 def ns_posterior_true(params: ModelParams, word_id: int, context_id: int) -> float:
@@ -31,37 +32,21 @@ def ns_posterior_true(params: ModelParams, word_id: int, context_id: int) -> flo
 def ns_loss(params: ModelParams, examples) -> float:
     """Two-class log-likelihood with the sigmoid-of-score posterior."""
     batch = as_batch(examples)
-    s_true = _scores(params, batch.contexts, batch.true_words)
-    s_noise = _scores(params, batch.contexts, batch.noise_words)
-    return float(-np.logaddexp(0.0, -s_true).sum() - np.logaddexp(0.0, s_noise).sum())
+    true, noise = cell_counts(batch, params.n_contexts, params.n_words)
+    s = _score_grid(params)
+    return float(-np.vdot(true, np.logaddexp(0.0, -s)) - np.vdot(noise, np.logaddexp(0.0, s)))
 
 
 def ns_grad(params: ModelParams, examples) -> Gradient:
     """Exact gradient of :func:`ns_loss`; the log_zc block is always zero."""
     batch = as_batch(examples)
-    s_true = _scores(params, batch.contexts, batch.true_words)
-    s_noise = _scores(params, batch.contexts, batch.noise_words)
-    coef_true = np.exp(-np.logaddexp(0.0, s_true))  # 1 - sigma(s)
-    coef_noise = -np.exp(-np.logaddexp(0.0, -s_noise))  # -sigma(s)
-    n_words = params.n_words
-    ctx_all = np.concatenate([batch.contexts, np.repeat(batch.contexts, batch.k)])
-    word_all = np.concatenate([batch.true_words, batch.noise_words.ravel()])
-    coef_all = np.concatenate([coef_true, coef_noise.ravel()])
-    residual = np.bincount(
-        ctx_all * n_words + word_all, weights=coef_all, minlength=params.n_contexts * n_words
-    ).reshape(params.n_contexts, n_words)
-    return Gradient(
-        target_emb=residual.T @ params.context_emb,
-        context_emb=residual @ params.target_emb,
-        bias=residual.sum(axis=0),
-        log_zc=np.zeros_like(params.log_zc),
-    )
+    true, noise = cell_counts(batch, params.n_contexts, params.n_words)
+    s = _score_grid(params)
+    coef_true = np.exp(-np.logaddexp(0.0, s))  # 1 - sigma(s)
+    coef_noise = np.exp(-np.logaddexp(0.0, -s))  # sigma(s)
+    return residual_gradient(params, true * coef_true - noise * coef_noise, Z_FIXED_ONE)
 
 
-def _scores(params: ModelParams, contexts: np.ndarray, words: np.ndarray) -> np.ndarray:
-    ctx_vecs = params.context_emb[contexts]
-    if words.ndim == 2:
-        s = (params.target_emb[words] * ctx_vecs[:, None, :]).sum(axis=-1)
-    else:
-        s = (params.target_emb[words] * ctx_vecs).sum(axis=-1)
-    return s + params.bias[words]
+def _score_grid(params: ModelParams) -> np.ndarray:
+    """Score of every (context, word) cell, shape (n_contexts, n_words)."""
+    return params.context_emb @ params.target_emb.T + params.bias

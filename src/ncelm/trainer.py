@@ -13,7 +13,6 @@ rate comparable across batch sizes.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -102,14 +101,12 @@ def train(
     truth: GroundTruthTable | None = None,
     vocab: Vocabulary | None = None,
     checkpoint_prefix: str | None = None,
-    n_threads: int = 1,
 ) -> tuple[ModelParams, list[MetricsRow]]:
     """Run gradient ascent and return final parameters plus metric history.
 
     Metrics are recorded every ``eval_every`` epochs and at the final epoch;
     checkpoints (needing ``vocab``) are written at the same epochs. Fully
-    deterministic given the config when ``n_threads == 1``; with more threads
-    shard gradients are still reduced in a fixed order.
+    deterministic given the config.
     """
     pairs = np.asarray(pairs, dtype=np.int64)
     if pairs.shape[0] == 0:
@@ -129,29 +126,24 @@ def train(
     seen = stats.seen_contexts()
     history: list[MetricsRow] = []
     start = time.perf_counter()
-    pool = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
-    try:
-        for epoch in range(1, config.epochs + 1):
-            lr = config.learning_rate * config.lr_decay ** (epoch - 1)
-            perm = derive_rng(config.seed, STREAM_SHUFFLE, epoch).permutation(n)
-            noise_words = None
-            if config.objective in (OBJ_NCE, OBJ_NS):
-                noise_rng = derive_rng(config.seed, STREAM_NOISE, epoch)
-                noise_words = noise.sample_array(q, (n, config.k), noise_rng)
-            for lo in range(0, n, config.batch_size):
-                idx = perm[lo : lo + config.batch_size]
-                grad = _batch_gradient(params, pairs, noise_words, idx, config, cfg, pool, n_threads)
-                apply_gradient(params, grad, lr / idx.size)
-                if not params_finite(params):
-                    raise TrainingDiverged(f"training diverged at epoch {epoch}", epoch)
-            if epoch % config.eval_every == 0 or epoch == config.epochs:
-                row = _metrics(params, pairs, stats, seen, truth, config, cfg, noise_words, epoch, start)
-                history.append(row)
-                if checkpoint_prefix is not None:
-                    save_model(f"{checkpoint_prefix}.ep{epoch}.model", params, vocab)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for epoch in range(1, config.epochs + 1):
+        lr = config.learning_rate * config.lr_decay ** (epoch - 1)
+        perm = derive_rng(config.seed, STREAM_SHUFFLE, epoch).permutation(n)
+        noise_words = None
+        if config.objective in (OBJ_NCE, OBJ_NS):
+            noise_rng = derive_rng(config.seed, STREAM_NOISE, epoch)
+            noise_words = noise.sample_array(q, (n, config.k), noise_rng)
+        for lo in range(0, n, config.batch_size):
+            idx = perm[lo : lo + config.batch_size]
+            grad = _batch_gradient(params, pairs, noise_words, idx, config, cfg)
+            apply_gradient(params, grad, lr / idx.size)
+            if not params_finite(params):
+                raise TrainingDiverged(f"training diverged at epoch {epoch}", epoch)
+        if epoch % config.eval_every == 0 or epoch == config.epochs:
+            row = _metrics(params, pairs, stats, seen, truth, config, cfg, noise_words, epoch, start)
+            history.append(row)
+            if checkpoint_prefix is not None:
+                save_model(f"{checkpoint_prefix}.ep{epoch}.model", params, vocab)
     return params, history
 
 
@@ -201,26 +193,7 @@ def _params_z_mode(config: TrainConfig) -> str:
     return config.z_mode
 
 
-def _batch_gradient(params, pairs, noise_words, idx, config, cfg, pool, n_threads):
-    if pool is None:
-        return _shard_gradient(params, pairs, noise_words, idx, config, cfg)
-    shards = np.array_split(idx, n_threads)
-    futures = [
-        pool.submit(_shard_gradient, params, pairs, noise_words, shard, config, cfg)
-        for shard in shards
-        if shard.size
-    ]
-    grads = [f.result() for f in futures]  # fixed reduction order
-    total = grads[0]
-    for g in grads[1:]:
-        total.target_emb += g.target_emb
-        total.context_emb += g.context_emb
-        total.bias += g.bias
-        total.log_zc += g.log_zc
-    return total
-
-
-def _shard_gradient(params, pairs, noise_words, idx, config, cfg):
+def _batch_gradient(params, pairs, noise_words, idx, config, cfg):
     if config.objective == OBJ_MLE:
         return grad_log_likelihood(params, pairs[idx])
     batch = nce.ProxyBatch(

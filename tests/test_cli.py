@@ -167,6 +167,45 @@ def test_eval_vocab_mismatch_is_error(tmp_path):
     assert "vocabulary" in r.stderr
 
 
+def _eval_fixture(tmp_path):
+    vocab = build_vocab(["a", "b"])
+    model_path = tmp_path / "m.model"
+    save_model(model_path, init_params(2, 2, seed=0), vocab)
+    corpus_path = tmp_path / "c.txt"
+    corpus_path.write_text("a b a\n")
+    return model_path, corpus_path
+
+
+def test_eval_model_with_nan_is_usage_error(tmp_path):
+    model_path, corpus_path = _eval_fixture(tmp_path)
+    lines = model_path.read_text().splitlines()
+    bias_row = lines.index("bias") + 1
+    lines[bias_row] = "nan " + lines[bias_row].split(" ", 1)[1]
+    model_path.write_text("\n".join(lines) + "\n")
+    r = run_cli("eval", "--model", model_path, "--corpus", corpus_path)
+    assert r.returncode == 2
+    assert "non-finite" in r.stderr and "Traceback" not in r.stderr
+    assert "cross_entropy" not in r.stdout
+
+
+def test_eval_empty_model_is_usage_error(tmp_path):
+    model_path, corpus_path = _eval_fixture(tmp_path)
+    model_path.write_text("")
+    r = run_cli("eval", "--model", model_path, "--corpus", corpus_path)
+    assert r.returncode == 2
+    assert "empty" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_truncated_truth_is_usage_error(tmp_path):
+    prefix = gen_fixture(tmp_path)
+    truth_path = tmp_path / "fix.truth"
+    lines = truth_path.read_text().splitlines()
+    truth_path.write_text("\n".join(lines[:3]) + "\n")
+    r = run_cli(*train_args(prefix, tmp_path / "m.model", "--objective", "mle"))
+    assert r.returncode == 2
+    assert "truncated" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_sweep_row_count_and_determinism(tmp_path):
     prefix = gen_fixture(tmp_path, tokens=1200)
     args = ["sweep", "--corpus", f"{prefix}.txt", "--truth", f"{prefix}.truth",

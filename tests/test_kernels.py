@@ -1,0 +1,148 @@
+"""Differential tests of the count-matrix kernels against per-pair references.
+
+The sampled objectives are computed on per-cell counts with one shared
+residual-to-gradient kernel. Finite differences cannot catch an error that
+the loss and its gradient share, so here each kernel is compared with a
+reference written pair by pair from the scalar score
+``target_emb[w] . context_emb[c] + bias[w]``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from ncelm.corpus import stats_from_pairs
+from ncelm.model import PARAM_BLOCKS, Z_FIXED_ONE, Z_LEARNED_ZC, init_params
+from ncelm.nce import NceConfig, ProxyBatch, classifier_logits, mc_grad, mc_loss
+from ncelm.negsampling import ns_grad, ns_loss
+from ncelm.noise import unigram
+from ncelm.seeding import STREAM_DATA, derive_rng
+
+V = 6
+BOS = V  # context id of <s>
+REL = 1e-12
+
+
+def _score(params, c, w):
+    return float(params.target_emb[w] @ params.context_emb[c] + params.bias[w])
+
+
+def _log_sigmoid(x):
+    return -float(np.logaddexp(0.0, -x))
+
+
+def _delta(params, c, w, cfg):
+    d = _score(params, c, w) - math.log(cfg.k * cfg.q.probs[w])
+    if cfg.z_mode == Z_LEARNED_ZC:
+        d -= params.log_zc[c]
+    return d
+
+
+def _samples(batch):
+    """(context, word, is_true) for every true and noise sample of the batch."""
+    for i in range(batch.n_examples):
+        c = int(batch.contexts[i])
+        yield c, int(batch.true_words[i]), True
+        for w in batch.noise_words[i]:
+            yield c, int(w), False
+
+
+def _reference(params, batch, logit, learned_zc):
+    """Loss and gradient summed pair by pair from a scalar logit function.
+
+    Each sample contributes log sigma(+-logit) and pushes its logit with
+    coefficient sigma(-logit) (true) or -sigma(logit) (noise).
+    """
+    loss = 0.0
+    grad = {name: np.zeros_like(getattr(params, name)) for name in PARAM_BLOCKS}
+    for c, w, is_true in _samples(batch):
+        d = logit(c, w)
+        if is_true:
+            loss += _log_sigmoid(d)
+            coef = math.exp(_log_sigmoid(-d))
+        else:
+            loss += _log_sigmoid(-d)
+            coef = -math.exp(_log_sigmoid(d))
+        grad["target_emb"][w] += coef * params.context_emb[c]
+        grad["context_emb"][c] += coef * params.target_emb[w]
+        grad["bias"][w] += coef
+        if learned_zc:
+            grad["log_zc"][c] -= coef
+    return loss, grad
+
+
+def _setup(k, z_mode, seed, extreme=False):
+    rng = derive_rng(seed, STREAM_DATA)
+    params = init_params(V, 3, seed=seed, z_mode=z_mode)
+    params.target_emb[:] = rng.normal(0, 1, params.target_emb.shape)
+    params.context_emb[:] = rng.normal(0, 1, params.context_emb.shape)
+    params.bias[:] = rng.normal(0, 0.5, V)
+    if z_mode == Z_LEARNED_ZC:
+        params.log_zc[:] = rng.normal(0, 0.5, V + 1)
+    if extreme:
+        # Word 0 saturates at a score near +800 and word 1 near -800.
+        params.bias[0], params.bias[1] = 800.0, -800.0
+    n = 30
+    contexts = rng.integers(0, V + 1, n)
+    true_words = rng.integers(0, V, n)
+    # Repeated cells, <s> as a context, and words 0 and 1 as true and noise words.
+    contexts[:6] = [2, 2, 2, BOS, BOS, 4]
+    true_words[:6] = [3, 3, 3, 0, 1, 0]
+    noise = rng.integers(0, V, (n, k))
+    noise[:3, 0] = 3  # noise samples that share a cell with true samples
+    noise[3, 0] = 1
+    noise[4, -1] = 0
+    batch = ProxyBatch(contexts=contexts, true_words=true_words, noise_words=noise)
+    q = unigram(stats_from_pairs(np.stack([contexts, true_words], axis=1), V))
+    return params, batch, q
+
+
+def _assert_close(got, want):
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= REL * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("extreme", [False, True])
+@pytest.mark.parametrize("k", [1, 5, 50])
+@pytest.mark.parametrize("z_mode", [Z_LEARNED_ZC, Z_FIXED_ONE])
+def test_nce_kernels_match_per_pair_reference(k, z_mode, extreme):
+    params, batch, q = _setup(k, z_mode, seed=k, extreme=extreme)
+    cfg = NceConfig(k=k, z_mode=z_mode, q=q)
+    loss, grad = _reference(
+        params, batch, lambda c, w: _delta(params, c, w, cfg), z_mode == Z_LEARNED_ZC
+    )
+    got_loss = mc_loss(params, batch, cfg)
+    assert math.isfinite(got_loss)
+    assert got_loss == pytest.approx(loss, rel=REL)
+    got = mc_grad(params, batch, cfg)
+    for name in PARAM_BLOCKS:
+        _assert_close(getattr(got, name), grad[name])
+
+
+@pytest.mark.parametrize("extreme", [False, True])
+@pytest.mark.parametrize("k", [1, 5, 50])
+def test_ns_kernels_match_per_pair_reference(k, extreme):
+    params, batch, _ = _setup(k, Z_FIXED_ONE, seed=10 + k, extreme=extreme)
+    loss, grad = _reference(params, batch, lambda c, w: _score(params, c, w), False)
+    got_loss = ns_loss(params, batch)
+    assert math.isfinite(got_loss)
+    assert got_loss == pytest.approx(loss, rel=REL)
+    got = ns_grad(params, batch)
+    for name in PARAM_BLOCKS:
+        _assert_close(getattr(got, name), grad[name])
+
+
+@pytest.mark.parametrize("z_mode", [Z_LEARNED_ZC, Z_FIXED_ONE])
+def test_classifier_logits_match_scalar_delta(z_mode):
+    params, batch, q = _setup(5, z_mode, seed=20, extreme=True)
+    cfg = NceConfig(k=5, z_mode=z_mode, q=q)
+    flat = classifier_logits(params, batch.contexts, batch.true_words, cfg)
+    grid = classifier_logits(params, batch.contexts, batch.noise_words, cfg)
+    assert flat.shape == (batch.n_examples,)
+    assert grid.shape == batch.noise_words.shape
+    for i in range(batch.n_examples):
+        c = int(batch.contexts[i])
+        assert flat[i] == pytest.approx(_delta(params, c, int(batch.true_words[i]), cfg), rel=REL)
+        for j, w in enumerate(batch.noise_words[i]):
+            assert grid[i, j] == pytest.approx(_delta(params, c, int(w), cfg), rel=REL)

@@ -132,17 +132,6 @@ def test_checkpoints_written_at_eval_epochs(tmp_path):
         train(cfg, pairs, 8, checkpoint_prefix=prefix)
 
 
-def test_thread_count_does_not_change_results_materially():
-    truth, pairs = fixture_data(1000)
-    cfg = TrainConfig(objective="nce", k=3, epochs=3, eval_every=3, seed=2,
-                      batch_size=50, dim=4)
-    p1, _ = train(cfg, pairs, 8, truth=truth, n_threads=1)
-    p2, _ = train(cfg, pairs, 8, truth=truth, n_threads=2)
-    assert np.allclose(p1.target_emb, p2.target_emb, atol=1e-10)
-    p2b, _ = train(cfg, pairs, 8, truth=truth, n_threads=2)
-    assert np.array_equal(p2.target_emb, p2b.target_emb)
-
-
 def test_sweep_degenerate_equals_single_run():
     truth, pairs = fixture_data(1000)
     base = TrainConfig(objective="nce", k=999, epochs=3, eval_every=3, seed=4,
