@@ -56,6 +56,10 @@ _Z_MODES = {
 
 SWEEP_HEADER = "k,seed,final_kl,final_ce,median_abs_log_z"
 
+# The truth table and every SGD step's count and score grids are dense
+# (|V| + 1) x |V| arrays, and the exact oracle sums over all of them.
+MAX_VOCAB_SIZE = 1024
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -149,10 +153,16 @@ def _add_train_flags(p) -> None:
 # Command bodies
 # ---------------------------------------------------------------------------
 
+def _check_vocab_size(size: int) -> None:
+    if not 2 <= size <= MAX_VOCAB_SIZE:
+        raise ValueError(
+            f"--vocab-size must be in [2, {MAX_VOCAB_SIZE}]: the truth table and "
+            "the training grids are dense (|V| + 1) x |V| arrays"
+        )
+
+
 def _cmd_gen_data(args) -> int:
-    if args.vocab_size < 2:
-        print("error: --vocab-size must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
+    _check_vocab_size(args.vocab_size)
     if args.tokens < 1:
         print("error: --tokens must be >= 1", file=sys.stderr)
         return EXIT_USAGE
@@ -279,9 +289,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_equiv_check(args) -> int:
-    if args.vocab_size < 2:
-        print("error: --vocab-size must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
+    _check_vocab_size(args.vocab_size)
     result = run_equiv_check(
         vocab_size=args.vocab_size, seed=args.seed, force_k=args.force_k
     )

@@ -11,6 +11,7 @@ usable as oracles for the estimators built on top of them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,15 +190,17 @@ def generate_synthetic_stream(truth: GroundTruthTable, n_tokens: int, seed: int)
     if n_tokens < 1:
         raise ValueError("n_tokens must be >= 1")
     rng = derive_rng(seed, STREAM_DATA)
-    out = np.empty(n_tokens, dtype=np.int64)
-    # Inverse-CDF draws, one token at a time: the chain is inherently serial.
+    # Inverse-CDF draws, one token at a time: the chain is inherently serial,
+    # so each draw bisects a Python list (searchsorted's side="right").
     cdf = np.cumsum(truth.cond, axis=1)
     cdf[:, -1] = 1.0
-    out[0] = np.searchsorted(np.cumsum(truth.context_marginal), rng.random(), side="right")
-    u = rng.random(n_tokens - 1)
-    for i in range(1, n_tokens):
-        out[i] = np.searchsorted(cdf[out[i - 1]], u[i - 1], side="right")
-    return out
+    rows = cdf.tolist()
+    token = int(np.searchsorted(np.cumsum(truth.context_marginal), rng.random(), side="right"))
+    out = [token]
+    for u in rng.random(n_tokens - 1).tolist():
+        token = bisect_right(rows[token], u)
+        out.append(token)
+    return np.array(out, dtype=np.int64)
 
 
 def _sample_rows(table: np.ndarray, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:

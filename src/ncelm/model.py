@@ -15,7 +15,7 @@ pinned to zero so the classifier must self-normalize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,63 +30,62 @@ Z_MODES = (Z_EXACT, Z_LEARNED_ZC, Z_FIXED_ONE)
 PARAM_BLOCKS = ("target_emb", "context_emb", "bias", "log_zc")
 
 
-@dataclass
-class ModelParams:
-    """All trainable state. Context row ``n_words`` belongs to ``<s>``."""
+class _FlatBlocks:
+    """The four ``PARAM_BLOCKS`` arrays as views into one contiguous float64
+    ``vector``, laid out in ``PARAM_BLOCKS`` order. Write to a block in
+    place; rebinding it would detach it from the vector.
+    """
 
-    target_emb: np.ndarray  # (n_words, dim)
-    context_emb: np.ndarray  # (n_words + 1, dim)
-    bias: np.ndarray  # (n_words,)
-    log_zc: np.ndarray  # (n_words + 1,)
-    z_mode: str
+    def __init__(self, vector: np.ndarray, n_words: int, dim: int):
+        a = n_words * dim
+        b = a + (n_words + 1) * dim
+        self.vector = vector
+        self.target_emb = vector[:a].reshape(n_words, dim)  # (n_words, dim)
+        self.context_emb = vector[a:b].reshape(n_words + 1, dim)  # (n_words + 1, dim)
+        self.bias = vector[b : b + n_words]  # (n_words,)
+        self.log_zc = vector[b + n_words :]  # (n_words + 1,)
 
     @property
     def n_words(self) -> int:
         return self.target_emb.shape[0]
 
     @property
-    def n_contexts(self) -> int:
-        return self.context_emb.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.target_emb.shape[1]
 
+
+class ModelParams(_FlatBlocks):
+    """All trainable state. Context row ``n_words`` belongs to ``<s>``.
+
+    The constructor copies the four blocks into one fresh vector.
+    """
+
+    def __init__(self, target_emb, context_emb, bias, log_zc, z_mode: str):
+        blocks = (target_emb, context_emb, bias, log_zc)
+        vector = np.concatenate([np.ravel(b) for b in blocks], dtype=np.float64)
+        super().__init__(vector, *np.shape(target_emb))
+        self.z_mode = z_mode
+
+    @property
+    def n_contexts(self) -> int:
+        return self.context_emb.shape[0]
+
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            target_emb=self.target_emb.copy(),
-            context_emb=self.context_emb.copy(),
-            bias=self.bias.copy(),
-            log_zc=self.log_zc.copy(),
-            z_mode=self.z_mode,
-        )
+        return ModelParams(self.target_emb, self.context_emb, self.bias, self.log_zc, self.z_mode)
 
 
-@dataclass
-class Gradient:
+class Gradient(_FlatBlocks):
     """Partial derivatives, shape-matched to a ModelParams."""
 
-    target_emb: np.ndarray
-    context_emb: np.ndarray
-    bias: np.ndarray
-    log_zc: np.ndarray
-
     def to_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [self.target_emb.ravel(), self.context_emb.ravel(), self.bias, self.log_zc]
-        )
+        return self.vector.copy()
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.to_vector()))
+        return float(np.linalg.norm(self.vector))
 
 
 def zero_gradient(params: ModelParams) -> Gradient:
-    return Gradient(
-        target_emb=np.zeros_like(params.target_emb),
-        context_emb=np.zeros_like(params.context_emb),
-        bias=np.zeros_like(params.bias),
-        log_zc=np.zeros_like(params.log_zc),
-    )
+    return Gradient(np.zeros(params.vector.shape), params.n_words, params.dim)
 
 
 def init_params(n_words: int, dim: int, seed: int, z_mode: str = Z_EXACT) -> ModelParams:
@@ -109,20 +108,12 @@ def apply_gradient(params: ModelParams, grad: Gradient, scale: float) -> None:
     The per-context normalizers move only in learned mode; in the other modes
     they are frozen at their current values (zero for fixed-one models).
     """
-    params.target_emb += scale * grad.target_emb
-    params.context_emb += scale * grad.context_emb
-    params.bias += scale * grad.bias
-    if params.z_mode == Z_LEARNED_ZC:
-        params.log_zc += scale * grad.log_zc
+    end = None if params.z_mode == Z_LEARNED_ZC else -params.n_contexts
+    params.vector[:end] += scale * grad.vector[:end]
 
 
 def params_finite(params: ModelParams) -> bool:
-    return bool(
-        np.isfinite(params.target_emb).all()
-        and np.isfinite(params.context_emb).all()
-        and np.isfinite(params.bias).all()
-        and np.isfinite(params.log_zc).all()
-    )
+    return bool(np.isfinite(params.vector).all())
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +190,15 @@ def log_softmax_matrix(params: ModelParams, context_ids: np.ndarray) -> np.ndarr
 # Exact maximum-likelihood oracle
 # ---------------------------------------------------------------------------
 
+class CellCounts(NamedTuple):
+    """A sampled batch as true and noise sample counts per (context, word)
+    cell, each (n_contexts, n_words): all that the sampled objectives and
+    their gradients depend on. Exact MLE reads only ``true``."""
+
+    true: np.ndarray
+    noise: np.ndarray
+
+
 def pair_count_matrix(pairs: np.ndarray, n_words: int) -> np.ndarray:
     """Multiset of (context, word) pairs as a dense count matrix."""
     pairs = np.asarray(pairs, dtype=np.int64)
@@ -218,17 +218,21 @@ def log_likelihood(params: ModelParams, pairs: np.ndarray) -> float:
     return float((counts[active] * logp).sum())
 
 
-def grad_log_likelihood(params: ModelParams, pairs: np.ndarray) -> Gradient:
-    """Exact gradient of :func:`log_likelihood`.
+def grad_log_likelihood(params: ModelParams, pairs) -> Gradient:
+    """Exact gradient of :func:`log_likelihood`, from a pair array or the
+    true counts of a :class:`CellCounts`.
 
     Per pair the score of the observed word goes up and the expected score
     under the model distribution comes down; accumulated over the multiset
     this reduces to the residual counts ``N(c, .) - n_c * p(. | c)``.
     """
-    pairs = np.asarray(pairs, dtype=np.int64)
-    if pairs.shape[0] == 0:
-        raise ValueError("grad_log_likelihood needs at least one pair")
-    counts = pair_count_matrix(pairs, params.n_words)
+    if isinstance(pairs, CellCounts):
+        counts = pairs.true
+    else:
+        pairs = np.asarray(pairs, dtype=np.int64)
+        if pairs.shape[0] == 0:
+            raise ValueError("grad_log_likelihood needs at least one pair")
+        counts = pair_count_matrix(pairs, params.n_words)
     probs = softmax_from_scores(score_matrix(params))
     residual = counts - counts.sum(axis=1, keepdims=True) * probs
     return residual_gradient(params, residual, Z_EXACT)
@@ -242,12 +246,13 @@ def residual_gradient(params: ModelParams, residual: np.ndarray, z_mode: str) ->
     lifting is two small matmuls. The log_zc block is nonzero only for
     learned normalizers.
     """
-    return Gradient(
-        target_emb=residual.T @ params.context_emb,
-        context_emb=residual @ params.target_emb,
-        bias=residual.sum(axis=0),
-        log_zc=-residual.sum(axis=1) if z_mode == Z_LEARNED_ZC else np.zeros_like(params.log_zc),
-    )
+    grad = zero_gradient(params)
+    np.matmul(residual.T, params.context_emb, out=grad.target_emb)
+    np.matmul(residual, params.target_emb, out=grad.context_emb)
+    residual.sum(axis=0, out=grad.bias)
+    if z_mode == Z_LEARNED_ZC:
+        np.negative(residual.sum(axis=1, out=grad.log_zc), out=grad.log_zc)
+    return grad
 
 
 def normalization_stats(params: ModelParams, context_ids) -> dict[str, float]:

@@ -37,6 +37,7 @@ import numpy as np
 
 from .corpus import CorpusStats, Vocabulary
 from .model import (
+    CellCounts,
     Gradient,
     ModelParams,
     Z_FIXED_ONE,
@@ -198,18 +199,27 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # Monte Carlo objective
 # ---------------------------------------------------------------------------
 
-def cell_counts(batch: ProxyBatch, n_contexts: int, n_words: int) -> tuple[np.ndarray, np.ndarray]:
-    """True and noise sample counts per (context, word) cell, each
-    (n_contexts, n_words).
-
-    The sampled objectives and their gradients depend on a batch only
-    through these two matrices.
-    """
+def cell_counts(batch: ProxyBatch, n_contexts: int, n_words: int) -> CellCounts:
+    """True and noise sample counts of a batch per (context, word) cell."""
     size = n_contexts * n_words
     ctx = batch.contexts * n_words
     true = np.bincount(ctx + batch.true_words, minlength=size)
     noise = np.bincount((ctx[:, None] + batch.noise_words).ravel(), minlength=size)
-    return true.reshape(n_contexts, n_words), noise.reshape(n_contexts, n_words)
+    return CellCounts(true.reshape(n_contexts, n_words), noise.reshape(n_contexts, n_words))
+
+
+def as_counts(examples, params: ModelParams, k: int | None = None) -> CellCounts:
+    """Cell counts of a CellCounts, a ProxyBatch or a sequence of
+    ProxyExample records; with ``k`` given, there must be k noise samples
+    per true sample."""
+    if not isinstance(examples, CellCounts):
+        return cell_counts(as_batch(examples, k), params.n_contexts, params.n_words)
+    if k is not None and int(examples.noise.sum()) != k * int(examples.true.sum()):
+        raise ValueError(
+            f"k mismatch: counts hold {examples.noise.sum()} noise samples for "
+            f"{examples.true.sum()} true samples, config says k={k}"
+        )
+    return examples
 
 
 def _delta_grid(params: ModelParams, cfg: NceConfig) -> np.ndarray:
@@ -225,10 +235,11 @@ def mc_loss(params: ModelParams, examples, cfg: NceConfig) -> float:
     Per example: log-posterior of the true word plus the log noise-posterior
     of each of its k sampled noise words, summed here per cell.
     """
-    batch = as_batch(examples, cfg.k)
-    true, noise = cell_counts(batch, params.n_contexts, params.n_words)
+    counts = as_counts(examples, params, cfg.k)
     delta = _delta_grid(params, cfg)
-    return float(np.vdot(true, _log_sigmoid(delta)) + np.vdot(noise, _log_sigmoid(-delta)))
+    return float(
+        np.vdot(counts.true, _log_sigmoid(delta)) + np.vdot(counts.noise, _log_sigmoid(-delta))
+    )
 
 
 def mc_grad(params: ModelParams, examples, cfg: NceConfig) -> Gradient:
@@ -238,10 +249,13 @@ def mc_grad(params: ModelParams, examples, cfg: NceConfig) -> Gradient:
     weight sigma, both through d(log u_adjusted)/d(theta); per cell this is
     the residual ``T sigma(-Delta) - N sigma(Delta)``.
     """
-    batch = as_batch(examples, cfg.k)
-    true, noise = cell_counts(batch, params.n_contexts, params.n_words)
+    counts = as_counts(examples, params, cfg.k)
     delta = _delta_grid(params, cfg)
-    residual = true * _sigmoid(-delta) - noise * _sigmoid(delta)
+    # sigma(-Delta) and sigma(Delta) in one pass, as _sigmoid computes them.
+    coef = np.array((delta, -delta))
+    np.negative(np.logaddexp(0.0, coef, out=coef), out=coef)
+    coef_true, coef_noise = np.exp(coef, out=coef)
+    residual = counts.true * coef_true - counts.noise * coef_noise
     return residual_gradient(params, residual, cfg.z_mode)
 
 

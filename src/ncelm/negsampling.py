@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Z_FIXED_ONE, Gradient, ModelParams, residual_gradient
-from .nce import as_batch, cell_counts
+from .nce import as_counts
 
 
 def ns_posterior_true(params: ModelParams, word_id: int, context_id: int) -> float:
@@ -31,20 +31,23 @@ def ns_posterior_true(params: ModelParams, word_id: int, context_id: int) -> flo
 
 def ns_loss(params: ModelParams, examples) -> float:
     """Two-class log-likelihood with the sigmoid-of-score posterior."""
-    batch = as_batch(examples)
-    true, noise = cell_counts(batch, params.n_contexts, params.n_words)
+    counts = as_counts(examples, params)
     s = _score_grid(params)
-    return float(-np.vdot(true, np.logaddexp(0.0, -s)) - np.vdot(noise, np.logaddexp(0.0, s)))
+    return float(
+        -np.vdot(counts.true, np.logaddexp(0.0, -s)) - np.vdot(counts.noise, np.logaddexp(0.0, s))
+    )
 
 
 def ns_grad(params: ModelParams, examples) -> Gradient:
     """Exact gradient of :func:`ns_loss`; the log_zc block is always zero."""
-    batch = as_batch(examples)
-    true, noise = cell_counts(batch, params.n_contexts, params.n_words)
+    counts = as_counts(examples, params)
     s = _score_grid(params)
-    coef_true = np.exp(-np.logaddexp(0.0, s))  # 1 - sigma(s)
-    coef_noise = np.exp(-np.logaddexp(0.0, -s))  # sigma(s)
-    return residual_gradient(params, true * coef_true - noise * coef_noise, Z_FIXED_ONE)
+    # 1 - sigma(s) and sigma(s), both in one pass.
+    coef = np.array((s, -s))
+    np.negative(np.logaddexp(0.0, coef, out=coef), out=coef)
+    coef_true, coef_noise = np.exp(coef, out=coef)
+    residual = counts.true * coef_true - counts.noise * coef_noise
+    return residual_gradient(params, residual, Z_FIXED_ONE)
 
 
 def _score_grid(params: ModelParams) -> np.ndarray:

@@ -11,6 +11,7 @@ at 1 and silently break the objective, so construction fails fast instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,11 @@ class NoiseDistribution:
     @property
     def n_words(self) -> int:
         return self.probs.shape[0]
+
+    @cached_property
+    def outcomes(self) -> np.ndarray:
+        """Outcome of a draw at index ``2 * slot + keep``: ``alias[slot]`` or ``slot``."""
+        return np.stack([self.alias, np.arange(self.n_words)], axis=1).ravel()
 
     def spec_string(self) -> str:
         if self.kind == KIND_FLATTENED:
@@ -92,7 +98,7 @@ def sample_array(q: NoiseDistribution, shape, rng: np.random.Generator) -> np.nd
     """Array of independent draws; two uniform variates per draw."""
     idx = rng.integers(0, q.n_words, size=shape)
     keep = rng.random(size=shape) < q.accept[idx]
-    return np.where(keep, idx, q.alias[idx])
+    return q.outcomes[2 * idx + keep]
 
 
 def _alias_tables(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

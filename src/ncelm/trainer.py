@@ -20,6 +20,8 @@ import numpy as np
 from . import nce, negsampling, noise
 from .corpus import GroundTruthTable, Vocabulary, stats_from_pairs
 from .model import (
+    PARAM_BLOCKS,
+    CellCounts,
     ModelParams,
     Z_EXACT,
     Z_FIXED_ONE,
@@ -40,13 +42,21 @@ OBJ_NCE = "nce"
 OBJ_NS = "ns"
 OBJECTIVES = (OBJ_MLE, OBJ_NCE, OBJ_NS)
 
+# Cells one bincount counts at most: an epoch's steps are counted a block of
+# consecutive steps at a time (at least one), each step taking 2 grids of
+# (n_words + 1) * n_words cells, so memory stays bounded for any |V| and n.
+COUNT_BLOCK_CELLS = 2**13
+
 
 class TrainingDiverged(RuntimeError):
-    """Raised when any parameter goes non-finite; names the epoch."""
+    """Raised when any parameter goes non-finite; names the epoch, the step
+    within it (1-based) and the first non-finite block."""
 
-    def __init__(self, message: str, epoch: int):
+    def __init__(self, message: str, epoch: int, step: int, block: str):
         super().__init__(message)
         self.epoch = epoch
+        self.step = step
+        self.block = block
 
 
 @dataclass(frozen=True)
@@ -129,18 +139,29 @@ def train(
     for epoch in range(1, config.epochs + 1):
         lr = config.learning_rate * config.lr_decay ** (epoch - 1)
         perm = derive_rng(config.seed, STREAM_SHUFFLE, epoch).permutation(n)
-        noise_words = None
-        if config.objective in (OBJ_NCE, OBJ_NS):
+        if config.objective == OBJ_MLE:
+            noise_words = np.empty((n, 0), dtype=np.int64)
+        else:
             noise_rng = derive_rng(config.seed, STREAM_NOISE, epoch)
             noise_words = noise.sample_array(q, (n, config.k), noise_rng)
-        for lo in range(0, n, config.batch_size):
-            idx = perm[lo : lo + config.batch_size]
-            grad = _batch_gradient(params, pairs, noise_words, idx, config, cfg)
-            apply_gradient(params, grad, lr / idx.size)
+        total = np.zeros((2, n_words + 1, n_words), dtype=np.int64)
+        steps = _epoch_counts(pairs, perm, noise_words, config.batch_size, n_words, total)
+        for step, (size, counts) in enumerate(steps, 1):
+            if config.objective == OBJ_MLE:
+                grad = grad_log_likelihood(params, counts)
+            elif config.objective == OBJ_NCE:
+                grad = nce.mc_grad(params, counts, cfg)
+            else:
+                grad = negsampling.ns_grad(params, counts)
+            apply_gradient(params, grad, lr / size)
             if not params_finite(params):
-                raise TrainingDiverged(f"training diverged at epoch {epoch}", epoch)
+                block = next(b for b in PARAM_BLOCKS if not np.isfinite(getattr(params, b)).all())
+                raise TrainingDiverged(
+                    f"training diverged at epoch {epoch}, step {step}: "
+                    f"first non-finite block {block}", epoch, step, block,
+                )
         if epoch % config.eval_every == 0 or epoch == config.epochs:
-            row = _metrics(params, pairs, stats, seen, truth, config, cfg, noise_words, epoch, start)
+            row = _metrics(params, pairs, stats, seen, truth, config, cfg, CellCounts(*total), epoch, start)
             history.append(row)
             if checkpoint_prefix is not None:
                 save_model(f"{checkpoint_prefix}.ep{epoch}.model", params, vocab)
@@ -164,7 +185,7 @@ def sweep_k(
         try:
             _, history = train(replace(base, k=k), pairs, n_words, truth=truth)
         except TrainingDiverged as exc:
-            raise TrainingDiverged(f"k={k}: {exc}", exc.epoch) from exc
+            raise TrainingDiverged(f"k={k}: {exc}", exc.epoch, exc.step, exc.block) from exc
         last = history[-1]
         rows.append(
             SweepRow(
@@ -193,30 +214,44 @@ def _params_z_mode(config: TrainConfig) -> str:
     return config.z_mode
 
 
-def _batch_gradient(params, pairs, noise_words, idx, config, cfg):
-    if config.objective == OBJ_MLE:
-        return grad_log_likelihood(params, pairs[idx])
-    batch = nce.ProxyBatch(
-        contexts=pairs[idx, 0], true_words=pairs[idx, 1], noise_words=noise_words[idx]
-    )
-    if config.objective == OBJ_NCE:
-        return nce.mc_grad(params, batch, cfg)
-    return negsampling.ns_grad(params, batch)
+def _epoch_counts(pairs, perm, noise_words, batch_size, n_words, total):
+    """Yield (batch size, CellCounts) for each step of one epoch, in ``perm``
+    order, and add every step's counts into ``total``, (2, n_contexts, n_words).
+
+    A block of consecutive steps is counted by one bincount over cell ids
+    ``context * n_words + word``, noise ids shifted by one grid and the j-th
+    step's ids by 2j grids. ``noise_words`` is overwritten with its cell ids.
+    """
+    grid = (n_words + 1) * n_words
+    ctx = pairs[:, 0] * n_words
+    true_cells = ctx + pairs[:, 1]
+    ctx += grid
+    noise_words += ctx[:, None]
+    rows = max(1, COUNT_BLOCK_CELLS // (2 * grid)) * batch_size
+    offsets = np.arange(rows) // batch_size * (2 * grid)
+    for lo in range(0, perm.size, rows):
+        idx = perm[lo : lo + rows]
+        off = offsets[: idx.size]
+        ids = np.concatenate((true_cells[idx] + off, noise_words[idx] + off[:, None]), axis=None)
+        n_steps = -(-idx.size // batch_size)
+        block = np.bincount(ids, minlength=n_steps * 2 * grid)
+        block = block.reshape(n_steps, 2, n_words + 1, n_words)
+        total += block.sum(axis=0)
+        for j, (true, noise) in enumerate(zip(block[:, 0], block[:, 1])):
+            yield min(batch_size, idx.size - j * batch_size), CellCounts(true, noise)
 
 
-def _metrics(params, pairs, stats, seen, truth, config, cfg, noise_words, epoch, start):
+def _metrics(params, pairs, stats, seen, truth, config, cfg, counts, epoch, start):
     n = pairs.shape[0]
     ce = -log_likelihood(params, pairs) / n
     kl = None if truth is None else kl_truth_model(truth, params)
     med_z = float(np.median(np.abs(log_partitions(params, seen))))
     if config.objective == OBJ_MLE:
         obj = -ce
+    elif config.objective == OBJ_NCE:
+        obj = nce.mc_loss(params, counts, cfg) / n
     else:
-        batch = nce.ProxyBatch(contexts=pairs[:, 0], true_words=pairs[:, 1], noise_words=noise_words)
-        if config.objective == OBJ_NCE:
-            obj = nce.mc_loss(params, batch, cfg) / n
-        else:
-            obj = negsampling.ns_loss(params, batch) / n
+        obj = negsampling.ns_loss(params, counts) / n
     return MetricsRow(
         epoch=epoch,
         cross_entropy=float(ce),

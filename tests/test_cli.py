@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from ncelm.cli import MAX_VOCAB_SIZE
 from ncelm.corpus import build_vocab, read_corpus_tokens, read_truth
 from ncelm.model import init_params, save_model
 
@@ -58,6 +60,15 @@ def test_gen_data_usage_errors(tmp_path):
     r = run_cli("gen-data", "--vocab-size", 4, "--tokens", 0,
                 "--out-prefix", tmp_path / "x")
     assert r.returncode == 2
+    # The cap is checked before anything is allocated or written.
+    r = run_cli("gen-data", "--vocab-size", MAX_VOCAB_SIZE + 1, "--tokens", 10,
+                "--out-prefix", tmp_path / "x")
+    assert r.returncode == 2
+    assert f"--vocab-size must be in [2, {MAX_VOCAB_SIZE}]" in r.stderr
+    assert not (tmp_path / "x.txt").exists()
+    r = run_cli("equiv-check", "--vocab-size", MAX_VOCAB_SIZE + 1)
+    assert r.returncode == 2
+    assert str(MAX_VOCAB_SIZE) in r.stderr
 
 
 def train_args(prefix, out, *extra):
@@ -118,6 +129,8 @@ def test_train_divergence_exit_code(tmp_path):
                             "--lr", 1e12))
     assert r.returncode == 3
     assert "diverged" in r.stderr
+    assert re.search(r"epoch \d+, step \d+: first non-finite block "
+                     r"(target_emb|context_emb|bias|log_zc)", r.stderr)
 
 
 def test_eval_uniform_model_reports_log_vocab(tmp_path):

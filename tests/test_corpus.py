@@ -21,6 +21,7 @@ from ncelm.corpus import (
     write_truth,
     write_vocab,
 )
+from ncelm.seeding import STREAM_DATA, derive_rng
 
 
 def test_build_vocab_first_occurrence_order():
@@ -139,6 +140,24 @@ def test_synthetic_stream_unigram_tracks_marginal():
     freq = np.bincount(ids, minlength=8) / 60000
     # chain was built so its stationary law is the truth marginal
     assert np.max(np.abs(freq - truth.context_marginal)) < 0.01
+
+
+@pytest.mark.parametrize("n_words", [2, 16, 200])
+def test_synthetic_stream_matches_per_token_searchsorted(n_words):
+    # Reference: one searchsorted call per token over the same draws.
+    for seed in range(4):
+        truth = make_zipf_truth(n_words, 1.2, seed=seed)
+        rng = derive_rng(seed, STREAM_DATA)
+        cdf = np.cumsum(truth.cond, axis=1)
+        cdf[:, -1] = 1.0
+        want = np.empty(3000, dtype=np.int64)
+        want[0] = np.searchsorted(np.cumsum(truth.context_marginal), rng.random(), side="right")
+        u = rng.random(2999)
+        for i in range(1, 3000):
+            want[i] = np.searchsorted(cdf[want[i - 1]], u[i - 1], side="right")
+        got = generate_synthetic_stream(truth, 3000, seed)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 def test_generation_is_seed_deterministic():

@@ -13,8 +13,16 @@ import numpy as np
 import pytest
 
 from ncelm.corpus import stats_from_pairs
-from ncelm.model import PARAM_BLOCKS, Z_FIXED_ONE, Z_LEARNED_ZC, init_params
-from ncelm.nce import NceConfig, ProxyBatch, classifier_logits, mc_grad, mc_loss
+from ncelm.model import (
+    PARAM_BLOCKS,
+    Z_EXACT,
+    Z_FIXED_ONE,
+    Z_LEARNED_ZC,
+    CellCounts,
+    grad_log_likelihood,
+    init_params,
+)
+from ncelm.nce import NceConfig, ProxyBatch, cell_counts, classifier_logits, mc_grad, mc_loss
 from ncelm.negsampling import ns_grad, ns_loss
 from ncelm.noise import unigram
 from ncelm.seeding import STREAM_DATA, derive_rng
@@ -146,3 +154,33 @@ def test_classifier_logits_match_scalar_delta(z_mode):
         assert flat[i] == pytest.approx(_delta(params, c, int(batch.true_words[i]), cfg), rel=REL)
         for j, w in enumerate(batch.noise_words[i]):
             assert grid[i, j] == pytest.approx(_delta(params, c, int(w), cfg), rel=REL)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("z_mode", [Z_LEARNED_ZC, Z_FIXED_ONE])
+def test_kernels_on_cell_counts_equal_the_batch_bitwise(k, z_mode):
+    params, batch, q = _setup(k, z_mode, seed=30 + k, extreme=True)
+    cfg = NceConfig(k=k, z_mode=z_mode, q=q)
+    counts = cell_counts(batch, params.n_contexts, params.n_words)
+    assert isinstance(counts, CellCounts)
+    assert mc_loss(params, counts, cfg) == mc_loss(params, batch, cfg)
+    assert ns_loss(params, counts) == ns_loss(params, batch)
+    pairs = np.stack([batch.contexts, batch.true_words], axis=1)
+    mle_params = init_params(V, 3, seed=k, z_mode=Z_EXACT)
+    for got, want in (
+        (mc_grad(params, counts, cfg), mc_grad(params, batch, cfg)),
+        (ns_grad(params, counts), ns_grad(params, batch)),
+        (grad_log_likelihood(mle_params, counts), grad_log_likelihood(mle_params, pairs)),
+    ):
+        assert got.vector.tobytes() == want.vector.tobytes()
+
+
+def test_cell_counts_with_wrong_noise_total_raise():
+    params, batch, q = _setup(5, Z_FIXED_ONE, seed=40)
+    counts = cell_counts(batch, params.n_contexts, params.n_words)
+    cfg = NceConfig(k=4, z_mode=Z_FIXED_ONE, q=q)
+    for kernel in (mc_loss, mc_grad):
+        with pytest.raises(ValueError, match="k mismatch"):
+            kernel(params, counts, cfg)
+        with pytest.raises(ValueError, match="k mismatch"):
+            kernel(params, batch, cfg)

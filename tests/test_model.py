@@ -7,9 +7,11 @@ from ncelm import model
 from ncelm.checks import finite_diff_gradient
 from ncelm.corpus import build_vocab
 from ncelm.model import (
+    PARAM_BLOCKS,
     Z_EXACT,
     Z_FIXED_ONE,
     Z_LEARNED_ZC,
+    ModelParams,
     apply_gradient,
     grad_log_likelihood,
     init_params,
@@ -144,6 +146,53 @@ def test_apply_gradient_freezes_log_zc_unless_learned():
         apply_gradient(p, g, 0.5)
         assert np.all(p.bias == 0.5)
         assert np.all(p.log_zc == (0.5 if moves else 0.0))
+
+
+def test_flat_vector_invariants():
+    p = init_params(4, 3, seed=2, z_mode=Z_LEARNED_ZC)
+    g = zero_gradient(p)
+    for obj in (p, g):
+        for name in PARAM_BLOCKS:
+            assert np.shares_memory(getattr(obj, name), obj.vector)
+    # The constructor copies its inputs into one fresh vector.
+    emb = p.target_emb.copy()
+    q = ModelParams(emb, p.context_emb, p.bias, p.log_zc, Z_LEARNED_ZC)
+    emb[0, 0] += 1.0
+    assert q.target_emb[0, 0] == p.target_emb[0, 0]
+    assert not np.shares_memory(q.vector, p.vector)
+    # An in-place write to a block, as finite_diff_gradient makes, is seen
+    # by the losses.
+    pairs = np.array([[4, 1], [0, 2], [2, 3], [2, 1]])
+    before = log_likelihood(p, pairs)
+    p.context_emb[2, 1] += 0.5
+    moved = log_likelihood(p, pairs)
+    assert moved != before
+    assert moved == log_likelihood(
+        ModelParams(p.target_emb, p.context_emb, p.bias, p.log_zc, Z_LEARNED_ZC), pairs
+    )
+    # copy() is independent of the original.
+    c = p.copy()
+    assert c.z_mode == p.z_mode and np.array_equal(c.vector, p.vector)
+    c.bias[1] = 7.0
+    assert p.bias[1] != 7.0
+    # to_vector() keeps the old concatenation order.
+    g = grad_log_likelihood(p, pairs)
+    want = np.concatenate([g.target_emb.ravel(), g.context_emb.ravel(), g.bias, g.log_zc])
+    assert np.array_equal(g.to_vector(), want)
+    assert not np.shares_memory(g.to_vector(), g.vector)
+
+
+@pytest.mark.parametrize("z_mode", [Z_EXACT, Z_FIXED_ONE])
+def test_apply_gradient_leaves_frozen_log_zc_bitwise(z_mode):
+    p = init_params(3, 2, seed=1, z_mode=z_mode)
+    p.log_zc[:] = [-0.0, 0.25, np.pi, -1.5]
+    frozen = p.log_zc.tobytes()
+    g = zero_gradient(p)
+    g.vector[:] = 1.0
+    apply_gradient(p, g, 0.5)
+    assert p.log_zc.tobytes() == frozen
+    assert np.signbit(p.log_zc[0])
+    assert np.all(p.bias == 0.5)
 
 
 def test_set_log_zc_to_partition_normalizes_adjusted_scores():

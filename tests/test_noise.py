@@ -116,6 +116,18 @@ def test_sampling_is_seed_deterministic():
     assert np.all((0 <= k_draws) & (k_draws < 5))
 
 
+def test_sample_array_matches_two_gather_alias_lookup():
+    stats = extract_stats(list("aabacbdaaeeaba"), build_vocab(list("abcde")))
+    for q in (uniform(5), unigram(stats), flattened(stats, 0.5)):
+        rng = derive_rng(4, STREAM_NOISE)
+        idx = rng.integers(0, q.n_words, size=(200, 7))
+        keep = rng.random(size=(200, 7)) < q.accept[idx]
+        want = np.where(keep, idx, q.alias[idx])
+        got = sample_array(q, (200, 7), derive_rng(4, STREAM_NOISE))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_parse_noise_spec():
     stats = small_stats()
     assert parse_noise_spec("uniform", None, 3).kind == "uniform"

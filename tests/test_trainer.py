@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from ncelm.corpus import build_vocab, generate_synthetic_corpus, make_zipf_truth
+from ncelm import noise
+from ncelm.corpus import build_vocab, generate_synthetic_corpus, make_zipf_truth, stats_from_pairs
 from ncelm.model import (
+    PARAM_BLOCKS,
     Z_EXACT,
     Z_FIXED_ONE,
     Z_LEARNED_ZC,
@@ -14,13 +16,18 @@ from ncelm.model import (
     init_params,
     load_model,
     log_likelihood,
+    log_partitions,
 )
-from ncelm.seeding import STREAM_DATA, derive_rng
+from ncelm.nce import NceConfig, ProxyBatch, mc_grad, mc_loss
+from ncelm.negsampling import ns_grad, ns_loss
+from ncelm.seeding import STREAM_DATA, STREAM_NOISE, STREAM_SHUFFLE, derive_rng
 from ncelm.trainer import (
+    COUNT_BLOCK_CELLS,
     METRICS_HEADER,
     MetricsRow,
     TrainConfig,
     TrainingDiverged,
+    _params_z_mode,
     cross_entropy,
     kl_truth_model,
     kl_truth_rows,
@@ -113,7 +120,79 @@ def test_divergence_raises_with_epoch():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged) as info:
             train(cfg, pairs, 8)
-    assert 1 <= info.value.epoch <= 5
+    exc = info.value
+    assert 1 <= exc.epoch <= 5
+    assert 1 <= exc.step <= 50  # 400 pairs in batches of 8
+    assert exc.block in PARAM_BLOCKS
+    assert f"epoch {exc.epoch}, step {exc.step}: first non-finite block {exc.block}" in str(exc)
+
+
+def _reference_train(config, pairs, n_words, truth):
+    """The training loop written out step by step: a ProxyBatch per step from
+    the same permutation and noise matrix, the kernels run on it (on the
+    batch's pairs for MLE), and the update applied block by block."""
+    stats = stats_from_pairs(pairs, n_words)
+    params = init_params(n_words, config.dim, config.seed, z_mode=_params_z_mode(config))
+    q = cfg = None
+    if config.objective != "mle_exact":
+        q = noise.parse_noise_spec(config.noise, stats, n_words)
+        cfg = NceConfig(k=config.k, z_mode=config.z_mode, q=q)
+    n = pairs.shape[0]
+    history = []
+    for epoch in range(1, config.epochs + 1):
+        lr = config.learning_rate * config.lr_decay ** (epoch - 1)
+        perm = derive_rng(config.seed, STREAM_SHUFFLE, epoch).permutation(n)
+        if q is not None:
+            noise_words = noise.sample_array(q, (n, config.k), derive_rng(config.seed, STREAM_NOISE, epoch))
+        for lo in range(0, n, config.batch_size):
+            idx = perm[lo : lo + config.batch_size]
+            if config.objective == "mle_exact":
+                grad = grad_log_likelihood(params, pairs[idx])
+            else:
+                batch = ProxyBatch(contexts=pairs[idx, 0], true_words=pairs[idx, 1],
+                                   noise_words=noise_words[idx])
+                grad = mc_grad(params, batch, cfg) if config.objective == "nce" else ns_grad(params, batch)
+            blocks = PARAM_BLOCKS if params.z_mode == Z_LEARNED_ZC else PARAM_BLOCKS[:3]
+            for name in blocks:
+                getattr(params, name)[...] += lr / idx.size * getattr(grad, name)
+        if epoch % config.eval_every == 0 or epoch == config.epochs:
+            ce = -log_likelihood(params, pairs) / n
+            if config.objective == "mle_exact":
+                obj = -ce
+            else:
+                batch = ProxyBatch(contexts=pairs[:, 0], true_words=pairs[:, 1], noise_words=noise_words)
+                obj = (mc_loss(params, batch, cfg) if config.objective == "nce" else ns_loss(params, batch)) / n
+            history.append(MetricsRow(
+                epoch=epoch,
+                cross_entropy=float(ce),
+                kl_truth=kl_truth_model(truth, params),
+                median_abs_log_z=float(np.median(np.abs(log_partitions(params, stats.seen_contexts())))),
+                objective=float(obj),
+                seconds=0.0,
+            ))
+    return params, history
+
+
+# (|V|, pairs, batch size), each epoch ending on a short step. At 2**13
+# cells per count block, |V| = 8 fits 56 steps in a block: 300 pairs in
+# batches of 64 are one block and 1003 in batches of 8 are three. |V| = 70
+# fits one step per block.
+_SHAPES = [(8, 300, 64), (8, 1003, 8), (70, 1500, 48)]
+_RUNS = [("mle_exact", Z_FIXED_ONE), ("nce", Z_LEARNED_ZC), ("nce", Z_FIXED_ONE), ("ns", Z_FIXED_ONE)]
+
+
+@pytest.mark.parametrize("n_words,n_pairs,batch_size", _SHAPES)
+@pytest.mark.parametrize("objective,z_mode", _RUNS)
+def test_train_matches_per_step_batch_reference(objective, z_mode, n_words, n_pairs, batch_size):
+    assert COUNT_BLOCK_CELLS == 2**13
+    truth = make_zipf_truth(n_words, 1.3, seed=3)
+    pairs = generate_synthetic_corpus(truth, n_pairs, seed=4)
+    cfg = TrainConfig(objective=objective, k=3, z_mode=z_mode, noise="unigram", epochs=3,
+                      eval_every=2, seed=6, batch_size=batch_size, dim=4, learning_rate=0.4)
+    params, history = train(cfg, pairs, n_words, truth=truth)
+    want_params, want_history = _reference_train(cfg, pairs, n_words, truth)
+    assert params.vector.tobytes() == want_params.vector.tobytes()
+    assert [dataclasses.replace(r, seconds=0.0) for r in history] == want_history
 
 
 def test_checkpoints_written_at_eval_epochs(tmp_path):
