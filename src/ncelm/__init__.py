@@ -21,6 +21,7 @@ from .corpus import (
     stats_from_pairs,
 )
 from .model import (
+    CellCounts,
     Gradient,
     ModelParams,
     Z_EXACT,
@@ -33,7 +34,7 @@ from .model import (
     save_model,
     softmax_row,
 )
-from .nce import NceConfig, ProxyBatch, ProxyExample
+from .nce import NceConfig
 from .noise import NoiseDistribution, parse_noise_spec
 from .trainer import (
     MetricsRow,
@@ -47,6 +48,7 @@ from .trainer import (
 
 __all__ = [
     "BOS_TOKEN",
+    "CellCounts",
     "CorpusStats",
     "Gradient",
     "GroundTruthTable",
@@ -54,8 +56,6 @@ __all__ = [
     "ModelParams",
     "NceConfig",
     "NoiseDistribution",
-    "ProxyBatch",
-    "ProxyExample",
     "SweepRow",
     "TrainConfig",
     "TrainingDiverged",

@@ -19,11 +19,13 @@ from .model import (
     Z_EXACT,
     Z_FIXED_ONE,
     Z_LEARNED_ZC,
+    CellCounts,
     Gradient,
     ModelParams,
     grad_log_likelihood,
     init_params,
     log_likelihood,
+    pair_count_matrix,
     zero_gradient,
 )
 from .noise import uniform
@@ -130,6 +132,17 @@ def run_gradcheck(
     return result
 
 
+def _sampled_counts(contexts, words, noise_words, n_words: int) -> CellCounts:
+    """Cell counts of a sampled batch: the (context, word) pairs, and each
+    pair's context repeated k times against its k noise words."""
+    k = noise_words.shape[1]
+    noise_pairs = np.stack([np.repeat(contexts, k), noise_words.ravel()], axis=1)
+    return CellCounts(
+        pair_count_matrix(np.stack([contexts, words], axis=1), n_words),
+        pair_count_matrix(noise_pairs, n_words),
+    )
+
+
 def _suite_z_modes(label: str):
     if label == "nce-mc" or label == "nce-exact":
         return (Z_LEARNED_ZC, Z_FIXED_ONE)
@@ -146,32 +159,26 @@ def _one_gradcheck(label, z_mode, seed, i, step):
     words = rng.integers(0, _GC_VOCAB, _GC_PAIRS)
     pairs = np.stack([contexts, words], axis=1)
     if label == "mle":
-        return grad_log_likelihood(params, pairs), finite_diff_gradient(
+        counts = pair_count_matrix(pairs, _GC_VOCAB)
+        return grad_log_likelihood(params, counts), finite_diff_gradient(
             lambda p: log_likelihood(p, pairs), params, step
         )
-    if label == "ns":
-        batch = nce.ProxyBatch(
-            contexts=contexts,
-            true_words=words,
-            noise_words=rng.integers(0, _GC_VOCAB, (_GC_PAIRS, _GC_K)),
+    if label == "nce-exact":
+        # The analysis-form gradient against the full-expectation loss.
+        cfg = nce.NceConfig(k=_GC_K, z_mode=z_mode, q=uniform(_GC_VOCAB))
+        stats = stats_from_pairs(pairs, _GC_VOCAB)
+        return nce.exact_grad_analysis(params, stats, cfg), finite_diff_gradient(
+            lambda p: nce.exact_loss(p, pairs, cfg), params, step
         )
-        return negsampling.ns_grad(params, batch), finite_diff_gradient(
-            lambda p: negsampling.ns_loss(p, batch), params, step
+    noise_words = rng.integers(0, _GC_VOCAB, (_GC_PAIRS, _GC_K))
+    counts = _sampled_counts(contexts, words, noise_words, _GC_VOCAB)
+    if label == "ns":
+        return negsampling.ns_grad(params, counts), finite_diff_gradient(
+            lambda p: negsampling.ns_loss(p, counts), params, step
         )
     cfg = nce.NceConfig(k=_GC_K, z_mode=z_mode, q=uniform(_GC_VOCAB))
-    if label == "nce-mc":
-        batch = nce.ProxyBatch(
-            contexts=contexts,
-            true_words=words,
-            noise_words=rng.integers(0, _GC_VOCAB, (_GC_PAIRS, _GC_K)),
-        )
-        return nce.mc_grad(params, batch, cfg), finite_diff_gradient(
-            lambda p: nce.mc_loss(p, batch, cfg), params, step
-        )
-    # nce-exact: the analysis-form gradient against the full-expectation loss.
-    stats = stats_from_pairs(pairs, _GC_VOCAB)
-    return nce.exact_grad_analysis(params, stats, cfg), finite_diff_gradient(
-        lambda p: nce.exact_loss(p, pairs, cfg), params, step
+    return nce.mc_grad(params, counts, cfg), finite_diff_gradient(
+        lambda p: nce.mc_loss(p, counts, cfg), params, step
     )
 
 
@@ -200,16 +207,14 @@ def run_equiv_check(
         rng = derive_rng(seed, STREAM_DATA, i)
         params = init_params(vocab_size, 4, seed + i, z_mode=Z_FIXED_ONE)
         n = 30
-        batch = nce.ProxyBatch(
-            contexts=rng.integers(0, vocab_size + 1, n),
-            true_words=rng.integers(0, vocab_size, n),
-            noise_words=rng.integers(0, vocab_size, (n, k)),
-        )
-        dloss = abs(nce.mc_loss(params, batch, cfg) - negsampling.ns_loss(params, batch))
+        contexts = rng.integers(0, vocab_size + 1, n)
+        words = rng.integers(0, vocab_size, n)
+        counts = _sampled_counts(contexts, words, rng.integers(0, vocab_size, (n, k)), vocab_size)
+        dloss = abs(nce.mc_loss(params, counts, cfg) - negsampling.ns_loss(params, counts))
         dgrad = np.max(
             np.abs(
-                nce.mc_grad(params, batch, cfg).to_vector()
-                - negsampling.ns_grad(params, batch).to_vector()
+                nce.mc_grad(params, counts, cfg).to_vector()
+                - negsampling.ns_grad(params, counts).to_vector()
             )
         )
         max_dloss = max(max_dloss, float(dloss))

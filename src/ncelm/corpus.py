@@ -156,11 +156,6 @@ def empirical_conditional(stats: CorpusStats, context_id: int, word_id: int) -> 
     return stats.bigram_counts[context_id, word_id] / n_c
 
 
-def empirical_context_marginal(stats: CorpusStats, context_id: int) -> float:
-    """p̃(context): share of pairs whose context is ``context_id``."""
-    return stats.context_counts[context_id] / stats.total_tokens
-
-
 def generate_synthetic_corpus(truth: GroundTruthTable, n_tokens: int, seed: int) -> np.ndarray:
     """Draw ``n_tokens`` independent (context, word) pairs from the truth.
 
@@ -258,19 +253,6 @@ def write_corpus_tokens(path, tokens) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(" ".join(tokens))
         fh.write("\n")
-
-
-def write_vocab(path, vocab: Vocabulary) -> None:
-    """One token per line; the line number is the id."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for word in vocab.words:
-            fh.write(word + "\n")
-
-
-def read_vocab(path) -> Vocabulary:
-    with open(path, "r", encoding="utf-8") as fh:
-        words = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-    return build_vocab(words)
 
 
 def write_truth(path, truth: GroundTruthTable, vocab: Vocabulary) -> None:

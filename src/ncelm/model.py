@@ -120,22 +120,6 @@ def params_finite(params: ModelParams) -> bool:
 # Scoring and exact probabilities
 # ---------------------------------------------------------------------------
 
-def score(params: ModelParams, word_id: int, context_id: int) -> float:
-    return float(
-        params.target_emb[word_id] @ params.context_emb[context_id] + params.bias[word_id]
-    )
-
-
-def unnorm(params: ModelParams, word_id: int, context_id: int) -> float:
-    """exp(score): the unnormalized weight of ``word`` after ``context``."""
-    return float(np.exp(score(params, word_id, context_id)))
-
-
-def unnorm_adjusted(params: ModelParams, word_id: int, context_id: int) -> float:
-    """exp(score - log_zc[context]): weight divided by the learned normalizer."""
-    return float(np.exp(score(params, word_id, context_id) - params.log_zc[context_id]))
-
-
 def scores_for_context(params: ModelParams, context_id: int) -> np.ndarray:
     """Score of every vocabulary word after one context, shape (n_words,)."""
     return params.target_emb @ params.context_emb[context_id] + params.bias
@@ -161,10 +145,6 @@ def log_partitions(params: ModelParams, context_ids: np.ndarray) -> np.ndarray:
     return (m + np.log(np.exp(s - m).sum(axis=1, keepdims=True)))[:, 0]
 
 
-def partition(params: ModelParams, context_id: int) -> float:
-    return float(np.exp(log_partition(params, context_id)))
-
-
 def softmax_from_scores(scores: np.ndarray) -> np.ndarray:
     """Shift-invariant softmax over the last axis."""
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -174,10 +154,6 @@ def softmax_from_scores(scores: np.ndarray) -> np.ndarray:
 def softmax_row(params: ModelParams, context_id: int) -> np.ndarray:
     """Normalized distribution over words for one context."""
     return softmax_from_scores(scores_for_context(params, context_id))
-
-
-def softmax_prob(params: ModelParams, word_id: int, context_id: int) -> float:
-    return float(softmax_row(params, context_id)[word_id])
 
 
 def log_softmax_matrix(params: ModelParams, context_ids: np.ndarray) -> np.ndarray:
@@ -192,8 +168,9 @@ def log_softmax_matrix(params: ModelParams, context_ids: np.ndarray) -> np.ndarr
 
 class CellCounts(NamedTuple):
     """A sampled batch as true and noise sample counts per (context, word)
-    cell, each (n_contexts, n_words): all that the sampled objectives and
-    their gradients depend on. Exact MLE reads only ``true``."""
+    cell, each (n_contexts, n_words): the one batch type of the sampled
+    objectives and their gradients, which depend on nothing else. Exact MLE
+    reads only ``true``."""
 
     true: np.ndarray
     noise: np.ndarray
@@ -218,21 +195,15 @@ def log_likelihood(params: ModelParams, pairs: np.ndarray) -> float:
     return float((counts[active] * logp).sum())
 
 
-def grad_log_likelihood(params: ModelParams, pairs) -> Gradient:
-    """Exact gradient of :func:`log_likelihood`, from a pair array or the
-    true counts of a :class:`CellCounts`.
+def grad_log_likelihood(params: ModelParams, counts: np.ndarray) -> Gradient:
+    """Exact gradient of :func:`log_likelihood` for pairs given by their
+    (n_contexts, n_words) count matrix: :func:`pair_count_matrix` of a pair
+    array, or the ``true`` counts of a :class:`CellCounts`.
 
     Per pair the score of the observed word goes up and the expected score
     under the model distribution comes down; accumulated over the multiset
     this reduces to the residual counts ``N(c, .) - n_c * p(. | c)``.
     """
-    if isinstance(pairs, CellCounts):
-        counts = pairs.true
-    else:
-        pairs = np.asarray(pairs, dtype=np.int64)
-        if pairs.shape[0] == 0:
-            raise ValueError("grad_log_likelihood needs at least one pair")
-        counts = pair_count_matrix(pairs, params.n_words)
     probs = softmax_from_scores(score_matrix(params))
     residual = counts - counts.sum(axis=1, keepdims=True) * probs
     return residual_gradient(params, residual, Z_EXACT)

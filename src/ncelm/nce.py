@@ -16,7 +16,8 @@ with z_c pinned to 1) gives the trainable posterior
     sigma(Delta)  with  Delta = log u - log z_c - log(k q(w)).
 
 Two objectives are provided: the Monte Carlo form, summing log-posteriors
-over the sampled noise words, and the exact form, where the noise
+over the sampled noise words of a batch given as per-cell true and noise
+counts (``model.CellCounts``), and the exact form, where the noise
 expectation is a full-vocabulary sum (tractable here, and the oracle the
 Monte Carlo form is tested against). The analysis gradient re-expresses the
 exact objective's derivative as a classifier-weighted moment mismatch
@@ -35,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import CorpusStats, Vocabulary
+from .corpus import CorpusStats
 from .model import (
     CellCounts,
     Gradient,
@@ -46,42 +47,7 @@ from .model import (
     residual_gradient,
     score_matrix,
 )
-from .noise import NoiseDistribution, sample_array
-from .seeding import STREAM_PROXY, derive_rng
-
-
-@dataclass(frozen=True)
-class ProxyExample:
-    """One record of the two-class proxy corpus."""
-
-    context: int
-    true_word: int
-    noise_words: np.ndarray  # (k,)
-
-
-@dataclass(frozen=True)
-class ProxyBatch:
-    """Column-oriented proxy examples; the form the vectorized math runs on."""
-
-    contexts: np.ndarray  # (n,)
-    true_words: np.ndarray  # (n,)
-    noise_words: np.ndarray  # (n, k)
-
-    @property
-    def n_examples(self) -> int:
-        return self.contexts.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.noise_words.shape[1]
-
-    def examples(self):
-        for i in range(self.n_examples):
-            yield ProxyExample(
-                context=int(self.contexts[i]),
-                true_word=int(self.true_words[i]),
-                noise_words=self.noise_words[i].copy(),
-            )
+from .noise import NoiseDistribution
 
 
 @dataclass(frozen=True)
@@ -100,31 +66,6 @@ class NceConfig:
     def log_kq(self) -> np.ndarray:
         """log(k q(w)) per word: the noise term of every classifier logit."""
         return np.log(self.k * self.q.probs)
-
-
-def as_batch(examples, k: int | None = None) -> ProxyBatch:
-    """Normalize a ProxyBatch or a sequence of ProxyExample records.
-
-    Every example must carry the same number of noise words; with ``k`` given,
-    that number must equal it.
-    """
-    if isinstance(examples, ProxyBatch):
-        batch = examples
-    else:
-        examples = list(examples)
-        if not examples:
-            raise ValueError("empty proxy example sequence")
-        widths = {len(ex.noise_words) for ex in examples}
-        if len(widths) != 1:
-            raise ValueError(f"k mismatch: examples carry {sorted(widths)} noise words")
-        batch = ProxyBatch(
-            contexts=np.array([ex.context for ex in examples], dtype=np.int64),
-            true_words=np.array([ex.true_word for ex in examples], dtype=np.int64),
-            noise_words=np.array([ex.noise_words for ex in examples], dtype=np.int64),
-        )
-    if k is not None and batch.k != k:
-        raise ValueError(f"k mismatch: examples carry {batch.k} noise words, config says {k}")
-    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +96,6 @@ def posterior_true_empirical(
     return p_emp / (p_emp + k * float(q.probs[word_id]))
 
 
-def posterior_true_model(
-    params: ModelParams, word_id: int, context_id: int, cfg: NceConfig
-) -> float:
-    """Probability the sample is true, written with the model weight."""
-    delta = classifier_logits(
-        params, np.array([context_id]), np.array([word_id]), cfg
-    )[0]
-    return float(_sigmoid(np.array([delta]))[0])
-
-
-def posterior_noise_model(
-    params: ModelParams, word_id: int, context_id: int, cfg: NceConfig
-) -> float:
-    return 1.0 - posterior_true_model(params, word_id, context_id, cfg)
-
-
 def classifier_logits(
     params: ModelParams, contexts: np.ndarray, words: np.ndarray, cfg: NceConfig
 ) -> np.ndarray:
@@ -199,27 +124,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # Monte Carlo objective
 # ---------------------------------------------------------------------------
 
-def cell_counts(batch: ProxyBatch, n_contexts: int, n_words: int) -> CellCounts:
-    """True and noise sample counts of a batch per (context, word) cell."""
-    size = n_contexts * n_words
-    ctx = batch.contexts * n_words
-    true = np.bincount(ctx + batch.true_words, minlength=size)
-    noise = np.bincount((ctx[:, None] + batch.noise_words).ravel(), minlength=size)
-    return CellCounts(true.reshape(n_contexts, n_words), noise.reshape(n_contexts, n_words))
-
-
-def as_counts(examples, params: ModelParams, k: int | None = None) -> CellCounts:
-    """Cell counts of a CellCounts, a ProxyBatch or a sequence of
-    ProxyExample records; with ``k`` given, there must be k noise samples
-    per true sample."""
-    if not isinstance(examples, CellCounts):
-        return cell_counts(as_batch(examples, k), params.n_contexts, params.n_words)
-    if k is not None and int(examples.noise.sum()) != k * int(examples.true.sum()):
+def _check_k(counts: CellCounts, k: int) -> None:
+    """Raise unless ``counts`` holds k noise samples per true sample."""
+    if int(counts.noise.sum()) != k * int(counts.true.sum()):
         raise ValueError(
-            f"k mismatch: counts hold {examples.noise.sum()} noise samples for "
-            f"{examples.true.sum()} true samples, config says k={k}"
+            f"k mismatch: counts hold {counts.noise.sum()} noise samples for "
+            f"{counts.true.sum()} true samples, config says k={k}"
         )
-    return examples
 
 
 def _delta_grid(params: ModelParams, cfg: NceConfig) -> np.ndarray:
@@ -229,27 +140,28 @@ def _delta_grid(params: ModelParams, cfg: NceConfig) -> np.ndarray:
     )
 
 
-def mc_loss(params: ModelParams, examples, cfg: NceConfig) -> float:
-    """Sampled two-class log-likelihood of the proxy examples.
+def mc_loss(params: ModelParams, counts: CellCounts, cfg: NceConfig) -> float:
+    """Sampled two-class log-likelihood of a batch given as cell counts.
 
     Per example: log-posterior of the true word plus the log noise-posterior
-    of each of its k sampled noise words, summed here per cell.
+    of each of its k sampled noise words, summed here per cell. Raises
+    ValueError unless the counts hold k noise samples per true sample.
     """
-    counts = as_counts(examples, params, cfg.k)
+    _check_k(counts, cfg.k)
     delta = _delta_grid(params, cfg)
     return float(
         np.vdot(counts.true, _log_sigmoid(delta)) + np.vdot(counts.noise, _log_sigmoid(-delta))
     )
 
 
-def mc_grad(params: ModelParams, examples, cfg: NceConfig) -> Gradient:
+def mc_grad(params: ModelParams, counts: CellCounts, cfg: NceConfig) -> Gradient:
     """Exact gradient of :func:`mc_loss` in the active parameter blocks.
 
     The true word pushes with weight (1 - sigma), each noise word pulls with
     weight sigma, both through d(log u_adjusted)/d(theta); per cell this is
     the residual ``T sigma(-Delta) - N sigma(Delta)``.
     """
-    counts = as_counts(examples, params, cfg.k)
+    _check_k(counts, cfg.k)
     delta = _delta_grid(params, cfg)
     # sigma(-Delta) and sigma(Delta) in one pass, as _sigmoid computes them.
     coef = np.array((delta, -delta))
@@ -307,63 +219,3 @@ def _logit_rows(params: ModelParams, cfg: NceConfig) -> np.ndarray:
         s -= params.log_zc[:, None]
     s -= cfg.log_kq
     return s
-
-
-# ---------------------------------------------------------------------------
-# Proxy corpus generation
-# ---------------------------------------------------------------------------
-
-def gen_proxy_batch(
-    pairs: np.ndarray, q: NoiseDistribution, k: int, seed: int
-) -> ProxyBatch:
-    """One proxy example per observed pair, in corpus order, fresh noise."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    pairs = np.asarray(pairs, dtype=np.int64)
-    rng = derive_rng(seed, STREAM_PROXY)
-    noise = sample_array(q, (pairs.shape[0], k), rng)
-    return ProxyBatch(contexts=pairs[:, 0], true_words=pairs[:, 1], noise_words=noise)
-
-
-def gen_proxy_sampled(
-    stats: CorpusStats, q: NoiseDistribution, k: int, n_examples: int, seed: int
-) -> ProxyBatch:
-    """Independent examples: (c, w) from the empirical joint, noise from q."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    rng = derive_rng(seed, STREAM_PROXY)
-    joint = stats.bigram_counts.ravel() / stats.total_tokens
-    flat = rng.choice(joint.size, size=n_examples, p=joint)
-    pairs = np.stack([flat // stats.n_words, flat % stats.n_words], axis=1)
-    noise = sample_array(q, (n_examples, k), rng)
-    return ProxyBatch(contexts=pairs[:, 0], true_words=pairs[:, 1], noise_words=noise)
-
-
-def gen_proxy(
-    source, q: NoiseDistribution, k: int, seed: int, mode: str = "epoch", n_examples: int | None = None
-):
-    """Stream of ProxyExample records.
-
-    ``mode="epoch"``: ``source`` is a (n, 2) pair array; one example per pair.
-    ``mode="sample"``: ``source`` is a CorpusStats; ``n_examples`` independent
-    draws from the empirical joint. Deterministic given the seed.
-    """
-    if mode == "epoch":
-        batch = gen_proxy_batch(source, q, k, seed)
-    elif mode == "sample":
-        if n_examples is None:
-            raise ValueError("sample mode needs n_examples")
-        batch = gen_proxy_sampled(source, q, k, n_examples, seed)
-    else:
-        raise ValueError(f"unknown proxy mode {mode!r}")
-    yield from batch.examples()
-
-
-def write_proxy_dump(examples, vocab: Vocabulary, fh) -> None:
-    """Debug format: ``<context> <true> | <noise_1> ... <noise_k>`` per line."""
-    batch = examples if isinstance(examples, ProxyBatch) else as_batch(examples)
-    for i in range(batch.n_examples):
-        ctx = vocab.context_token(int(batch.contexts[i]))
-        true = vocab.word_of(int(batch.true_words[i]))
-        noise = " ".join(vocab.word_of(int(w)) for w in batch.noise_words[i])
-        fh.write(f"{ctx} {true} | {noise}\n")

@@ -18,29 +18,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Z_FIXED_ONE, Gradient, ModelParams, residual_gradient
-from .nce import as_counts
+from .model import Z_FIXED_ONE, CellCounts, Gradient, ModelParams, residual_gradient
 
 
-def ns_posterior_true(params: ModelParams, word_id: int, context_id: int) -> float:
-    """sigma(score): probability the sample is true. Normalizer modes are
-    irrelevant here and ignored."""
-    s = params.target_emb[word_id] @ params.context_emb[context_id] + params.bias[word_id]
-    return float(np.exp(-np.logaddexp(0.0, -s)))
-
-
-def ns_loss(params: ModelParams, examples) -> float:
-    """Two-class log-likelihood with the sigmoid-of-score posterior."""
-    counts = as_counts(examples, params)
+def ns_loss(params: ModelParams, counts: CellCounts) -> float:
+    """Two-class log-likelihood with the sigmoid-of-score posterior, of a
+    batch given as cell counts."""
     s = _score_grid(params)
     return float(
         -np.vdot(counts.true, np.logaddexp(0.0, -s)) - np.vdot(counts.noise, np.logaddexp(0.0, s))
     )
 
 
-def ns_grad(params: ModelParams, examples) -> Gradient:
+def ns_grad(params: ModelParams, counts: CellCounts) -> Gradient:
     """Exact gradient of :func:`ns_loss`; the log_zc block is always zero."""
-    counts = as_counts(examples, params)
     s = _score_grid(params)
     # 1 - sigma(s) and sigma(s), both in one pass.
     coef = np.array((s, -s))

@@ -42,11 +42,6 @@ class NoiseDistribution:
         """Outcome of a draw at index ``2 * slot + keep``: ``alias[slot]`` or ``slot``."""
         return np.stack([self.alias, np.arange(self.n_words)], axis=1).ravel()
 
-    def spec_string(self) -> str:
-        if self.kind == KIND_FLATTENED:
-            return f"flattened:{self.alpha:g}"
-        return self.kind
-
 
 def _build(probs: np.ndarray, kind: str, alpha: float | None = None) -> NoiseDistribution:
     if np.any(probs <= 0):
@@ -81,17 +76,6 @@ def flattened(stats: CorpusStats, alpha: float) -> NoiseDistribution:
     base = unigram(stats).probs
     p = base**alpha
     return _build(p / p.sum(), KIND_FLATTENED, alpha=alpha)
-
-
-def prob(q: NoiseDistribution, word_id: int) -> float:
-    return float(q.probs[word_id])
-
-
-def sample_k(q: NoiseDistribution, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k independent draws with replacement, O(1) each."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return sample_array(q, (k,), rng)
 
 
 def sample_array(q: NoiseDistribution, shape, rng: np.random.Generator) -> np.ndarray:

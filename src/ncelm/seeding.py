@@ -18,7 +18,6 @@ STREAM_INIT = 0
 STREAM_SHUFFLE = 1
 STREAM_NOISE = 2
 STREAM_DATA = 3
-STREAM_PROXY = 4
 
 
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:

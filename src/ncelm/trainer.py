@@ -76,8 +76,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must be in (0, 1]")
         if self.epochs < 1 or self.batch_size < 1 or self.eval_every < 1:
@@ -148,7 +148,7 @@ def train(
         steps = _epoch_counts(pairs, perm, noise_words, config.batch_size, n_words, total)
         for step, (size, counts) in enumerate(steps, 1):
             if config.objective == OBJ_MLE:
-                grad = grad_log_likelihood(params, counts)
+                grad = grad_log_likelihood(params, counts.true)
             elif config.objective == OBJ_NCE:
                 grad = nce.mc_grad(params, counts, cfg)
             else:

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from batch_reference import ProxyBatch, cell_counts
 from ncelm import nce, noise, trainer
 from ncelm.checks import finite_diff_gradient, run_equiv_check, run_gradcheck
 from ncelm.corpus import generate_synthetic_corpus, make_zipf_truth, stats_from_pairs
@@ -21,6 +22,7 @@ from ncelm.model import (
     Z_LEARNED_ZC,
     grad_log_likelihood,
     init_params,
+    pair_count_matrix,
     set_log_zc_to_partition,
 )
 from ncelm.seeding import STREAM_DATA, STREAM_NOISE, derive_rng
@@ -90,7 +92,7 @@ def test_acceptance_3_k_limit_recovers_mle_gradient():
             [rng.integers(0, V + 1, 60), rng.integers(0, V, 60)], axis=1
         )
         stats = stats_from_pairs(pairs, V)
-        g_mle = grad_log_likelihood(params, pairs).to_vector()
+        g_mle = grad_log_likelihood(params, pair_count_matrix(pairs, V)).to_vector()
         cosines = []
         for k in (1, 10, 100, 1000):
             cfg = nce.NceConfig(k=k, z_mode=Z_LEARNED_ZC, q=noise.uniform(V))
@@ -182,7 +184,7 @@ def test_acceptance_7_monte_carlo_unbiasedness():
         draws = noise.sample_array(q, (n, k), derive_rng(11, STREAM_NOISE, r))
         g = nce.mc_grad(
             params,
-            nce.ProxyBatch(contexts=contexts, true_words=words, noise_words=draws),
+            cell_counts(ProxyBatch(contexts=contexts, true_words=words, noise_words=draws), V + 1, V),
             cfg,
         ).to_vector()
         total += g

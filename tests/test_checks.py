@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from batch_reference import ProxyBatch, cell_counts
+from ncelm import checks, nce, negsampling
 from ncelm.checks import (
     finite_diff_gradient,
     run_equiv_check,
     run_gradcheck,
 )
 from ncelm.model import init_params
+from ncelm.seeding import STREAM_DATA, derive_rng
 
 
 def test_finite_diff_restores_parameters():
@@ -42,3 +45,59 @@ def test_equiv_check_negative_control_and_validation():
     assert not run_equiv_check(vocab_size=8, seed=1, force_k=7).ok
     with pytest.raises(ValueError):
         run_equiv_check(vocab_size=1)
+
+
+def _record_counts(monkeypatch, module, name):
+    """Wrap a kernel so that each call records the counts it was given."""
+    seen = []
+    kernel = getattr(module, name)
+
+    def spy(params, counts, *rest):
+        seen.append(counts)
+        return kernel(params, counts, *rest)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+def _reference_counts(rng, n_pairs, n_words, k):
+    """Reference counts of the batch the checks draw: contexts, true words,
+    then an (n_pairs, k) noise matrix, in that order."""
+    contexts = rng.integers(0, n_words + 1, n_pairs)
+    words = rng.integers(0, n_words, n_pairs)
+    noise_words = rng.integers(0, n_words, (n_pairs, k))
+    return cell_counts(ProxyBatch(contexts, words, noise_words), n_words + 1, n_words)
+
+
+def _assert_same_counts(seen, want):
+    assert len(seen) == len(want)
+    for got, ref in zip(seen, want):
+        assert np.array_equal(got.true, ref.true)
+        assert np.array_equal(got.noise, ref.noise)
+
+
+@pytest.mark.parametrize("suite", ["ns", "nce-mc"])
+def test_gradcheck_counts_match_reference_batches(monkeypatch, suite):
+    assert checks._GC_K > 1
+    module, name = (negsampling, "ns_grad") if suite == "ns" else (nce, "mc_grad")
+    seen = _record_counts(monkeypatch, module, name)
+    assert run_gradcheck(which=suite, seed=2).ok
+    want = []
+    # nce-mc runs learned_zc, then fixed_one; a learned log_zc is drawn first.
+    for learned in ((True, False) if suite == "nce-mc" else (False,)):
+        for i in range(checks._GC_MODELS):
+            rng = derive_rng(2, STREAM_DATA, i)
+            if learned:
+                rng.normal(0.0, 0.5, checks._GC_VOCAB + 1)
+            want.append(_reference_counts(rng, checks._GC_PAIRS, checks._GC_VOCAB, checks._GC_K))
+    _assert_same_counts(seen, want)
+
+
+@pytest.mark.parametrize("vocab_size,force_k", [(6, None), (5, 3)])
+def test_equiv_check_counts_match_reference_batches(monkeypatch, vocab_size, force_k):
+    seen = _record_counts(monkeypatch, negsampling, "ns_grad")
+    run_equiv_check(vocab_size=vocab_size, seed=4, n_draws=3, force_k=force_k)
+    k = force_k or vocab_size
+    # Each draw is a batch of 30 pairs.
+    want = [_reference_counts(derive_rng(4, STREAM_DATA, i), 30, vocab_size, k) for i in range(3)]
+    _assert_same_counts(seen, want)

@@ -131,6 +131,11 @@ def test_train_divergence_exit_code(tmp_path):
     assert "diverged" in r.stderr
     assert re.search(r"epoch \d+, step \d+: first non-finite block "
                      r"(target_emb|context_emb|bias|log_zc)", r.stderr)
+    # A non-finite rate is a usage error, not a divergence.
+    for lr in ("nan", "inf"):
+        r = run_cli(*train_args(prefix, tmp_path / "d.model", "--objective", "mle", "--lr", lr))
+        assert r.returncode == 2
+        assert "learning_rate must be finite and > 0" in r.stderr
 
 
 def test_eval_uniform_model_reports_log_vocab(tmp_path):

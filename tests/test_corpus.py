@@ -6,7 +6,6 @@ from ncelm.corpus import (
     BOS_TOKEN,
     build_vocab,
     empirical_conditional,
-    empirical_context_marginal,
     extract_stats,
     generate_synthetic_corpus,
     generate_synthetic_stream,
@@ -14,12 +13,10 @@ from ncelm.corpus import (
     pairs_from_tokens,
     read_corpus_tokens,
     read_truth,
-    read_vocab,
     stationary_distribution,
     stats_from_pairs,
     write_corpus_tokens,
     write_truth,
-    write_vocab,
 )
 from ncelm.seeding import STREAM_DATA, derive_rng
 
@@ -81,7 +78,7 @@ def test_empirical_conditional_hand_values():
     assert empirical_conditional(stats, 0, 0) == pytest.approx(0.5)
     assert empirical_conditional(stats, 0, 1) == pytest.approx(0.5)
     assert empirical_conditional(stats, 1, 0) == pytest.approx(1.0)
-    assert empirical_context_marginal(stats, 0) == pytest.approx(0.5)
+    assert stats.context_counts[0] / stats.total_tokens == pytest.approx(0.5)
     with pytest.raises(ValueError, match="unseen context"):
         # id 3 is out of range of seen contexts for this stream
         empirical_conditional(stats_from_pairs(np.array([[2, 0], [0, 1]]), 3), 1, 0)
@@ -174,10 +171,6 @@ def test_corpus_and_vocab_round_trip(tmp_path):
     p = tmp_path / "c.txt"
     write_corpus_tokens(p, toks)
     assert read_corpus_tokens(p) == toks
-    v = build_vocab(toks)
-    pv = tmp_path / "v.txt"
-    write_vocab(pv, v)
-    assert read_vocab(pv).words == v.words
 
 
 def test_truth_round_trip_is_bit_faithful(tmp_path):

@@ -2,9 +2,9 @@
 
 The sampled objectives are computed on per-cell counts with one shared
 residual-to-gradient kernel. Finite differences cannot catch an error that
-the loss and its gradient share, so here each kernel is compared with a
-reference written pair by pair from the scalar score
-``target_emb[w] . context_emb[c] + bias[w]``.
+the loss and its gradient share, so here each kernel, run on the cell counts
+of a reference batch, is compared with a reference written pair by pair from
+the scalar score ``target_emb[w] . context_emb[c] + bias[w]``.
 """
 
 import math
@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from batch_reference import ProxyBatch, cell_counts, score
 from ncelm.corpus import stats_from_pairs
 from ncelm.model import (
     PARAM_BLOCKS,
@@ -21,8 +22,9 @@ from ncelm.model import (
     CellCounts,
     grad_log_likelihood,
     init_params,
+    pair_count_matrix,
 )
-from ncelm.nce import NceConfig, ProxyBatch, cell_counts, classifier_logits, mc_grad, mc_loss
+from ncelm.nce import NceConfig, classifier_logits, mc_grad, mc_loss
 from ncelm.negsampling import ns_grad, ns_loss
 from ncelm.noise import unigram
 from ncelm.seeding import STREAM_DATA, derive_rng
@@ -32,16 +34,12 @@ BOS = V  # context id of <s>
 REL = 1e-12
 
 
-def _score(params, c, w):
-    return float(params.target_emb[w] @ params.context_emb[c] + params.bias[w])
-
-
 def _log_sigmoid(x):
     return -float(np.logaddexp(0.0, -x))
 
 
 def _delta(params, c, w, cfg):
-    d = _score(params, c, w) - math.log(cfg.k * cfg.q.probs[w])
+    d = score(params, c, w) - math.log(cfg.k * cfg.q.probs[w])
     if cfg.z_mode == Z_LEARNED_ZC:
         d -= params.log_zc[c]
     return d
@@ -120,10 +118,11 @@ def test_nce_kernels_match_per_pair_reference(k, z_mode, extreme):
     loss, grad = _reference(
         params, batch, lambda c, w: _delta(params, c, w, cfg), z_mode == Z_LEARNED_ZC
     )
-    got_loss = mc_loss(params, batch, cfg)
+    counts = cell_counts(batch, V + 1, V)
+    got_loss = mc_loss(params, counts, cfg)
     assert math.isfinite(got_loss)
     assert got_loss == pytest.approx(loss, rel=REL)
-    got = mc_grad(params, batch, cfg)
+    got = mc_grad(params, counts, cfg)
     for name in PARAM_BLOCKS:
         _assert_close(getattr(got, name), grad[name])
 
@@ -132,11 +131,12 @@ def test_nce_kernels_match_per_pair_reference(k, z_mode, extreme):
 @pytest.mark.parametrize("k", [1, 5, 50])
 def test_ns_kernels_match_per_pair_reference(k, extreme):
     params, batch, _ = _setup(k, Z_FIXED_ONE, seed=10 + k, extreme=extreme)
-    loss, grad = _reference(params, batch, lambda c, w: _score(params, c, w), False)
-    got_loss = ns_loss(params, batch)
+    loss, grad = _reference(params, batch, lambda c, w: score(params, c, w), False)
+    counts = cell_counts(batch, V + 1, V)
+    got_loss = ns_loss(params, counts)
     assert math.isfinite(got_loss)
     assert got_loss == pytest.approx(loss, rel=REL)
-    got = ns_grad(params, batch)
+    got = ns_grad(params, counts)
     for name in PARAM_BLOCKS:
         _assert_close(getattr(got, name), grad[name])
 
@@ -159,18 +159,22 @@ def test_classifier_logits_match_scalar_delta(z_mode):
 @pytest.mark.parametrize("k", [1, 5])
 @pytest.mark.parametrize("z_mode", [Z_LEARNED_ZC, Z_FIXED_ONE])
 def test_kernels_on_cell_counts_equal_the_batch_bitwise(k, z_mode):
+    # The kernels see a batch only through its count values: the reference's
+    # integer counts and float counts from model.pair_count_matrix of the
+    # batch's true pairs and (context, noise word) pairs give the same bits.
     params, batch, q = _setup(k, z_mode, seed=30 + k, extreme=True)
     cfg = NceConfig(k=k, z_mode=z_mode, q=q)
     counts = cell_counts(batch, params.n_contexts, params.n_words)
-    assert isinstance(counts, CellCounts)
-    assert mc_loss(params, counts, cfg) == mc_loss(params, batch, cfg)
-    assert ns_loss(params, counts) == ns_loss(params, batch)
     pairs = np.stack([batch.contexts, batch.true_words], axis=1)
+    noise_pairs = np.stack(np.broadcast_arrays(batch.contexts[:, None], batch.noise_words), axis=-1)
+    floats = CellCounts(pair_count_matrix(pairs, V), pair_count_matrix(noise_pairs.reshape(-1, 2), V))
+    assert mc_loss(params, floats, cfg) == mc_loss(params, counts, cfg)
+    assert ns_loss(params, floats) == ns_loss(params, counts)
     mle_params = init_params(V, 3, seed=k, z_mode=Z_EXACT)
     for got, want in (
-        (mc_grad(params, counts, cfg), mc_grad(params, batch, cfg)),
-        (ns_grad(params, counts), ns_grad(params, batch)),
-        (grad_log_likelihood(mle_params, counts), grad_log_likelihood(mle_params, pairs)),
+        (mc_grad(params, floats, cfg), mc_grad(params, counts, cfg)),
+        (ns_grad(params, floats), ns_grad(params, counts)),
+        (grad_log_likelihood(mle_params, floats.true), grad_log_likelihood(mle_params, counts.true)),
     ):
         assert got.vector.tobytes() == want.vector.tobytes()
 
@@ -182,5 +186,3 @@ def test_cell_counts_with_wrong_noise_total_raise():
     for kernel in (mc_loss, mc_grad):
         with pytest.raises(ValueError, match="k mismatch"):
             kernel(params, counts, cfg)
-        with pytest.raises(ValueError, match="k mismatch"):
-            kernel(params, batch, cfg)

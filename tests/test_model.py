@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from batch_reference import score
 from ncelm import model
 from ncelm.checks import finite_diff_gradient
 from ncelm.corpus import build_vocab
@@ -21,16 +22,12 @@ from ncelm.model import (
     log_partitions,
     log_softmax_matrix,
     normalization_stats,
-    partition,
+    pair_count_matrix,
     save_model,
-    score,
     score_matrix,
     scores_for_context,
     set_log_zc_to_partition,
-    softmax_prob,
     softmax_row,
-    unnorm,
-    unnorm_adjusted,
     zero_gradient,
 )
 
@@ -46,11 +43,12 @@ def tiny_params():
 
 def test_score_and_unnorm_hand_values():
     p = tiny_params()
+    s = score_matrix(p)
     # s(w=2, c=0) = 0.5*1.0 + 0.1*0.0 + bias -0.2
-    assert score(p, 2, 0) == pytest.approx(0.3)
-    assert unnorm(p, 2, 0) == pytest.approx(math.exp(0.3))
+    assert s[0, 2] == pytest.approx(0.3)
+    assert np.exp(s[0, 2]) == pytest.approx(math.exp(0.3))
     # context 3 is the sentence-start row
-    assert score(p, 0, 3) == pytest.approx(0.1 * -1.0 + 0.2 * 0.2 + 0.0)
+    assert s[3, 0] == pytest.approx(0.1 * -1.0 + 0.2 * 0.2 + 0.0)
 
 
 def test_scores_matrix_matches_scalar_path():
@@ -59,14 +57,15 @@ def test_scores_matrix_matches_scalar_path():
     for c in range(4):
         assert np.allclose(mat[c], scores_for_context(p, c))
         for w in range(3):
-            assert mat[c, w] == pytest.approx(score(p, w, c))
+            assert mat[c, w] == pytest.approx(score(p, c, w))
 
 
 def test_partition_is_plain_exp_sum():
     p = tiny_params()
+    z = np.exp(log_partitions(p, np.arange(4)))
     for c in range(4):
-        direct = sum(math.exp(score(p, w, c)) for w in range(3))
-        assert partition(p, c) == pytest.approx(direct, rel=1e-12)
+        direct = sum(math.exp(score(p, c, w)) for w in range(3))
+        assert z[c] == pytest.approx(direct, rel=1e-12)
         assert log_partition(p, c) == pytest.approx(math.log(direct), rel=1e-12)
     assert np.allclose(log_partitions(p, np.arange(4)),
                        [log_partition(p, c) for c in range(4)])
@@ -86,8 +85,9 @@ def test_softmax_rows_normalize():
         row = softmax_row(p, c)
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(row > 0)
+        direct = sum(math.exp(score(p, c, v)) for v in range(3))
         for w in range(3):
-            assert softmax_prob(p, w, c) == pytest.approx(unnorm(p, w, c) / partition(p, c))
+            assert row[w] == pytest.approx(math.exp(score(p, c, w)) / direct)
     logmat = log_softmax_matrix(p, np.arange(4))
     assert np.allclose(np.exp(logmat).sum(axis=1), 1.0, atol=1e-12)
 
@@ -95,7 +95,7 @@ def test_softmax_rows_normalize():
 def test_log_likelihood_hand_value():
     p = tiny_params()
     pairs = np.array([[0, 1], [3, 2]])
-    expected = math.log(softmax_prob(p, 1, 0)) + math.log(softmax_prob(p, 2, 3))
+    expected = math.log(softmax_row(p, 0)[1]) + math.log(softmax_row(p, 3)[2])
     assert log_likelihood(p, pairs) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError):
         log_likelihood(p, np.empty((0, 2), dtype=np.int64))
@@ -105,7 +105,7 @@ def test_grad_log_likelihood_matches_finite_differences():
     p = init_params(5, 3, seed=2, z_mode=Z_EXACT)
     rng = np.random.default_rng(0)
     pairs = np.stack([rng.integers(0, 6, 30), rng.integers(0, 5, 30)], axis=1)
-    analytic = grad_log_likelihood(p, pairs)
+    analytic = grad_log_likelihood(p, pair_count_matrix(pairs, 5))
     fd = finite_diff_gradient(lambda q: log_likelihood(q, pairs), p)
     for name in ("target_emb", "context_emb", "bias"):
         assert np.allclose(getattr(analytic, name), getattr(fd, name), atol=1e-7)
@@ -121,7 +121,7 @@ def test_saturated_model_has_zero_gradient():
     p.target_emb[:] = 0.0
     p.context_emb[:] = 0.0
     p.bias[:] = np.log(counts / counts.sum())
-    g = grad_log_likelihood(p, pairs)
+    g = grad_log_likelihood(p, pair_count_matrix(pairs, 3))
     assert np.max(np.abs(g.to_vector())) < 1e-12
 
 
@@ -176,7 +176,7 @@ def test_flat_vector_invariants():
     c.bias[1] = 7.0
     assert p.bias[1] != 7.0
     # to_vector() keeps the old concatenation order.
-    g = grad_log_likelihood(p, pairs)
+    g = grad_log_likelihood(p, pair_count_matrix(pairs, 4))
     want = np.concatenate([g.target_emb.ravel(), g.context_emb.ravel(), g.bias, g.log_zc])
     assert np.array_equal(g.to_vector(), want)
     assert not np.shares_memory(g.to_vector(), g.vector)
@@ -199,9 +199,9 @@ def test_set_log_zc_to_partition_normalizes_adjusted_scores():
     p = init_params(5, 3, seed=3, z_mode=Z_LEARNED_ZC)
     p.target_emb *= 4.0
     set_log_zc_to_partition(p)
+    totals = np.exp(score_matrix(p) - p.log_zc[:, None]).sum(axis=1)
     for c in range(6):
-        total = sum(unnorm_adjusted(p, w, c) for w in range(5))
-        assert total == pytest.approx(1.0, abs=1e-12)
+        assert totals[c] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normalization_stats_summary():

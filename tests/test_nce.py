@@ -1,38 +1,24 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
-from ncelm import nce
+from batch_reference import ProxyBatch, cell_counts, score, sigmoid
 from ncelm.checks import finite_diff_gradient
 from ncelm.corpus import build_vocab, extract_stats, stats_from_pairs
-from ncelm.model import Z_FIXED_ONE, Z_LEARNED_ZC, init_params, unnorm
+from ncelm.model import Z_FIXED_ONE, Z_LEARNED_ZC, init_params
 from ncelm.nce import (
     NceConfig,
-    ProxyBatch,
-    ProxyExample,
-    as_batch,
     classifier_logits,
     exact_grad_analysis,
     exact_loss,
-    gen_proxy,
-    gen_proxy_batch,
-    gen_proxy_sampled,
     mc_grad,
     mc_loss,
     mixture_joint,
-    posterior_noise_model,
     posterior_true_empirical,
-    posterior_true_model,
-    write_proxy_dump,
 )
 from ncelm.noise import uniform, unigram
 from ncelm.seeding import STREAM_DATA, derive_rng
-
-
-def sigmoid(x):
-    return 1.0 / (1.0 + math.exp(-x))
 
 
 def small_setup(z_mode=Z_LEARNED_ZC, seed=0):
@@ -82,12 +68,13 @@ def test_model_posteriors_match_sigmoid_formula():
     params = small_setup()
     q = unigram(stats_from_pairs(np.array([[4, 0], [0, 1], [1, 2], [2, 3], [3, 0]]), 4))
     cfg = NceConfig(k=2, z_mode=Z_LEARNED_ZC, q=q)
+    delta = classifier_logits(params, np.arange(5), np.arange(4)[None, :], cfg)
     for c in range(5):
         for w in range(4):
-            u_adj = unnorm(params, w, c) / math.exp(params.log_zc[c])
+            u_adj = math.exp(score(params, c, w)) / math.exp(params.log_zc[c])
             expected = u_adj / (u_adj + 2 * q.probs[w])
-            assert posterior_true_model(params, w, c, cfg) == pytest.approx(expected, rel=1e-12)
-            assert posterior_noise_model(params, w, c, cfg) == pytest.approx(1 - expected, rel=1e-12)
+            assert sigmoid(delta[c, w]) == pytest.approx(expected, rel=1e-12)
+            assert sigmoid(-delta[c, w]) == pytest.approx(1 - expected, rel=1e-12)
 
 
 def test_classifier_logits_z_mode_difference():
@@ -110,10 +97,10 @@ def test_mc_loss_hand_computed_single_example():
     batch = ProxyBatch(
         contexts=np.array([2]), true_words=np.array([1]), noise_words=np.array([[3]])
     )
-    d_true = math.log(unnorm(params, 1, 2)) - math.log(1 * 0.25)
-    d_noise = math.log(unnorm(params, 3, 2)) - math.log(1 * 0.25)
+    d_true = score(params, 2, 1) - math.log(1 * 0.25)
+    d_noise = score(params, 2, 3) - math.log(1 * 0.25)
     expected = math.log(sigmoid(d_true)) + math.log(sigmoid(-d_noise))
-    assert mc_loss(params, batch, cfg) == pytest.approx(expected, rel=1e-12)
+    assert mc_loss(params, cell_counts(batch, 5, 4), cfg) == pytest.approx(expected, rel=1e-12)
 
 
 def test_mc_grad_matches_finite_differences():
@@ -126,8 +113,9 @@ def test_mc_grad_matches_finite_differences():
         true_words=rng.integers(0, 4, 25),
         noise_words=rng.integers(0, 4, (25, 3)),
     )
-    analytic = mc_grad(params, batch, cfg).to_vector()
-    fd = finite_diff_gradient(lambda p: mc_loss(p, batch, cfg), params).to_vector()
+    counts = cell_counts(batch, 5, 4)
+    analytic = mc_grad(params, counts, cfg).to_vector()
+    fd = finite_diff_gradient(lambda p: mc_loss(p, counts, cfg), params).to_vector()
     assert np.max(np.abs(analytic - fd)) < 1e-7
 
 
@@ -147,7 +135,7 @@ def test_exact_loss_is_expectation_of_mc_loss():
             noise_words=np.full((12, 1), w),
         )
         # weights sum to 1, so the shared true-sample part is counted once
-        expectation += q.probs[w] * mc_loss(params, batch, cfg)
+        expectation += q.probs[w] * mc_loss(params, cell_counts(batch, 5, 4), cfg)
     assert exact_loss(params, pairs, cfg) == pytest.approx(expectation, rel=1e-12)
 
 
@@ -171,67 +159,3 @@ def test_exact_loss_handles_extreme_scores_finitely():
     assert np.isfinite(exact_loss(params, pairs, cfg))
     g = exact_grad_analysis(params, stats_from_pairs(pairs, 4), cfg)
     assert np.all(np.isfinite(g.to_vector()))
-
-
-def test_proxy_batch_construction_and_errors():
-    ex = [
-        ProxyExample(context=0, true_word=1, noise_words=(2, 3)),
-        ProxyExample(context=4, true_word=0, noise_words=(1, 1)),
-    ]
-    batch = as_batch(ex)
-    assert batch.n_examples == 2 and batch.k == 2
-    assert [e.context for e in batch.examples()] == [0, 4]
-    with pytest.raises(ValueError, match="empty"):
-        as_batch([])
-    with pytest.raises(ValueError, match="k mismatch"):
-        as_batch([ex[0], ProxyExample(context=1, true_word=2, noise_words=(0,))])
-
-
-def test_gen_proxy_epoch_mode_covers_each_pair_once():
-    pairs = np.array([[4, 0], [0, 1], [1, 2]])
-    q = uniform(4)
-    batch = gen_proxy_batch(pairs, q, k=2, seed=6)
-    assert batch.n_examples == 3 and batch.k == 2
-    assert np.array_equal(batch.contexts, pairs[:, 0])
-    assert np.array_equal(batch.true_words, pairs[:, 1])
-    again = gen_proxy_batch(pairs, q, k=2, seed=6)
-    assert np.array_equal(batch.noise_words, again.noise_words)
-    other = gen_proxy_batch(pairs, q, k=2, seed=7)
-    assert not np.array_equal(batch.noise_words, other.noise_words)
-
-
-def test_gen_proxy_sampled_tracks_joint_frequencies():
-    v = build_vocab(["a", "b"])
-    stats = extract_stats(["a", "a", "b", "a", "b", "b", "a"], v)
-    q = uniform(2)
-    batch = gen_proxy_sampled(stats, q, k=1, n_examples=40000, seed=8)
-    # (context, word) frequencies track the empirical joint to ~4 SE
-    emp = stats.bigram_counts / stats.total_tokens
-    for c in range(3):
-        for w in range(2):
-            got = np.mean((batch.contexts == c) & (batch.true_words == w))
-            se = math.sqrt(max(emp[c, w] * (1 - emp[c, w]), 1e-9) / 40000)
-            assert abs(got - emp[c, w]) <= 4 * se + 1e-9
-
-
-def test_gen_proxy_dispatch_modes():
-    pairs = np.array([[4, 0], [0, 1], [1, 2]])
-    q = uniform(4)
-    epoch = list(gen_proxy(pairs, q, k=2, seed=1, mode="epoch"))
-    assert len(epoch) == 3
-    assert all(isinstance(ex, ProxyExample) and len(ex.noise_words) == 2 for ex in epoch)
-    assert [ex.context for ex in epoch] == [4, 0, 1]
-    stats = stats_from_pairs(pairs, 4)
-    sampled = list(gen_proxy(stats, q, k=2, seed=1, mode="sample", n_examples=10))
-    assert len(sampled) == 10
-    with pytest.raises(ValueError):
-        # the stream is lazy; the mode check fires on first consumption
-        list(gen_proxy(pairs, q, k=2, seed=1, mode="bogus"))
-
-
-def test_write_proxy_dump_format():
-    vocab = build_vocab(["a", "b", "c"])
-    ex = [ProxyExample(context=3, true_word=0, noise_words=(1, 2))]
-    buf = io.StringIO()
-    write_proxy_dump(ex, vocab, buf)
-    assert buf.getvalue() == "<s> a | b c\n"

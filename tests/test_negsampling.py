@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ncelm import negsampling
+from batch_reference import ProxyBatch, cell_counts, score, sigmoid
 from ncelm.checks import finite_diff_gradient
-from ncelm.model import Z_FIXED_ONE, init_params, unnorm
-from ncelm.nce import NceConfig, ProxyBatch, mc_grad, mc_loss
-from ncelm.negsampling import ns_grad, ns_loss, ns_posterior_true
+from ncelm.model import Z_FIXED_ONE, init_params
+from ncelm.nce import NceConfig, mc_grad, mc_loss
+from ncelm.negsampling import ns_grad, ns_loss
 from ncelm.noise import uniform, NoiseDistribution, _build
 from ncelm.seeding import STREAM_DATA, derive_rng
 
@@ -21,24 +21,16 @@ def random_setup(n_words=4, seed=0):
     return params, rng
 
 
-def test_posterior_is_u_over_one_plus_u():
-    params, _ = random_setup()
-    for c in range(5):
-        for w in range(4):
-            u = unnorm(params, w, c)
-            assert ns_posterior_true(params, w, c) == pytest.approx(u / (1 + u), rel=1e-12)
-
-
 def test_loss_hand_computed_single_example():
     params, _ = random_setup()
     batch = ProxyBatch(
         contexts=np.array([1]), true_words=np.array([2]), noise_words=np.array([[0, 3]])
     )
-    pt = ns_posterior_true(params, 2, 1)
-    pn0 = ns_posterior_true(params, 0, 1)
-    pn3 = ns_posterior_true(params, 3, 1)
+    pt = sigmoid(score(params, 1, 2))
+    pn0 = sigmoid(score(params, 1, 0))
+    pn3 = sigmoid(score(params, 1, 3))
     expected = math.log(pt) + math.log(1 - pn0) + math.log(1 - pn3)
-    assert ns_loss(params, batch) == pytest.approx(expected, rel=1e-12)
+    assert ns_loss(params, cell_counts(batch, 5, 4)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_grad_matches_finite_differences():
@@ -48,10 +40,11 @@ def test_grad_matches_finite_differences():
         true_words=rng.integers(0, 4, 25),
         noise_words=rng.integers(0, 4, (25, 2)),
     )
-    analytic = ns_grad(params, batch).to_vector()
-    fd = finite_diff_gradient(lambda p: ns_loss(p, batch), params).to_vector()
+    counts = cell_counts(batch, 5, 4)
+    analytic = ns_grad(params, counts).to_vector()
+    fd = finite_diff_gradient(lambda p: ns_loss(p, counts), params).to_vector()
     assert np.max(np.abs(analytic - fd)) < 1e-7
-    assert np.all(ns_grad(params, batch).log_zc == 0)
+    assert np.all(ns_grad(params, counts).log_zc == 0)
 
 
 def test_matches_nce_exactly_when_k_equals_vocab_uniform():
@@ -63,9 +56,10 @@ def test_matches_nce_exactly_when_k_equals_vocab_uniform():
         true_words=rng.integers(0, V, 40),
         noise_words=rng.integers(0, V, (40, V)),
     )
+    counts = cell_counts(batch, V + 1, V)
     cfg = NceConfig(k=V, z_mode=Z_FIXED_ONE, q=uniform(V))
-    assert ns_loss(params, batch) == pytest.approx(mc_loss(params, batch, cfg), abs=1e-12)
-    dg = ns_grad(params, batch).to_vector() - mc_grad(params, batch, cfg).to_vector()
+    assert ns_loss(params, counts) == pytest.approx(mc_loss(params, counts, cfg), abs=1e-12)
+    dg = ns_grad(params, counts).to_vector() - mc_grad(params, counts, cfg).to_vector()
     assert np.max(np.abs(dg)) < 1e-12
 
 
@@ -79,12 +73,14 @@ def test_differs_from_nce_when_q_not_uniform_or_k_wrong():
     )
     skew = np.arange(1.0, V + 1.0)
     cfg_skew = NceConfig(k=V, z_mode=Z_FIXED_ONE, q=_build(skew / skew.sum(), "unigram"))
-    assert abs(ns_loss(params, batch) - mc_loss(params, batch, cfg_skew)) > 1e-3
+    counts = cell_counts(batch, V + 1, V)
+    assert abs(ns_loss(params, counts) - mc_loss(params, counts, cfg_skew)) > 1e-3
     batch5 = ProxyBatch(
         contexts=batch.contexts, true_words=batch.true_words, noise_words=batch.noise_words[:, : V - 1]
     )
+    counts5 = cell_counts(batch5, V + 1, V)
     cfg_short = NceConfig(k=V - 1, z_mode=Z_FIXED_ONE, q=uniform(V))
-    assert abs(ns_loss(params, batch5) - mc_loss(params, batch5, cfg_short)) > 1e-3
+    assert abs(ns_loss(params, counts5) - mc_loss(params, counts5, cfg_short)) > 1e-3
 
 
 def test_loss_stays_finite_at_extreme_scores():
@@ -95,5 +91,6 @@ def test_loss_stays_finite_at_extreme_scores():
         true_words=rng.integers(0, 4, 10),
         noise_words=rng.integers(0, 4, (10, 2)),
     )
-    assert np.isfinite(ns_loss(params, batch))
-    assert np.all(np.isfinite(ns_grad(params, batch).to_vector()))
+    counts = cell_counts(batch, 5, 4)
+    assert np.isfinite(ns_loss(params, counts))
+    assert np.all(np.isfinite(ns_grad(params, counts).to_vector()))

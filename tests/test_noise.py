@@ -7,9 +7,7 @@ from ncelm.noise import (
     flattened,
     induced_probs,
     parse_noise_spec,
-    prob,
     sample_array,
-    sample_k,
     uniform,
     unigram,
 )
@@ -25,7 +23,6 @@ def small_stats():
 def test_uniform_probs():
     q = uniform(4)
     assert np.allclose(q.probs, 0.25)
-    assert prob(q, 2) == pytest.approx(0.25)
     with pytest.raises(ValueError):
         uniform(1)
 
@@ -111,9 +108,6 @@ def test_sampling_is_seed_deterministic():
     c = sample_array(q, (4, 3), derive_rng(1, STREAM_NOISE, 3))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    k_draws = sample_k(q, 7, derive_rng(1, STREAM_NOISE))
-    assert k_draws.shape == (7,)
-    assert np.all((0 <= k_draws) & (k_draws < 5))
 
 
 def test_sample_array_matches_two_gather_alias_lookup():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from batch_reference import ProxyBatch, cell_counts
 from ncelm import noise
 from ncelm.corpus import build_vocab, generate_synthetic_corpus, make_zipf_truth, stats_from_pairs
 from ncelm.model import (
@@ -17,8 +18,9 @@ from ncelm.model import (
     load_model,
     log_likelihood,
     log_partitions,
+    pair_count_matrix,
 )
-from ncelm.nce import NceConfig, ProxyBatch, mc_grad, mc_loss
+from ncelm.nce import NceConfig, mc_grad, mc_loss
 from ncelm.negsampling import ns_grad, ns_loss
 from ncelm.seeding import STREAM_DATA, STREAM_NOISE, STREAM_SHUFFLE, derive_rng
 from ncelm.trainer import (
@@ -46,8 +48,9 @@ def test_config_validation():
     TrainConfig(objective="nce")
     with pytest.raises(ValueError, match="objective"):
         TrainConfig(objective="adam")
-    with pytest.raises(ValueError):
-        TrainConfig(objective="nce", learning_rate=0.0)
+    for lr in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            TrainConfig(objective="nce", learning_rate=lr)
     with pytest.raises(ValueError):
         TrainConfig(objective="nce", lr_decay=1.5)
     with pytest.raises(ValueError):
@@ -66,7 +69,7 @@ def test_single_example_step_increases_own_objective():
         params.context_emb[:] = rng.normal(0, 1, params.context_emb.shape)
         pair = np.array([[rng.integers(0, 6), rng.integers(0, 5)]])
         before = log_likelihood(params, pair)
-        apply_gradient(params, grad_log_likelihood(params, pair), 1e-4)
+        apply_gradient(params, grad_log_likelihood(params, pair_count_matrix(pair, 5)), 1e-4)
         assert log_likelihood(params, pair) > before
 
 
@@ -129,8 +132,9 @@ def test_divergence_raises_with_epoch():
 
 def _reference_train(config, pairs, n_words, truth):
     """The training loop written out step by step: a ProxyBatch per step from
-    the same permutation and noise matrix, the kernels run on it (on the
-    batch's pairs for MLE), and the update applied block by block."""
+    the same permutation and noise matrix (no noise words for MLE), the
+    kernels run on its reference cell counts, and the update applied block
+    by block."""
     stats = stats_from_pairs(pairs, n_words)
     params = init_params(n_words, config.dim, config.seed, z_mode=_params_z_mode(config))
     q = cfg = None
@@ -142,16 +146,19 @@ def _reference_train(config, pairs, n_words, truth):
     for epoch in range(1, config.epochs + 1):
         lr = config.learning_rate * config.lr_decay ** (epoch - 1)
         perm = derive_rng(config.seed, STREAM_SHUFFLE, epoch).permutation(n)
-        if q is not None:
+        if q is None:
+            noise_words = np.empty((n, 0), dtype=np.int64)
+        else:
             noise_words = noise.sample_array(q, (n, config.k), derive_rng(config.seed, STREAM_NOISE, epoch))
         for lo in range(0, n, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
+            batch = ProxyBatch(contexts=pairs[idx, 0], true_words=pairs[idx, 1],
+                               noise_words=noise_words[idx])
+            counts = cell_counts(batch, n_words + 1, n_words)
             if config.objective == "mle_exact":
-                grad = grad_log_likelihood(params, pairs[idx])
+                grad = grad_log_likelihood(params, counts.true)
             else:
-                batch = ProxyBatch(contexts=pairs[idx, 0], true_words=pairs[idx, 1],
-                                   noise_words=noise_words[idx])
-                grad = mc_grad(params, batch, cfg) if config.objective == "nce" else ns_grad(params, batch)
+                grad = mc_grad(params, counts, cfg) if config.objective == "nce" else ns_grad(params, counts)
             blocks = PARAM_BLOCKS if params.z_mode == Z_LEARNED_ZC else PARAM_BLOCKS[:3]
             for name in blocks:
                 getattr(params, name)[...] += lr / idx.size * getattr(grad, name)
@@ -161,7 +168,8 @@ def _reference_train(config, pairs, n_words, truth):
                 obj = -ce
             else:
                 batch = ProxyBatch(contexts=pairs[:, 0], true_words=pairs[:, 1], noise_words=noise_words)
-                obj = (mc_loss(params, batch, cfg) if config.objective == "nce" else ns_loss(params, batch)) / n
+                counts = cell_counts(batch, n_words + 1, n_words)
+                obj = (mc_loss(params, counts, cfg) if config.objective == "nce" else ns_loss(params, counts)) / n
             history.append(MetricsRow(
                 epoch=epoch,
                 cross_entropy=float(ce),
