@@ -27,7 +27,7 @@ Runtime is about fifteen seconds.
 import numpy as np
 
 from ncelm.corpus import generate_synthetic_corpus, make_zipf_truth, stats_from_pairs
-from ncelm.model import softmax_row
+from ncelm.model import score_matrix, softmax_from_scores
 from ncelm.noise import unigram
 from ncelm.trainer import TrainConfig, kl_truth_model, train
 
@@ -70,7 +70,7 @@ print("predicted KL if the model converges to p/q renormalized: %.4f nats" % pre
 # should track the tilted row, not the truth row.
 params = fitted["NS,  unigram noise"]
 c = int(np.argmax(truth.context_marginal))
-row = softmax_row(params, c)
+row = softmax_from_scores(score_matrix(params)[c])
 print()
 print("context %d, five most frequent words:" % c)
 print("%4s %10s %10s %10s" % ("id", "truth", "tilted", "fitted"))

@@ -19,12 +19,12 @@ Run it with no arguments; it finishes in a few seconds.
 import numpy as np
 
 from ncelm.corpus import (
-    empirical_conditional,
     make_zipf_truth,
     generate_synthetic_corpus,
+    pair_count_matrix,
     stats_from_pairs,
 )
-from ncelm.model import log_partition, softmax_row
+from ncelm.model import log_partitions, score_matrix, softmax_from_scores
 from ncelm.trainer import TrainConfig, cross_entropy, kl_truth_model, train
 
 VOCAB = 12
@@ -47,7 +47,7 @@ print("%10s %12s %12s" % ("tokens", "empirical", "abs error"))
 for n_tokens in (1000, 10000, 100000):
     pairs = generate_synthetic_corpus(truth, n_tokens, SEED)
     stats = stats_from_pairs(pairs, VOCAB)
-    est = empirical_conditional(stats, c_top, w_top)
+    est = stats.bigram_counts[c_top, w_top] / stats.context_counts[c_top]
     print("%10d %12.5f %12.5f"
           % (n_tokens, est, abs(est - truth.cond[c_top, w_top])))
 print()
@@ -68,8 +68,8 @@ print()
 
 # 3. The oracle in action: the fitted row is a genuine distribution and the
 #    partition function is known exactly, not estimated.
-row0 = softmax_row(params, 0)
+row0 = softmax_from_scores(score_matrix(params)[0])
 print("fitted row for context 0 sums to %.12f" % row0.sum())
-print("log Z(0) = %.6f (computed by direct summation)" % log_partition(params, 0))
+print("log Z(0) = %.6f (computed by direct summation)" % log_partitions(params)[0])
 print("final KL(truth || model) = %.5f nats" % kl_truth_model(truth, params))
-print("final cross entropy      = %.5f nats" % cross_entropy(params, pairs))
+print("final cross entropy      = %.5f nats" % cross_entropy(params, pair_count_matrix(pairs, VOCAB)))

@@ -17,6 +17,7 @@ from .corpus import (
     generate_synthetic_corpus,
     generate_synthetic_stream,
     make_zipf_truth,
+    pair_count_matrix,
     pairs_from_tokens,
     stats_from_pairs,
 )
@@ -32,7 +33,6 @@ from .model import (
     log_likelihood,
     grad_log_likelihood,
     save_model,
-    softmax_row,
 )
 from .nce import NceConfig
 from .noise import NoiseDistribution, parse_noise_spec
@@ -73,10 +73,10 @@ __all__ = [
     "load_model",
     "log_likelihood",
     "make_zipf_truth",
+    "pair_count_matrix",
     "pairs_from_tokens",
     "parse_noise_spec",
     "save_model",
-    "softmax_row",
     "stats_from_pairs",
     "sweep_k",
     "train",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nce, negsampling
-from .corpus import stats_from_pairs
+from .corpus import pair_count_matrix
 from .model import (
     PARAM_BLOCKS,
     Z_EXACT,
@@ -25,7 +25,6 @@ from .model import (
     grad_log_likelihood,
     init_params,
     log_likelihood,
-    pair_count_matrix,
     zero_gradient,
 )
 from .noise import uniform
@@ -53,23 +52,19 @@ class CheckResult:
 def finite_diff_gradient(loss_fn, params: ModelParams, step: float = 1e-5) -> Gradient:
     """Central-difference gradient of loss_fn over every parameter block.
 
-    Mutates and restores params coordinate by coordinate; loss_fn must read
-    the live arrays (no caching).
+    Mutates and restores ``params.vector`` coordinate by coordinate; loss_fn
+    must read the live arrays (no caching).
     """
     grad = zero_gradient(params)
-    for name in PARAM_BLOCKS:
-        arr = getattr(params, name)
-        out = getattr(grad, name)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            ix = it.multi_index
-            orig = arr[ix]
-            arr[ix] = orig + step
-            hi = loss_fn(params)
-            arr[ix] = orig - step
-            lo = loss_fn(params)
-            arr[ix] = orig
-            out[ix] = (hi - lo) / (2.0 * step)
+    vec = params.vector
+    for i in range(vec.size):
+        orig = vec[i]
+        vec[i] = orig + step
+        hi = loss_fn(params)
+        vec[i] = orig - step
+        lo = loss_fn(params)
+        vec[i] = orig
+        grad.vector[i] = (hi - lo) / (2.0 * step)
     return grad
 
 
@@ -157,21 +152,20 @@ def _one_gradcheck(label, z_mode, seed, i, step):
     # Contexts include the sentence-start id so its embedding row is covered.
     contexts = rng.integers(0, _GC_VOCAB + 1, _GC_PAIRS)
     words = rng.integers(0, _GC_VOCAB, _GC_PAIRS)
-    pairs = np.stack([contexts, words], axis=1)
+    noise_words = rng.integers(0, _GC_VOCAB, (_GC_PAIRS, _GC_K))
+    # One batch per model, counted outside the finite-difference closures;
+    # the exact suites read only its true counts.
+    counts = _sampled_counts(contexts, words, noise_words, _GC_VOCAB)
     if label == "mle":
-        counts = pair_count_matrix(pairs, _GC_VOCAB)
-        return grad_log_likelihood(params, counts), finite_diff_gradient(
-            lambda p: log_likelihood(p, pairs), params, step
+        return grad_log_likelihood(params, counts.true), finite_diff_gradient(
+            lambda p: log_likelihood(p, counts.true), params, step
         )
     if label == "nce-exact":
         # The analysis-form gradient against the full-expectation loss.
         cfg = nce.NceConfig(k=_GC_K, z_mode=z_mode, q=uniform(_GC_VOCAB))
-        stats = stats_from_pairs(pairs, _GC_VOCAB)
-        return nce.exact_grad_analysis(params, stats, cfg), finite_diff_gradient(
-            lambda p: nce.exact_loss(p, pairs, cfg), params, step
+        return nce.exact_grad_analysis(params, counts.true, cfg), finite_diff_gradient(
+            lambda p: nce.exact_loss(p, counts.true, cfg), params, step
         )
-    noise_words = rng.integers(0, _GC_VOCAB, (_GC_PAIRS, _GC_K))
-    counts = _sampled_counts(contexts, words, noise_words, _GC_VOCAB)
     if label == "ns":
         return negsampling.ns_grad(params, counts), finite_diff_gradient(
             lambda p: negsampling.ns_loss(p, counts), params, step

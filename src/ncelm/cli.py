@@ -34,6 +34,7 @@ from .trainer import (
     OBJ_NS,
     TrainConfig,
     TrainingDiverged,
+    check_ks,
     cross_entropy,
     kl_truth_rows,
     sweep_k,
@@ -164,8 +165,7 @@ def _check_vocab_size(size: int) -> None:
 def _cmd_gen_data(args) -> int:
     _check_vocab_size(args.vocab_size)
     if args.tokens < 1:
-        print("error: --tokens must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--tokens must be >= 1")
     truth = make_zipf_truth(args.vocab_size, args.zipf_s, args.seed)
     vocab = build_vocab(f"w{i}" for i in range(args.vocab_size))
     ids = generate_synthetic_stream(truth, args.tokens, args.seed)
@@ -229,17 +229,15 @@ def _cmd_eval(args) -> int:
     try:
         pairs = pairs_from_tokens(tokens, vocab)
     except ValueError as exc:
-        print(f"error: corpus does not match model vocabulary: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"corpus does not match model vocabulary: {exc}") from None
     stats = stats_from_pairs(pairs, len(vocab))
     zstats = normalization_stats(params, stats.seen_contexts())
-    print(f"cross_entropy {cross_entropy(params, pairs):.9g}")
+    print(f"cross_entropy {cross_entropy(params, stats.bigram_counts):.9g}")
     print(f"log_z min {zstats['min']:.9g} median {zstats['median']:.9g} max {zstats['max']:.9g}")
     if args.truth:
         truth, tvocab = read_truth(args.truth)
         if tvocab.words != vocab.words:
-            print("error: ground-truth vocabulary does not match model", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("ground-truth vocabulary does not match model")
         rows = kl_truth_rows(truth, params)
         for c, kl in enumerate(rows):
             print(f"kl {vocab.word_of(c)} {kl:.9g}")
@@ -251,33 +249,28 @@ def _cmd_sweep(args) -> int:
     try:
         ks = [int(x) for x in args.ks.split(",") if x]
     except ValueError:
-        print(f"error: bad --ks value {args.ks!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"bad --ks value {args.ks!r}") from None
     if not ks or any(k < 1 for k in ks):
-        print("error: --ks must be a comma list of positive integers", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--ks must be a comma list of positive integers")
+    check_ks(ks)
     if args.seeds < 1:
-        print("error: --seeds must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--seeds must be >= 1")
     pairs, n_words, truth, _ = _load_training_data(args)
+    objective = _OBJECTIVES[args.objective]
+    # Bad k lists, seed counts and TrainConfig values fail before any file is written.
+    bases = [_train_config(args, objective, args.seed + offset) for offset in range(args.seeds)]
     _write_config(args.out, args)
     # Rows are flushed as they finish so a diverging run leaves partial results.
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(SWEEP_HEADER + "\n")
         fh.flush()
-        for offset in range(args.seeds):
-            seed = args.seed + offset
-            base = _train_config(args, _OBJECTIVES[args.objective], seed)
-            try:
-                for row in sweep_k(base, ks, pairs, n_words, truth):
-                    fh.write(
-                        f"{row.k},{seed},{row.final_kl:.9g},"
-                        f"{row.final_ce:.9g},{row.median_abs_log_z:.9g}\n"
-                    )
-                    fh.flush()
-            except TrainingDiverged as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_DIVERGED
+        for base in bases:
+            for row in sweep_k(base, ks, pairs, n_words, truth):
+                fh.write(
+                    f"{row.k},{base.seed},{row.final_kl:.9g},"
+                    f"{row.final_ce:.9g},{row.median_abs_log_z:.9g}\n"
+                )
+                fh.flush()
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -309,9 +302,5 @@ def _write_config(out_base: str, args) -> None:
             fh.write(f"{name.replace('_', '-')} = {getattr(args, name)}\n")
 
 
-def console_entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_entry()
+    sys.exit(main())

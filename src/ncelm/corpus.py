@@ -42,9 +42,6 @@ class Vocabulary:
         """Context id of the begin-of-sequence marker."""
         return len(self.words)
 
-    def context_token(self, context_id: int) -> str:
-        return BOS_TOKEN if context_id == self.bos_context else self.words[context_id]
-
 
 @dataclass(frozen=True)
 class CorpusStats:
@@ -126,19 +123,25 @@ def pairs_from_tokens(tokens, vocab: Vocabulary) -> np.ndarray:
     return pairs
 
 
+def pair_count_matrix(pairs: np.ndarray, n_words: int) -> np.ndarray:
+    """Multiset of (context, word) pairs as its dense int64 count matrix,
+    (n_words + 1, n_words): the one form in which a corpus reaches the
+    exact objectives."""
+    pairs = np.asarray(pairs, dtype=np.int64)
+    flat = pairs[:, 0] * n_words + pairs[:, 1]
+    return np.bincount(flat, minlength=(n_words + 1) * n_words).reshape(n_words + 1, n_words)
+
+
 def stats_from_pairs(pairs: np.ndarray, n_words: int) -> CorpusStats:
     """Tally a (context, word) pair multiset into exact count tables."""
     pairs = np.asarray(pairs, dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
         raise ValueError("pairs must be a nonempty (n, 2) array")
-    n_contexts = n_words + 1
-    flat = pairs[:, 0] * n_words + pairs[:, 1]
-    bigram = np.bincount(flat, minlength=n_contexts * n_words).reshape(n_contexts, n_words)
-    unigram = np.bincount(pairs[:, 1], minlength=n_words)
+    bigram = pair_count_matrix(pairs, n_words)
     return CorpusStats(
         bigram_counts=bigram,
         context_counts=bigram.sum(axis=1),
-        unigram_counts=unigram,
+        unigram_counts=bigram.sum(axis=0),
         total_tokens=int(pairs.shape[0]),
     )
 
@@ -146,14 +149,6 @@ def stats_from_pairs(pairs: np.ndarray, n_words: int) -> CorpusStats:
 def extract_stats(tokens, vocab: Vocabulary) -> CorpusStats:
     """Count consecutive-pair bigrams and unigrams over a token stream."""
     return stats_from_pairs(pairs_from_tokens(tokens, vocab), len(vocab))
-
-
-def empirical_conditional(stats: CorpusStats, context_id: int, word_id: int) -> float:
-    """p̃(word | context) as an exact count ratio."""
-    n_c = stats.context_counts[context_id]
-    if n_c == 0:
-        raise ValueError(f"unseen context id {context_id}")
-    return stats.bigram_counts[context_id, word_id] / n_c
 
 
 def generate_synthetic_corpus(truth: GroundTruthTable, n_tokens: int, seed: int) -> np.ndarray:

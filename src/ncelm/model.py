@@ -80,9 +80,6 @@ class Gradient(_FlatBlocks):
     def to_vector(self) -> np.ndarray:
         return self.vector.copy()
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
-
 
 def zero_gradient(params: ModelParams) -> Gradient:
     return Gradient(np.zeros(params.vector.shape), params.n_words, params.dim)
@@ -117,30 +114,17 @@ def params_finite(params: ModelParams) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Scoring and exact probabilities
+# Scoring and exact probabilities, every context at once
 # ---------------------------------------------------------------------------
 
-def scores_for_context(params: ModelParams, context_id: int) -> np.ndarray:
-    """Score of every vocabulary word after one context, shape (n_words,)."""
-    return params.target_emb @ params.context_emb[context_id] + params.bias
+def score_matrix(params: ModelParams) -> np.ndarray:
+    """Score of every word after every context, (n_contexts, n_words)."""
+    return params.context_emb @ params.target_emb.T + params.bias
 
 
-def score_matrix(params: ModelParams, context_ids: np.ndarray | None = None) -> np.ndarray:
-    """Scores for a batch of contexts, shape (len(context_ids), n_words);
-    every context, in id order, when ``context_ids`` is None."""
-    ctx = params.context_emb if context_ids is None else params.context_emb[context_ids]
-    return ctx @ params.target_emb.T + params.bias
-
-
-def log_partition(params: ModelParams, context_id: int) -> float:
-    """log Z(c) via a max-shifted reduction, safe for extreme scores."""
-    s = scores_for_context(params, context_id)
-    m = s.max()
-    return float(m + np.log(np.exp(s - m).sum()))
-
-
-def log_partitions(params: ModelParams, context_ids: np.ndarray) -> np.ndarray:
-    s = score_matrix(params, np.asarray(context_ids))
+def log_partitions(params: ModelParams) -> np.ndarray:
+    """log Z(c) of every context via a max-shifted reduction, (n_contexts,)."""
+    s = score_matrix(params)
     m = s.max(axis=1, keepdims=True)
     return (m + np.log(np.exp(s - m).sum(axis=1, keepdims=True)))[:, 0]
 
@@ -151,13 +135,9 @@ def softmax_from_scores(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_row(params: ModelParams, context_id: int) -> np.ndarray:
-    """Normalized distribution over words for one context."""
-    return softmax_from_scores(scores_for_context(params, context_id))
-
-
-def log_softmax_matrix(params: ModelParams, context_ids: np.ndarray) -> np.ndarray:
-    s = score_matrix(params, np.asarray(context_ids))
+def log_softmax_matrix(params: ModelParams) -> np.ndarray:
+    """log p(w | c) of every word after every context, (n_contexts, n_words)."""
+    s = score_matrix(params)
     m = s.max(axis=1, keepdims=True)
     return s - m - np.log(np.exp(s - m).sum(axis=1, keepdims=True))
 
@@ -176,37 +156,33 @@ class CellCounts(NamedTuple):
     noise: np.ndarray
 
 
-def pair_count_matrix(pairs: np.ndarray, n_words: int) -> np.ndarray:
-    """Multiset of (context, word) pairs as a dense count matrix."""
-    pairs = np.asarray(pairs, dtype=np.int64)
-    flat = pairs[:, 0] * n_words + pairs[:, 1]
-    counts = np.bincount(flat, minlength=(n_words + 1) * n_words)
-    return counts.reshape(n_words + 1, n_words).astype(np.float64)
+def context_totals(counts: np.ndarray, caller: str) -> np.ndarray:
+    """Row sums n_c of a count grid, (n_contexts, 1); ValueError if all are 0."""
+    n_c = counts.sum(axis=1, keepdims=True)
+    if not n_c.any():
+        raise ValueError(f"{caller} needs at least one pair")
+    return n_c
 
 
-def log_likelihood(params: ModelParams, pairs: np.ndarray) -> float:
-    """Total log probability of the pairs under the exact softmax model."""
-    pairs = np.asarray(pairs, dtype=np.int64)
-    if pairs.shape[0] == 0:
-        raise ValueError("log_likelihood needs at least one pair")
-    counts = pair_count_matrix(pairs, params.n_words)
-    active = np.flatnonzero(counts.sum(axis=1) > 0)
-    logp = log_softmax_matrix(params, active)
-    return float((counts[active] * logp).sum())
+def log_likelihood(params: ModelParams, counts: np.ndarray) -> float:
+    """Total log probability under the exact softmax model of the pairs
+    counted in ``counts``, (n_contexts, n_words): ``corpus.pair_count_matrix``
+    of a pair array, or ``CorpusStats.bigram_counts``."""
+    active = np.flatnonzero(context_totals(counts, "log_likelihood"))
+    return float((counts[active] * log_softmax_matrix(params)[active]).sum())
 
 
 def grad_log_likelihood(params: ModelParams, counts: np.ndarray) -> Gradient:
-    """Exact gradient of :func:`log_likelihood` for pairs given by their
-    (n_contexts, n_words) count matrix: :func:`pair_count_matrix` of a pair
-    array, or the ``true`` counts of a :class:`CellCounts`.
+    """Exact gradient of :func:`log_likelihood` for the same count matrix,
+    or the ``true`` counts of a :class:`CellCounts`.
 
     Per pair the score of the observed word goes up and the expected score
     under the model distribution comes down; accumulated over the multiset
     this reduces to the residual counts ``N(c, .) - n_c * p(. | c)``.
     """
+    n_c = context_totals(counts, "grad_log_likelihood")
     probs = softmax_from_scores(score_matrix(params))
-    residual = counts - counts.sum(axis=1, keepdims=True) * probs
-    return residual_gradient(params, residual, Z_EXACT)
+    return residual_gradient(params, counts - n_c * probs, Z_EXACT)
 
 
 def residual_gradient(params: ModelParams, residual: np.ndarray, z_mode: str) -> Gradient:
@@ -227,22 +203,11 @@ def residual_gradient(params: ModelParams, residual: np.ndarray, z_mode: str) ->
 
 
 def normalization_stats(params: ModelParams, context_ids) -> dict[str, float]:
-    """Order statistics of log Z over a set of contexts."""
-    context_ids = np.asarray(list(context_ids), dtype=np.int64)
-    if context_ids.size == 0:
+    """Order statistics of log Z over a set of context ids."""
+    lz = log_partitions(params)[np.asarray(context_ids, dtype=np.int64)]
+    if lz.size == 0:
         raise ValueError("normalization_stats needs at least one context")
-    lz = log_partitions(params, context_ids)
     return {"min": float(lz.min()), "median": float(np.median(lz)), "max": float(lz.max())}
-
-
-def set_log_zc_to_partition(params: ModelParams) -> None:
-    """Pin each context normalizer to its exact log partition value.
-
-    After this call the adjusted weight ``exp(s - log_zc)`` equals the
-    normalized model probability, the regime the learned normalizers are
-    meant to approximate.
-    """
-    params.log_zc[:] = log_partitions(params, np.arange(params.n_contexts))
 
 
 # ---------------------------------------------------------------------------

@@ -36,14 +36,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import CorpusStats
 from .model import (
     CellCounts,
     Gradient,
     ModelParams,
     Z_FIXED_ONE,
     Z_LEARNED_ZC,
-    pair_count_matrix,
+    context_totals,
     residual_gradient,
     score_matrix,
 )
@@ -69,32 +68,8 @@ class NceConfig:
 
 
 # ---------------------------------------------------------------------------
-# Mixture and posteriors
+# Classifier logits
 # ---------------------------------------------------------------------------
-
-def mixture_joint(
-    stats: CorpusStats, d: int, word_id: int, context_id: int, k: int, q: NoiseDistribution
-) -> float:
-    """Joint probability of (label, word) given a context in the proxy mixture."""
-    if d not in (0, 1):
-        raise ValueError("label d must be 0 or 1")
-    if d == 0:
-        return k / (1.0 + k) * float(q.probs[word_id])
-    if stats.context_counts[context_id] == 0:
-        raise ValueError(f"unseen context id {context_id}")
-    p_emp = stats.bigram_counts[context_id, word_id] / stats.context_counts[context_id]
-    return 1.0 / (1.0 + k) * p_emp
-
-
-def posterior_true_empirical(
-    stats: CorpusStats, word_id: int, context_id: int, k: int, q: NoiseDistribution
-) -> float:
-    """Probability the sample is true, written with the empirical conditional."""
-    if stats.context_counts[context_id] == 0:
-        raise ValueError(f"unseen context id {context_id}")
-    p_emp = stats.bigram_counts[context_id, word_id] / stats.context_counts[context_id]
-    return p_emp / (p_emp + k * float(q.probs[word_id]))
-
 
 def classifier_logits(
     params: ModelParams, contexts: np.ndarray, words: np.ndarray, cfg: NceConfig
@@ -175,26 +150,24 @@ def mc_grad(params: ModelParams, counts: CellCounts, cfg: NceConfig) -> Gradient
 # Exact objective and its analysis gradient
 # ---------------------------------------------------------------------------
 
-def exact_loss(params: ModelParams, pairs: np.ndarray, cfg: NceConfig) -> float:
-    """Proxy objective with the noise expectation summed over the vocabulary.
+def exact_loss(params: ModelParams, counts: np.ndarray, cfg: NceConfig) -> float:
+    """Proxy objective with the noise expectation summed over the vocabulary,
+    for the pairs counted in ``counts``, (n_contexts, n_words).
 
     Per observed pair: log-posterior of the true word plus k times the
-    q-expectation of the log noise-posterior. The Monte Carlo objective is an
+    q-expectation of the log noise-posterior, so context c carries the
+    expected noise counts ``n_c k q(w)``. The Monte Carlo objective is an
     unbiased estimate of this quantity.
     """
-    pairs = np.asarray(pairs, dtype=np.int64)
-    if pairs.shape[0] == 0:
-        raise ValueError("exact_loss needs at least one pair")
-    counts = pair_count_matrix(pairs, params.n_words)
-    noise_counts = counts.sum(axis=1, keepdims=True) * cfg.k * cfg.q.probs
+    noise_counts = context_totals(counts, "exact_loss") * cfg.k * cfg.q.probs
     delta = _logit_rows(params, cfg)
     return float(np.vdot(counts, _log_sigmoid(delta)) + np.vdot(noise_counts, _log_sigmoid(-delta)))
 
 
-def exact_grad_analysis(params: ModelParams, stats: CorpusStats, cfg: NceConfig) -> Gradient:
-    """Gradient of the exact objective in classifier-weighted residual form.
+def exact_grad_analysis(params: ModelParams, counts: np.ndarray, cfg: NceConfig) -> Gradient:
+    """Gradient of :func:`exact_loss` in classifier-weighted residual form.
 
-    For each seen context (weighted by its count) and each vocabulary word:
+    For each context (weighted by its count n_c) and each vocabulary word:
 
         k q(w) / (u_adj + k q(w)) * (p_emp(w|c) - u_adj(w,c)) * d log u_adj
 
@@ -203,12 +176,10 @@ def exact_grad_analysis(params: ModelParams, stats: CorpusStats, cfg: NceConfig)
     ``N(c, w) sigma(-Delta) - n_c k q(w) sigma(Delta)``, which is n_c times
     ``sigma(-Delta) * p_emp - k q(w) * sigma(Delta)`` per cell.
     """
-    n_c = stats.context_counts.astype(np.float64)
-    if not np.any(n_c > 0):
-        raise ValueError("exact_grad_analysis needs nonempty statistics")
+    n_c = context_totals(counts, "exact_grad_analysis")
     delta = _logit_rows(params, cfg)
     kq = cfg.k * cfg.q.probs[None, :]
-    residual = stats.bigram_counts * _sigmoid(-delta) - n_c[:, None] * kq * _sigmoid(delta)
+    residual = counts * _sigmoid(-delta) - n_c * kq * _sigmoid(delta)
     return residual_gradient(params, residual, cfg.z_mode)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nce, negsampling, noise
-from .corpus import GroundTruthTable, Vocabulary, stats_from_pairs
+from .corpus import GroundTruthTable, Vocabulary, pair_count_matrix, stats_from_pairs
 from .model import (
     PARAM_BLOCKS,
     CellCounts,
@@ -26,6 +26,7 @@ from .model import (
     Z_EXACT,
     Z_FIXED_ONE,
     Z_LEARNED_ZC,
+    Z_MODES,
     apply_gradient,
     grad_log_likelihood,
     init_params,
@@ -84,6 +85,11 @@ class TrainConfig:
             raise ValueError("epochs, batch_size, and eval_every must be >= 1")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        z_modes = (Z_LEARNED_ZC, Z_FIXED_ONE) if self.objective == OBJ_NCE else Z_MODES
+        if self.z_mode not in z_modes:
+            raise ValueError(f"{self.objective} z_mode must be one of {z_modes}, got {self.z_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,7 @@ def train(
                     f"first non-finite block {block}", epoch, step, block,
                 )
         if epoch % config.eval_every == 0 or epoch == config.epochs:
-            row = _metrics(params, pairs, stats, seen, truth, config, cfg, CellCounts(*total), epoch, start)
+            row = _metrics(params, pairs, seen, truth, config, cfg, CellCounts(*total), epoch, start)
             history.append(row)
             if checkpoint_prefix is not None:
                 save_model(f"{checkpoint_prefix}.ep{epoch}.model", params, vocab)
@@ -176,10 +182,7 @@ def sweep_k(
     truth: GroundTruthTable,
 ) -> list[SweepRow]:
     """One training run per k, all other settings and seeds identical."""
-    if not ks:
-        raise ValueError("ks must be nonempty")
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("ks must be sorted ascending")
+    check_ks(ks)
     rows = []
     for k in ks:
         try:
@@ -198,6 +201,14 @@ def sweep_k(
     return rows
 
 
+def check_ks(ks: list[int]) -> None:
+    """Raise ValueError unless ``ks`` is nonempty and strictly ascending."""
+    if not ks:
+        raise ValueError("ks must be nonempty")
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("ks must be sorted ascending")
+
+
 # ---------------------------------------------------------------------------
 # Internals
 # ---------------------------------------------------------------------------
@@ -209,8 +220,6 @@ def _params_z_mode(config: TrainConfig) -> str:
         # Normalizer parameters have no meaning under negative sampling;
         # freezing them keeps the NCE equivalence checks well-posed.
         return Z_FIXED_ONE
-    if config.z_mode not in (Z_LEARNED_ZC, Z_FIXED_ONE):
-        raise ValueError(f"NCE z_mode must be learned_zc or fixed_one, got {config.z_mode!r}")
     return config.z_mode
 
 
@@ -241,11 +250,11 @@ def _epoch_counts(pairs, perm, noise_words, batch_size, n_words, total):
             yield min(batch_size, idx.size - j * batch_size), CellCounts(true, noise)
 
 
-def _metrics(params, pairs, stats, seen, truth, config, cfg, counts, epoch, start):
+def _metrics(params, pairs, seen, truth, config, cfg, counts, epoch, start):
     n = pairs.shape[0]
-    ce = -log_likelihood(params, pairs) / n
+    ce = -log_likelihood(params, pair_count_matrix(pairs, params.n_words)) / n
     kl = None if truth is None else kl_truth_model(truth, params)
-    med_z = float(np.median(np.abs(log_partitions(params, seen))))
+    med_z = float(np.median(np.abs(log_partitions(params)[seen])))
     if config.objective == OBJ_MLE:
         obj = -ce
     elif config.objective == OBJ_NCE:
@@ -264,8 +273,7 @@ def _metrics(params, pairs, stats, seen, truth, config, cfg, counts, epoch, star
 
 def kl_truth_rows(truth: GroundTruthTable, params: ModelParams) -> np.ndarray:
     """KL(truth row || model row) for each word context, in nats."""
-    contexts = np.arange(truth.n_words)
-    logp = log_softmax_matrix(params, contexts)
+    logp = log_softmax_matrix(params)[: truth.n_words]
     t = truth.cond
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(t > 0, t * (np.log(t) - logp), 0.0)
@@ -277,10 +285,10 @@ def kl_truth_model(truth: GroundTruthTable, params: ModelParams) -> float:
     return float(kl_truth_rows(truth, params).mean())
 
 
-def cross_entropy(params: ModelParams, pairs: np.ndarray) -> float:
-    """Mean negative log probability per pair under the exact softmax."""
-    pairs = np.asarray(pairs, dtype=np.int64)
-    return -log_likelihood(params, pairs) / pairs.shape[0]
+def cross_entropy(params: ModelParams, counts: np.ndarray) -> float:
+    """Mean negative log probability per pair under the exact softmax, for
+    the pairs counted in ``counts``, (n_contexts, n_words)."""
+    return float(-log_likelihood(params, counts) / counts.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,11 @@ def test_train_divergence_exit_code(tmp_path):
         r = run_cli(*train_args(prefix, tmp_path / "d.model", "--objective", "mle", "--lr", lr))
         assert r.returncode == 2
         assert "learning_rate must be finite and > 0" in r.stderr
+    # So is an empty embedding.
+    r = run_cli(*train_args(prefix, tmp_path / "z.model", "--objective", "mle", "--dim", 0))
+    assert r.returncode == 2
+    assert "dim must be >= 1" in r.stderr
+    assert not (tmp_path / "z.model").exists()
 
 
 def test_eval_uniform_model_reports_log_vocab(tmp_path):
@@ -240,12 +245,16 @@ def test_sweep_row_count_and_determinism(tmp_path):
 
 def test_sweep_rejects_bad_ks(tmp_path):
     prefix = gen_fixture(tmp_path, tokens=500)
-    r = run_cli("sweep", "--corpus", f"{prefix}.txt", "--truth", f"{prefix}.truth",
-                "--ks", "5,2", "--out", tmp_path / "s.csv")
-    assert r.returncode == 2
-    r = run_cli("sweep", "--corpus", f"{prefix}.txt", "--truth", f"{prefix}.truth",
-                "--ks", "1,x", "--out", tmp_path / "s.csv")
-    assert r.returncode == 2
+    # Each bad flag is an exit-2 usage error raised before any output file
+    # is written.
+    for bad in (["--ks", "5,2"], ["--ks", "1,x"], ["--ks", "3,3"], ["--ks", "0,2"],
+                ["--ks", "1", "--seeds", 0], ["--ks", "1", "--dim", 0]):
+        r = run_cli("sweep", "--corpus", f"{prefix}.txt", "--truth", f"{prefix}.truth",
+                    *bad, "--out", tmp_path / "s.csv")
+        assert r.returncode == 2, bad
+        assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+        assert not (tmp_path / "s.csv").exists()
+        assert not (tmp_path / "s.csv.config").exists()
 
 
 def test_gradcheck_command_and_negative_control():

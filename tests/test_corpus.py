@@ -5,7 +5,6 @@ from ncelm import corpus
 from ncelm.corpus import (
     BOS_TOKEN,
     build_vocab,
-    empirical_conditional,
     extract_stats,
     generate_synthetic_corpus,
     generate_synthetic_stream,
@@ -27,7 +26,6 @@ def test_build_vocab_first_occurrence_order():
     assert v.id_of("a") == 1
     assert v.word_of(2) == "c"
     assert v.bos_context == 3
-    assert v.context_token(3) == BOS_TOKEN
 
 
 def test_build_vocab_rejects_reserved_and_degenerate():
@@ -70,18 +68,6 @@ def test_stats_rows_sum_to_context_counts():
     stats = stats_from_pairs(pairs, 6)
     assert np.array_equal(stats.bigram_counts.sum(axis=1), stats.context_counts)
     assert stats.unigram_counts.sum() == stats.total_tokens == 2000
-
-
-def test_empirical_conditional_hand_values():
-    v = build_vocab(["a", "b"])
-    stats = extract_stats(["a", "a", "b", "a"], v)
-    assert empirical_conditional(stats, 0, 0) == pytest.approx(0.5)
-    assert empirical_conditional(stats, 0, 1) == pytest.approx(0.5)
-    assert empirical_conditional(stats, 1, 0) == pytest.approx(1.0)
-    assert stats.context_counts[0] / stats.total_tokens == pytest.approx(0.5)
-    with pytest.raises(ValueError, match="unseen context"):
-        # id 3 is out of range of seen contexts for this stream
-        empirical_conditional(stats_from_pairs(np.array([[2, 0], [0, 1]]), 3), 1, 0)
 
 
 def test_zipf_truth_rows_are_permuted_zipf_weights():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from batch_reference import ProxyBatch, cell_counts, score
-from ncelm.corpus import stats_from_pairs
+from ncelm.corpus import pair_count_matrix, stats_from_pairs
 from ncelm.model import (
     PARAM_BLOCKS,
     Z_EXACT,
@@ -22,9 +22,9 @@ from ncelm.model import (
     CellCounts,
     grad_log_likelihood,
     init_params,
-    pair_count_matrix,
+    log_likelihood,
 )
-from ncelm.nce import NceConfig, classifier_logits, mc_grad, mc_loss
+from ncelm.nce import NceConfig, classifier_logits, exact_grad_analysis, exact_loss, mc_grad, mc_loss
 from ncelm.negsampling import ns_grad, ns_loss
 from ncelm.noise import unigram
 from ncelm.seeding import STREAM_DATA, derive_rng
@@ -160,14 +160,17 @@ def test_classifier_logits_match_scalar_delta(z_mode):
 @pytest.mark.parametrize("z_mode", [Z_LEARNED_ZC, Z_FIXED_ONE])
 def test_kernels_on_cell_counts_equal_the_batch_bitwise(k, z_mode):
     # The kernels see a batch only through its count values: the reference's
-    # integer counts and float counts from model.pair_count_matrix of the
+    # integer counts and float copies of corpus.pair_count_matrix of the
     # batch's true pairs and (context, noise word) pairs give the same bits.
     params, batch, q = _setup(k, z_mode, seed=30 + k, extreme=True)
     cfg = NceConfig(k=k, z_mode=z_mode, q=q)
     counts = cell_counts(batch, params.n_contexts, params.n_words)
     pairs = np.stack([batch.contexts, batch.true_words], axis=1)
     noise_pairs = np.stack(np.broadcast_arrays(batch.contexts[:, None], batch.noise_words), axis=-1)
-    floats = CellCounts(pair_count_matrix(pairs, V), pair_count_matrix(noise_pairs.reshape(-1, 2), V))
+    floats = CellCounts(
+        pair_count_matrix(pairs, V).astype(np.float64),
+        pair_count_matrix(noise_pairs.reshape(-1, 2), V).astype(np.float64),
+    )
     assert mc_loss(params, floats, cfg) == mc_loss(params, counts, cfg)
     assert ns_loss(params, floats) == ns_loss(params, counts)
     mle_params = init_params(V, 3, seed=k, z_mode=Z_EXACT)
@@ -186,3 +189,28 @@ def test_cell_counts_with_wrong_noise_total_raise():
     for kernel in (mc_loss, mc_grad):
         with pytest.raises(ValueError, match="k mismatch"):
             kernel(params, counts, cfg)
+
+
+# Each exact function's result as bytes: the loss's hex digits or the
+# gradient vector's bytes.
+_EXACT_ORACLE = {
+    "log_likelihood": lambda p, counts, cfg: float(log_likelihood(p, counts)).hex(),
+    "grad_log_likelihood": lambda p, counts, cfg: grad_log_likelihood(p, counts).vector.tobytes(),
+    "exact_loss": lambda p, counts, cfg: float(exact_loss(p, counts, cfg)).hex(),
+    "exact_grad_analysis": lambda p, counts, cfg: exact_grad_analysis(p, counts, cfg).vector.tobytes(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_ORACLE))
+def test_exact_oracle_takes_any_count_grid(name):
+    # A corpus reaches the exact objectives only as its (context, word) count
+    # grid: the int64 bigram counts and their float64 copy give the same
+    # bits, and a grid without a pair is rejected.
+    fn = _EXACT_ORACLE[name]
+    params, batch, q = _setup(5, Z_LEARNED_ZC, seed=50, extreme=True)
+    cfg = NceConfig(k=5, z_mode=Z_LEARNED_ZC, q=q)
+    counts = stats_from_pairs(np.stack([batch.contexts, batch.true_words], axis=1), V).bigram_counts
+    assert counts.dtype == np.int64
+    assert fn(params, counts.astype(np.float64), cfg) == fn(params, counts, cfg)
+    with pytest.raises(ValueError, match="at least one pair"):
+        fn(params, np.zeros_like(counts), cfg)

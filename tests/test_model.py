@@ -6,7 +6,7 @@ import pytest
 from batch_reference import score
 from ncelm import model
 from ncelm.checks import finite_diff_gradient
-from ncelm.corpus import build_vocab
+from ncelm.corpus import build_vocab, pair_count_matrix
 from ncelm.model import (
     PARAM_BLOCKS,
     Z_EXACT,
@@ -18,16 +18,12 @@ from ncelm.model import (
     init_params,
     load_model,
     log_likelihood,
-    log_partition,
     log_partitions,
     log_softmax_matrix,
     normalization_stats,
-    pair_count_matrix,
     save_model,
     score_matrix,
-    scores_for_context,
-    set_log_zc_to_partition,
-    softmax_row,
+    softmax_from_scores,
     zero_gradient,
 )
 
@@ -51,62 +47,67 @@ def test_score_and_unnorm_hand_values():
     assert s[3, 0] == pytest.approx(0.1 * -1.0 + 0.2 * 0.2 + 0.0)
 
 
+def log_z(p, c):
+    """log Z(c) summed directly from the scalar scores."""
+    return math.log(sum(math.exp(score(p, c, w)) for w in range(p.n_words)))
+
+
 def test_scores_matrix_matches_scalar_path():
     p = tiny_params()
-    mat = score_matrix(p, np.arange(4))
+    mat = score_matrix(p)
+    assert mat.shape == (4, 3)
     for c in range(4):
-        assert np.allclose(mat[c], scores_for_context(p, c))
         for w in range(3):
             assert mat[c, w] == pytest.approx(score(p, c, w))
 
 
 def test_partition_is_plain_exp_sum():
     p = tiny_params()
-    z = np.exp(log_partitions(p, np.arange(4)))
+    lz = log_partitions(p)
+    assert lz.shape == (4,)
     for c in range(4):
         direct = sum(math.exp(score(p, c, w)) for w in range(3))
-        assert z[c] == pytest.approx(direct, rel=1e-12)
-        assert log_partition(p, c) == pytest.approx(math.log(direct), rel=1e-12)
-    assert np.allclose(log_partitions(p, np.arange(4)),
-                       [log_partition(p, c) for c in range(4)])
+        assert math.exp(lz[c]) == pytest.approx(direct, rel=1e-12)
+        assert lz[c] == pytest.approx(math.log(direct), rel=1e-12)
 
 
 def test_log_partition_survives_huge_scores():
     p = tiny_params()
     p.bias[:] = [800.0, 0.0, -800.0]
-    lz = log_partition(p, 0)
+    lz = log_partitions(p)[0]
     assert np.isfinite(lz)
     assert lz == pytest.approx(800.0 + score(p, 0, 0) - p.bias[0], abs=1e-6)
 
 
 def test_softmax_rows_normalize():
     p = tiny_params()
-    for c in range(4):
-        row = softmax_row(p, c)
-        assert row.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(row > 0)
-        direct = sum(math.exp(score(p, c, v)) for v in range(3))
-        for w in range(3):
-            assert row[w] == pytest.approx(math.exp(score(p, c, w)) / direct)
-    logmat = log_softmax_matrix(p, np.arange(4))
-    assert np.allclose(np.exp(logmat).sum(axis=1), 1.0, atol=1e-12)
+    for probs in (softmax_from_scores(score_matrix(p)), np.exp(log_softmax_matrix(p))):
+        assert probs.shape == (4, 3)
+        for c in range(4):
+            row = probs[c]
+            assert row.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(row > 0)
+            direct = sum(math.exp(score(p, c, v)) for v in range(3))
+            for w in range(3):
+                assert row[w] == pytest.approx(math.exp(score(p, c, w)) / direct)
 
 
 def test_log_likelihood_hand_value():
     p = tiny_params()
-    pairs = np.array([[0, 1], [3, 2]])
-    expected = math.log(softmax_row(p, 0)[1]) + math.log(softmax_row(p, 3)[2])
-    assert log_likelihood(p, pairs) == pytest.approx(expected, rel=1e-12)
+    counts = pair_count_matrix(np.array([[0, 1], [3, 2]]), 3)
+    expected = (score(p, 0, 1) - log_z(p, 0)) + (score(p, 3, 2) - log_z(p, 3))
+    assert log_likelihood(p, counts) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError):
-        log_likelihood(p, np.empty((0, 2), dtype=np.int64))
+        log_likelihood(p, np.zeros((4, 3), dtype=np.int64))
 
 
 def test_grad_log_likelihood_matches_finite_differences():
     p = init_params(5, 3, seed=2, z_mode=Z_EXACT)
     rng = np.random.default_rng(0)
     pairs = np.stack([rng.integers(0, 6, 30), rng.integers(0, 5, 30)], axis=1)
-    analytic = grad_log_likelihood(p, pair_count_matrix(pairs, 5))
-    fd = finite_diff_gradient(lambda q: log_likelihood(q, pairs), p)
+    counts = pair_count_matrix(pairs, 5)
+    analytic = grad_log_likelihood(p, counts)
+    fd = finite_diff_gradient(lambda q: log_likelihood(q, counts), p)
     for name in ("target_emb", "context_emb", "bias"):
         assert np.allclose(getattr(analytic, name), getattr(fd, name), atol=1e-7)
     assert np.all(analytic.log_zc == 0)
@@ -162,13 +163,13 @@ def test_flat_vector_invariants():
     assert not np.shares_memory(q.vector, p.vector)
     # An in-place write to a block, as finite_diff_gradient makes, is seen
     # by the losses.
-    pairs = np.array([[4, 1], [0, 2], [2, 3], [2, 1]])
-    before = log_likelihood(p, pairs)
+    counts = pair_count_matrix(np.array([[4, 1], [0, 2], [2, 3], [2, 1]]), 4)
+    before = log_likelihood(p, counts)
     p.context_emb[2, 1] += 0.5
-    moved = log_likelihood(p, pairs)
+    moved = log_likelihood(p, counts)
     assert moved != before
     assert moved == log_likelihood(
-        ModelParams(p.target_emb, p.context_emb, p.bias, p.log_zc, Z_LEARNED_ZC), pairs
+        ModelParams(p.target_emb, p.context_emb, p.bias, p.log_zc, Z_LEARNED_ZC), counts
     )
     # copy() is independent of the original.
     c = p.copy()
@@ -176,7 +177,7 @@ def test_flat_vector_invariants():
     c.bias[1] = 7.0
     assert p.bias[1] != 7.0
     # to_vector() keeps the old concatenation order.
-    g = grad_log_likelihood(p, pair_count_matrix(pairs, 4))
+    g = grad_log_likelihood(p, counts)
     want = np.concatenate([g.target_emb.ravel(), g.context_emb.ravel(), g.bias, g.log_zc])
     assert np.array_equal(g.to_vector(), want)
     assert not np.shares_memory(g.to_vector(), g.vector)
@@ -198,7 +199,7 @@ def test_apply_gradient_leaves_frozen_log_zc_bitwise(z_mode):
 def test_set_log_zc_to_partition_normalizes_adjusted_scores():
     p = init_params(5, 3, seed=3, z_mode=Z_LEARNED_ZC)
     p.target_emb *= 4.0
-    set_log_zc_to_partition(p)
+    p.log_zc[:] = log_partitions(p)
     totals = np.exp(score_matrix(p) - p.log_zc[:, None]).sum(axis=1)
     for c in range(6):
         assert totals[c] == pytest.approx(1.0, abs=1e-12)
@@ -207,7 +208,7 @@ def test_set_log_zc_to_partition_normalizes_adjusted_scores():
 def test_normalization_stats_summary():
     p = tiny_params()
     stats = normalization_stats(p, np.arange(4))
-    lz = [log_partition(p, c) for c in range(4)]
+    lz = [log_z(p, c) for c in range(4)]
     assert stats["min"] == pytest.approx(min(lz))
     assert stats["max"] == pytest.approx(max(lz))
     assert stats["median"] == pytest.approx(float(np.median(lz)))

@@ -5,7 +5,7 @@ import pytest
 
 from batch_reference import ProxyBatch, cell_counts, score, sigmoid
 from ncelm.checks import finite_diff_gradient
-from ncelm.corpus import build_vocab, extract_stats, stats_from_pairs
+from ncelm.corpus import pair_count_matrix, stats_from_pairs
 from ncelm.model import Z_FIXED_ONE, Z_LEARNED_ZC, init_params
 from ncelm.nce import (
     NceConfig,
@@ -14,8 +14,6 @@ from ncelm.nce import (
     exact_loss,
     mc_grad,
     mc_loss,
-    mixture_joint,
-    posterior_true_empirical,
 )
 from ncelm.noise import uniform, unigram
 from ncelm.seeding import STREAM_DATA, derive_rng
@@ -40,28 +38,6 @@ def test_config_rejects_exact_z_mode():
         NceConfig(k=2, z_mode="exact", q=q)
     with pytest.raises(ValueError):
         NceConfig(k=0, z_mode=Z_FIXED_ONE, q=q)
-
-
-def test_mixture_joint_hand_arithmetic():
-    v = build_vocab(["a", "b"])
-    stats = extract_stats(["a", "a", "b", "a"], v)
-    q = uniform(2)
-    k = 3
-    # context a: p(a|a) = 0.5 -> true-class joint 1/(1+3) * 0.5
-    assert mixture_joint(stats, 1, 0, 0, k, q) == pytest.approx(0.125)
-    # noise class: 3/(1+3) * 0.5
-    assert mixture_joint(stats, 0, 0, 0, k, q) == pytest.approx(0.375)
-    # joint sums to 1 over (d, w) for a fixed context
-    total = sum(mixture_joint(stats, d, w, 0, k, q) for d in (0, 1) for w in (0, 1))
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_posterior_true_empirical_hand_value():
-    v = build_vocab(["a", "b"])
-    stats = extract_stats(["a", "a", "b", "a"], v)
-    q = uniform(2)
-    # ptilde = 0.5, k*q = 1.5 -> 0.5 / (0.5 + 1.5)
-    assert posterior_true_empirical(stats, 0, 0, 3, q) == pytest.approx(0.25)
 
 
 def test_model_posteriors_match_sigmoid_formula():
@@ -136,17 +112,17 @@ def test_exact_loss_is_expectation_of_mc_loss():
         )
         # weights sum to 1, so the shared true-sample part is counted once
         expectation += q.probs[w] * mc_loss(params, cell_counts(batch, 5, 4), cfg)
-    assert exact_loss(params, pairs, cfg) == pytest.approx(expectation, rel=1e-12)
+    assert exact_loss(params, pair_count_matrix(pairs, 4), cfg) == pytest.approx(expectation, rel=1e-12)
 
 
 def test_exact_grad_analysis_matches_exact_loss_derivative():
     params = small_setup()
     rng = derive_rng(4, STREAM_DATA)
     pairs = np.stack([rng.integers(0, 5, 30), rng.integers(0, 4, 30)], axis=1)
-    stats = stats_from_pairs(pairs, 4)
+    counts = pair_count_matrix(pairs, 4)
     cfg = NceConfig(k=5, z_mode=Z_LEARNED_ZC, q=uniform(4))
-    analytic = exact_grad_analysis(params, stats, cfg).to_vector()
-    fd = finite_diff_gradient(lambda p: exact_loss(p, pairs, cfg), params).to_vector()
+    analytic = exact_grad_analysis(params, counts, cfg).to_vector()
+    fd = finite_diff_gradient(lambda p: exact_loss(p, counts, cfg), params).to_vector()
     assert np.max(np.abs(analytic - fd)) < 1e-7
 
 
@@ -156,6 +132,7 @@ def test_exact_loss_handles_extreme_scores_finitely():
     rng = derive_rng(5, STREAM_DATA)
     pairs = np.stack([rng.integers(0, 5, 10), rng.integers(0, 4, 10)], axis=1)
     cfg = NceConfig(k=2, z_mode=Z_FIXED_ONE, q=uniform(4))
-    assert np.isfinite(exact_loss(params, pairs, cfg))
-    g = exact_grad_analysis(params, stats_from_pairs(pairs, 4), cfg)
+    counts = pair_count_matrix(pairs, 4)
+    assert np.isfinite(exact_loss(params, counts, cfg))
+    g = exact_grad_analysis(params, counts, cfg)
     assert np.all(np.isfinite(g.to_vector()))

@@ -6,7 +6,13 @@ import pytest
 
 from batch_reference import ProxyBatch, cell_counts
 from ncelm import noise
-from ncelm.corpus import build_vocab, generate_synthetic_corpus, make_zipf_truth, stats_from_pairs
+from ncelm.corpus import (
+    build_vocab,
+    generate_synthetic_corpus,
+    make_zipf_truth,
+    pair_count_matrix,
+    stats_from_pairs,
+)
 from ncelm.model import (
     PARAM_BLOCKS,
     Z_EXACT,
@@ -18,7 +24,6 @@ from ncelm.model import (
     load_model,
     log_likelihood,
     log_partitions,
-    pair_count_matrix,
 )
 from ncelm.nce import NceConfig, mc_grad, mc_loss
 from ncelm.negsampling import ns_grad, ns_loss
@@ -57,6 +62,14 @@ def test_config_validation():
         TrainConfig(objective="nce", epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(objective="nce", k=0)
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dim"):
+            TrainConfig(objective="nce", dim=dim)
+    for objective in ("nce", "ns", "mle_exact"):
+        with pytest.raises(ValueError, match="z_mode"):
+            TrainConfig(objective=objective, z_mode="bogus")
+    with pytest.raises(ValueError, match="z_mode"):
+        TrainConfig(objective="nce", z_mode=Z_EXACT)
 
 
 def test_single_example_step_increases_own_objective():
@@ -68,9 +81,10 @@ def test_single_example_step_increases_own_objective():
         params.target_emb[:] = rng.normal(0, 1, params.target_emb.shape)
         params.context_emb[:] = rng.normal(0, 1, params.context_emb.shape)
         pair = np.array([[rng.integers(0, 6), rng.integers(0, 5)]])
-        before = log_likelihood(params, pair)
-        apply_gradient(params, grad_log_likelihood(params, pair_count_matrix(pair, 5)), 1e-4)
-        assert log_likelihood(params, pair) > before
+        counts = pair_count_matrix(pair, 5)
+        before = log_likelihood(params, counts)
+        apply_gradient(params, grad_log_likelihood(params, counts), 1e-4)
+        assert log_likelihood(params, counts) > before
 
 
 def test_train_is_bit_deterministic():
@@ -163,7 +177,7 @@ def _reference_train(config, pairs, n_words, truth):
             for name in blocks:
                 getattr(params, name)[...] += lr / idx.size * getattr(grad, name)
         if epoch % config.eval_every == 0 or epoch == config.epochs:
-            ce = -log_likelihood(params, pairs) / n
+            ce = -log_likelihood(params, stats.bigram_counts) / n
             if config.objective == "mle_exact":
                 obj = -ce
             else:
@@ -174,7 +188,7 @@ def _reference_train(config, pairs, n_words, truth):
                 epoch=epoch,
                 cross_entropy=float(ce),
                 kl_truth=kl_truth_model(truth, params),
-                median_abs_log_z=float(np.median(np.abs(log_partitions(params, stats.seen_contexts())))),
+                median_abs_log_z=float(np.median(np.abs(log_partitions(params)[stats.seen_contexts()]))),
                 objective=float(obj),
                 seconds=0.0,
             ))
@@ -259,7 +273,7 @@ def test_kl_and_cross_entropy_hand_values():
     zero.target_emb[:] = 0.0
     zero.context_emb[:] = 0.0
     pairs = np.array([[4, 0], [0, 1], [1, 2], [2, 3]])
-    assert cross_entropy(zero, pairs) == pytest.approx(math.log(4))
+    assert cross_entropy(zero, pair_count_matrix(pairs, 4)) == pytest.approx(math.log(4))
 
 
 def test_metrics_csv_format(tmp_path):
