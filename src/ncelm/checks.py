@@ -27,7 +27,7 @@ from .model import (
     log_likelihood,
     zero_gradient,
 )
-from .noise import uniform
+from .noise import sample_array, uniform
 from .seeding import STREAM_DATA, derive_rng
 
 GRADCHECK_SUITES = ("mle", "nce-mc", "nce-exact", "ns")
@@ -127,15 +127,14 @@ def run_gradcheck(
     return result
 
 
-def _sampled_counts(contexts, words, noise_words, n_words: int) -> CellCounts:
-    """Cell counts of a sampled batch: the (context, word) pairs, and each
-    pair's context repeated k times against its k noise words."""
-    k = noise_words.shape[1]
-    noise_pairs = np.stack([np.repeat(contexts, k), noise_words.ravel()], axis=1)
-    return CellCounts(
-        pair_count_matrix(np.stack([contexts, words], axis=1), n_words),
-        pair_count_matrix(noise_pairs, n_words),
-    )
+def _sampled_counts(rng, n_pairs: int, n_words: int, k: int) -> CellCounts:
+    """Cell counts of a random sampled batch: n_pairs uniform (context, word)
+    pairs, the sentence-start context included, and for each context c
+    k * n_c noise words from uniform q, drawn as counts."""
+    contexts = rng.integers(0, n_words + 1, n_pairs)
+    words = rng.integers(0, n_words, n_pairs)
+    true = pair_count_matrix(np.stack([contexts, words], axis=1), n_words)
+    return CellCounts(true, sample_array(uniform(n_words), k * true.sum(axis=1), rng))
 
 
 def _suite_z_modes(label: str):
@@ -149,13 +148,9 @@ def _one_gradcheck(label, z_mode, seed, i, step):
     params = init_params(_GC_VOCAB, _GC_DIM, seed + i, z_mode=z_mode or Z_EXACT)
     if z_mode == Z_LEARNED_ZC:
         params.log_zc[:] = rng.normal(0.0, 0.5, params.n_contexts)
-    # Contexts include the sentence-start id so its embedding row is covered.
-    contexts = rng.integers(0, _GC_VOCAB + 1, _GC_PAIRS)
-    words = rng.integers(0, _GC_VOCAB, _GC_PAIRS)
-    noise_words = rng.integers(0, _GC_VOCAB, (_GC_PAIRS, _GC_K))
     # One batch per model, counted outside the finite-difference closures;
     # the exact suites read only its true counts.
-    counts = _sampled_counts(contexts, words, noise_words, _GC_VOCAB)
+    counts = _sampled_counts(rng, _GC_PAIRS, _GC_VOCAB, _GC_K)
     if label == "mle":
         return grad_log_likelihood(params, counts.true), finite_diff_gradient(
             lambda p: log_likelihood(p, counts.true), params, step
@@ -200,10 +195,7 @@ def run_equiv_check(
     for i in range(n_draws):
         rng = derive_rng(seed, STREAM_DATA, i)
         params = init_params(vocab_size, 4, seed + i, z_mode=Z_FIXED_ONE)
-        n = 30
-        contexts = rng.integers(0, vocab_size + 1, n)
-        words = rng.integers(0, vocab_size, n)
-        counts = _sampled_counts(contexts, words, rng.integers(0, vocab_size, (n, k)), vocab_size)
+        counts = _sampled_counts(rng, 30, vocab_size, k)
         dloss = abs(nce.mc_loss(params, counts, cfg) - negsampling.ns_loss(params, counts))
         dgrad = np.max(
             np.abs(

@@ -12,6 +12,7 @@ CSV files, never to parsed stdout text.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -232,7 +233,10 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"corpus does not match model vocabulary: {exc}") from None
     stats = stats_from_pairs(pairs, len(vocab))
     zstats = normalization_stats(params, stats.seen_contexts())
-    print(f"cross_entropy {cross_entropy(params, stats.bigram_counts):.9g}")
+    ce = cross_entropy(params, stats.bigram_counts)
+    if not math.isfinite(ce):
+        raise ValueError(f"cross-entropy is {ce}: the model's scores overflow")
+    print(f"cross_entropy {ce:.9g}")
     print(f"log_z min {zstats['min']:.9g} median {zstats['median']:.9g} max {zstats['max']:.9g}")
     if args.truth:
         truth, tvocab = read_truth(args.truth)

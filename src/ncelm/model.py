@@ -150,7 +150,7 @@ class CellCounts(NamedTuple):
     """A sampled batch as true and noise sample counts per (context, word)
     cell, each (n_contexts, n_words): the one batch type of the sampled
     objectives and their gradients, which depend on nothing else. Exact MLE
-    reads only ``true``."""
+    reads only ``true``; the trainer leaves its ``noise`` None."""
 
     true: np.ndarray
     noise: np.ndarray

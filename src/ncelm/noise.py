@@ -1,17 +1,17 @@
 """Noise distributions over the vocabulary: uniform, unigram, and flattened.
 
 Classifier-based estimators contrast observed words against words drawn from
-a fixed noise distribution q. The three standard choices are built here, each
-with exact probability lookup and constant-time seeded sampling via Walker's
-alias method. Full support over the vocabulary is enforced at construction:
+a fixed noise distribution q. The three standard choices are built here.
+The estimators see noise only as per-cell counts, so draws are made as
+counts too: n independent words from q are one Multinomial(n, q) vector.
+Full support over the vocabulary is enforced at construction:
 a zero-probability word would pin the classifier posterior of a true sample
 at 1 and silently break the objective, so construction fails fast instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,30 +24,21 @@ KIND_FLATTENED = "flattened"
 
 @dataclass(frozen=True)
 class NoiseDistribution:
-    """Categorical distribution with O(1) draws from a precomputed table."""
+    """Categorical distribution over the vocabulary."""
 
     probs: np.ndarray  # (n_words,), sums to 1, strictly positive
     kind: str
     alpha: float | None = None
-    # Alias tables: entry i accepts with accept[i], else redirects to alias[i].
-    accept: np.ndarray = field(repr=False, default=None)
-    alias: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_words(self) -> int:
         return self.probs.shape[0]
 
-    @cached_property
-    def outcomes(self) -> np.ndarray:
-        """Outcome of a draw at index ``2 * slot + keep``: ``alias[slot]`` or ``slot``."""
-        return np.stack([self.alias, np.arange(self.n_words)], axis=1).ravel()
-
 
 def _build(probs: np.ndarray, kind: str, alpha: float | None = None) -> NoiseDistribution:
     if np.any(probs <= 0):
         raise ValueError("unsupported word in noise distribution: zero probability")
-    accept, alias = _alias_tables(probs)
-    return NoiseDistribution(probs=probs, kind=kind, alpha=alpha, accept=accept, alias=alias)
+    return NoiseDistribution(probs=probs, kind=kind, alpha=alpha)
 
 
 def uniform(n_words: int) -> NoiseDistribution:
@@ -78,45 +69,12 @@ def flattened(stats: CorpusStats, alpha: float) -> NoiseDistribution:
     return _build(p / p.sum(), KIND_FLATTENED, alpha=alpha)
 
 
-def sample_array(q: NoiseDistribution, shape, rng: np.random.Generator) -> np.ndarray:
-    """Array of independent draws; two uniform variates per draw."""
-    idx = rng.integers(0, q.n_words, size=shape)
-    keep = rng.random(size=shape) < q.accept[idx]
-    return q.outcomes[2 * idx + keep]
-
-
-def _alias_tables(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vose's alias construction: O(n) setup, exact on the input weights."""
-    n = probs.shape[0]
-    accept = np.ones(n)
-    alias = np.arange(n)
-    scaled = probs * n
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
-    while small and large:
-        s = small.pop()
-        g = large.pop()
-        accept[s] = scaled[s]
-        alias[s] = g
-        scaled[g] = (scaled[g] + scaled[s]) - 1.0
-        if scaled[g] < 1.0:
-            small.append(g)
-        else:
-            large.append(g)
-    # Leftovers are 1 up to rounding; they keep their own slot.
-    return accept, alias
-
-
-def induced_probs(q: NoiseDistribution) -> np.ndarray:
-    """Distribution the alias tables actually realize.
-
-    Equals ``q.probs`` up to float rounding in table construction; exposed so
-    the sampler structure can be audited without drawing samples.
-    """
-    n = q.n_words
-    out = q.accept / n
-    np.add.at(out, q.alias, (1.0 - q.accept) / n)
-    return out
+def sample_array(q: NoiseDistribution, totals, rng: np.random.Generator) -> np.ndarray:
+    """Noise counts, int64 of shape ``totals.shape + (n_words,)``: entry
+    ``[..., w]`` counts how many of ``totals[...]`` independent draws from q
+    are word w. One call over an array gives the same bits as one call per
+    row, in order, on the same generator."""
+    return rng.multinomial(totals, q.probs)
 
 
 def parse_noise_spec(spec: str, stats: CorpusStats | None, n_words: int) -> NoiseDistribution:

@@ -3,8 +3,10 @@
 Plain SGD, no momentum or adaptivity: the point of the artifact is comparing
 objectives, so the optimizer is kept identical across them. Each epoch
 shuffles the pair multiset with a seeded permutation and, for the sampled
-objectives, draws a fresh noise matrix from an epoch-derived stream, so runs
-are bit-reproducible while noise is still resampled every pass.
+objectives, draws fresh noise from an epoch-derived stream, so runs are
+bit-reproducible while noise is still resampled every pass. A step's noise
+is drawn as counts, k * n_c words from q for each context c it holds n_c
+pairs of, so its cost does not grow with k.
 
 Batch updates use the mean gradient over the batch, which keeps the learning
 rate comparable across batch sizes.
@@ -44,14 +46,15 @@ OBJ_NS = "ns"
 OBJECTIVES = (OBJ_MLE, OBJ_NCE, OBJ_NS)
 
 # Cells one bincount counts at most: an epoch's steps are counted a block of
-# consecutive steps at a time (at least one), each step taking 2 grids of
+# consecutive steps at a time (at least one), each step taking one grid of
 # (n_words + 1) * n_words cells, so memory stays bounded for any |V| and n.
 COUNT_BLOCK_CELLS = 2**13
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when any parameter goes non-finite; names the epoch, the step
-    within it (1-based) and the first non-finite block."""
+    """Raised when any parameter goes non-finite, or when an evaluated metric
+    does (finite parameters whose scores overflow); names the epoch, the step
+    within it (1-based) and the first non-finite block or metric."""
 
     def __init__(self, message: str, epoch: int, step: int, block: str):
         super().__init__(message)
@@ -145,13 +148,9 @@ def train(
     for epoch in range(1, config.epochs + 1):
         lr = config.learning_rate * config.lr_decay ** (epoch - 1)
         perm = derive_rng(config.seed, STREAM_SHUFFLE, epoch).permutation(n)
-        if config.objective == OBJ_MLE:
-            noise_words = np.empty((n, 0), dtype=np.int64)
-        else:
-            noise_rng = derive_rng(config.seed, STREAM_NOISE, epoch)
-            noise_words = noise.sample_array(q, (n, config.k), noise_rng)
+        noise_rng = None if q is None else derive_rng(config.seed, STREAM_NOISE, epoch)
         total = np.zeros((2, n_words + 1, n_words), dtype=np.int64)
-        steps = _epoch_counts(pairs, perm, noise_words, config.batch_size, n_words, total)
+        steps = _epoch_counts(pairs, perm, q, config.k, noise_rng, config.batch_size, n_words, total)
         for step, (size, counts) in enumerate(steps, 1):
             if config.objective == OBJ_MLE:
                 grad = grad_log_likelihood(params, counts.true)
@@ -168,6 +167,12 @@ def train(
                 )
         if epoch % config.eval_every == 0 or epoch == config.epochs:
             row = _metrics(params, pairs, seen, truth, config, cfg, CellCounts(*total), epoch, start)
+            metric = next((f for f, v in vars(row).items() if v is not None and not np.isfinite(v)), None)
+            if metric is not None:
+                raise TrainingDiverged(
+                    f"training diverged at epoch {epoch}, step {step}: "
+                    f"non-finite metric {metric}", epoch, step, metric,
+                )
             history.append(row)
             if checkpoint_prefix is not None:
                 save_model(f"{checkpoint_prefix}.ep{epoch}.model", params, vocab)
@@ -223,31 +228,33 @@ def _params_z_mode(config: TrainConfig) -> str:
     return config.z_mode
 
 
-def _epoch_counts(pairs, perm, noise_words, batch_size, n_words, total):
+def _epoch_counts(pairs, perm, q, k, rng, batch_size, n_words, total):
     """Yield (batch size, CellCounts) for each step of one epoch, in ``perm``
     order, and add every step's counts into ``total``, (2, n_contexts, n_words).
 
     A block of consecutive steps is counted by one bincount over cell ids
-    ``context * n_words + word``, noise ids shifted by one grid and the j-th
-    step's ids by 2j grids. ``noise_words`` is overwritten with its cell ids.
+    ``context * n_words + word``, the j-th step's ids shifted by j grids.
+    Each context c of a step then gets k * n_c noise words from q, drawn as
+    counts by one ``sample_array`` call per block. Without q (exact MLE)
+    nothing is drawn and the noise counts are None.
     """
     grid = (n_words + 1) * n_words
-    ctx = pairs[:, 0] * n_words
-    true_cells = ctx + pairs[:, 1]
-    ctx += grid
-    noise_words += ctx[:, None]
-    rows = max(1, COUNT_BLOCK_CELLS // (2 * grid)) * batch_size
-    offsets = np.arange(rows) // batch_size * (2 * grid)
+    cells = pairs[:, 0] * n_words + pairs[:, 1]
+    rows = max(1, COUNT_BLOCK_CELLS // grid) * batch_size
+    offsets = np.arange(rows) // batch_size * grid
     for lo in range(0, perm.size, rows):
         idx = perm[lo : lo + rows]
-        off = offsets[: idx.size]
-        ids = np.concatenate((true_cells[idx] + off, noise_words[idx] + off[:, None]), axis=None)
         n_steps = -(-idx.size // batch_size)
-        block = np.bincount(ids, minlength=n_steps * 2 * grid)
-        block = block.reshape(n_steps, 2, n_words + 1, n_words)
-        total += block.sum(axis=0)
-        for j, (true, noise) in enumerate(zip(block[:, 0], block[:, 1])):
-            yield min(batch_size, idx.size - j * batch_size), CellCounts(true, noise)
+        true = np.bincount(cells[idx] + offsets[: idx.size], minlength=n_steps * grid)
+        true = true.reshape(n_steps, n_words + 1, n_words)
+        total[0] += true.sum(axis=0)
+        if q is None:
+            noise_counts = [None] * n_steps
+        else:
+            noise_counts = noise.sample_array(q, k * true.sum(axis=2), rng)
+            total[1] += noise_counts.sum(axis=0)
+        for j, step_noise in enumerate(noise_counts):
+            yield min(batch_size, idx.size - j * batch_size), CellCounts(true[j], step_noise)
 
 
 def _metrics(params, pairs, seen, truth, config, cfg, counts, epoch, start):

@@ -8,7 +8,7 @@ from ncelm.checks import (
     run_equiv_check,
     run_gradcheck,
 )
-from ncelm.model import init_params
+from ncelm.model import CellCounts, init_params
 from ncelm.seeding import STREAM_DATA, derive_rng
 
 
@@ -61,12 +61,16 @@ def _record_counts(monkeypatch, module, name):
 
 
 def _reference_counts(rng, n_pairs, n_words, k):
-    """Reference counts of the batch the checks draw: contexts, true words,
-    then an (n_pairs, k) noise matrix, in that order."""
+    """Reference counts of the batch the checks draw: contexts, then true
+    words, then k * n_c uniform noise words for each context c, drawn as
+    counts by one multinomial call per context in context order."""
     contexts = rng.integers(0, n_words + 1, n_pairs)
     words = rng.integers(0, n_words, n_pairs)
-    noise_words = rng.integers(0, n_words, (n_pairs, k))
-    return cell_counts(ProxyBatch(contexts, words, noise_words), n_words + 1, n_words)
+    batch = ProxyBatch(contexts, words, np.empty((n_pairs, 0), dtype=np.int64))
+    true = cell_counts(batch, n_words + 1, n_words).true
+    uniform = np.full(n_words, 1.0 / n_words)
+    noise = np.stack([rng.multinomial(k * int(row.sum()), uniform) for row in true])
+    return CellCounts(true, noise)
 
 
 def _assert_same_counts(seen, want):

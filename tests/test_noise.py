@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from ncelm import noise
 from ncelm.corpus import build_vocab, extract_stats
-from ncelm.noise import (
-    flattened,
-    induced_probs,
-    parse_noise_spec,
-    sample_array,
-    uniform,
-    unigram,
-)
+from ncelm.noise import flattened, parse_noise_spec, sample_array, uniform, unigram
 from ncelm.seeding import STREAM_NOISE, derive_rng
 
 
@@ -61,65 +53,51 @@ def test_flattening_moves_toward_uniform():
     assert np.array_equal(np.argsort(flat), np.argsort(sharp))
 
 
-def test_alias_tables_induce_exact_distribution():
-    # Structural audit: walking the alias tables reproduces the probabilities
-    # without drawing a single sample.
-    rng = np.random.default_rng(3)
-    for n in (2, 3, 7, 16, 50):
-        p = rng.random(n) + 1e-3
-        p /= p.sum()
-        q = noise._build(p, "unigram")
-        assert np.allclose(induced_probs(q), p, atol=1e-15, rtol=0)
-    skewed = np.array([0.94, 0.02, 0.02, 0.02])
-    assert np.allclose(induced_probs(noise._build(skewed, "unigram")), skewed, atol=1e-15)
-
-
 def test_sampling_matches_probs_within_three_se():
     stats = small_stats()
     q = unigram(stats)
     n = 100000
-    draws = sample_array(q, (n,), derive_rng(5, STREAM_NOISE))
-    freq = np.bincount(draws, minlength=3) / n
+    freq = sample_array(q, n, derive_rng(5, STREAM_NOISE)) / n
     se = np.sqrt(q.probs * (1 - q.probs) / n)
     assert np.all(np.abs(freq - q.probs) <= 3 * se)
 
 
-def test_alias_and_cdf_scan_agree_statistically():
-    # Independent linear-scan inverse-CDF sampler as a reference; both must sit
-    # within 3 standard errors of the target cell probabilities.
-    rng = np.random.default_rng(9)
-    p = rng.random(6) + 0.05
-    p /= p.sum()
-    q = noise._build(p, "unigram")
-    n = 100000
-    alias_draws = sample_array(q, (n,), derive_rng(8, STREAM_NOISE))
-    cdf = np.cumsum(p)
-    cdf_draws = np.searchsorted(cdf, derive_rng(13, STREAM_NOISE).random(n), side="right")
-    se = np.sqrt(p * (1 - p) / n)
-    for draws in (alias_draws, cdf_draws):
-        freq = np.bincount(draws, minlength=6) / n
-        assert np.all(np.abs(freq - p) <= 3 * se)
-
-
 def test_sampling_is_seed_deterministic():
     q = uniform(5)
-    a = sample_array(q, (4, 3), derive_rng(1, STREAM_NOISE, 2))
-    b = sample_array(q, (4, 3), derive_rng(1, STREAM_NOISE, 2))
-    c = sample_array(q, (4, 3), derive_rng(1, STREAM_NOISE, 3))
+    totals = np.arange(12).reshape(4, 3)
+    a = sample_array(q, totals, derive_rng(1, STREAM_NOISE, 2))
+    b = sample_array(q, totals, derive_rng(1, STREAM_NOISE, 2))
+    c = sample_array(q, totals, derive_rng(1, STREAM_NOISE, 3))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
-def test_sample_array_matches_two_gather_alias_lookup():
+def test_sample_array_counts_sum_to_totals():
     stats = extract_stats(list("aabacbdaaeeaba"), build_vocab(list("abcde")))
+    totals = derive_rng(2, STREAM_NOISE).integers(0, 40, (6, 9))
+    totals[2, 4] = totals[5] = 0
     for q in (uniform(5), unigram(stats), flattened(stats, 0.5)):
-        rng = derive_rng(4, STREAM_NOISE)
-        idx = rng.integers(0, q.n_words, size=(200, 7))
-        keep = rng.random(size=(200, 7)) < q.accept[idx]
-        want = np.where(keep, idx, q.alias[idx])
-        got = sample_array(q, (200, 7), derive_rng(4, STREAM_NOISE))
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+        counts = sample_array(q, totals, derive_rng(4, STREAM_NOISE))
+        assert counts.shape == (6, 9, 5) and counts.dtype == np.int64
+        assert np.all(counts >= 0)
+        assert np.array_equal(counts.sum(axis=-1), totals)
+        assert not counts[2, 4].any() and not counts[5].any()
+
+
+def test_one_call_equals_per_row_calls_bitwise():
+    # The trainer draws a block of steps in one call, and the reference
+    # training loop one step at a time: both must see the same counts.
+    stats = extract_stats(list("aabacbdaaeeaba"), build_vocab(list("abcde")))
+    q = flattened(stats, 0.75)
+    totals = derive_rng(3, STREAM_NOISE).integers(0, 200, (7, 4))
+    totals[1] = 0
+    whole = sample_array(q, totals, derive_rng(6, STREAM_NOISE))
+    rng = derive_rng(6, STREAM_NOISE)
+    rows = [sample_array(q, row, rng) for row in totals]
+    assert np.array_equal(whole, np.stack(rows))
+    rng = derive_rng(6, STREAM_NOISE)
+    cells = [sample_array(q, t, rng) for t in totals.ravel()]
+    assert np.array_equal(whole.reshape(-1, 5), np.stack(cells))
 
 
 def test_parse_noise_spec():

@@ -15,6 +15,7 @@ from ncelm.corpus import (
 )
 from ncelm.model import (
     PARAM_BLOCKS,
+    CellCounts,
     Z_EXACT,
     Z_FIXED_ONE,
     Z_LEARNED_ZC,
@@ -145,10 +146,11 @@ def test_divergence_raises_with_epoch():
 
 
 def _reference_train(config, pairs, n_words, truth):
-    """The training loop written out step by step: a ProxyBatch per step from
-    the same permutation and noise matrix (no noise words for MLE), the
-    kernels run on its reference cell counts, and the update applied block
-    by block."""
+    """The training loop written out step by step: a ProxyBatch of each
+    step's pairs from the same permutation, counted by the reference; k * n_c
+    noise words per context drawn as counts by one multinomial call per step
+    (none for MLE); the kernels run on those counts, and the update applied
+    block by block."""
     stats = stats_from_pairs(pairs, n_words)
     params = init_params(n_words, config.dim, config.seed, z_mode=_params_z_mode(config))
     q = cfg = None
@@ -160,18 +162,18 @@ def _reference_train(config, pairs, n_words, truth):
     for epoch in range(1, config.epochs + 1):
         lr = config.learning_rate * config.lr_decay ** (epoch - 1)
         perm = derive_rng(config.seed, STREAM_SHUFFLE, epoch).permutation(n)
-        if q is None:
-            noise_words = np.empty((n, 0), dtype=np.int64)
-        else:
-            noise_words = noise.sample_array(q, (n, config.k), derive_rng(config.seed, STREAM_NOISE, epoch))
+        noise_rng = derive_rng(config.seed, STREAM_NOISE, epoch)
+        noise_total = np.zeros((n_words + 1, n_words), dtype=np.int64)
         for lo in range(0, n, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
             batch = ProxyBatch(contexts=pairs[idx, 0], true_words=pairs[idx, 1],
-                               noise_words=noise_words[idx])
-            counts = cell_counts(batch, n_words + 1, n_words)
+                               noise_words=np.empty((idx.size, 0), dtype=np.int64))
+            true = cell_counts(batch, n_words + 1, n_words).true
             if config.objective == "mle_exact":
-                grad = grad_log_likelihood(params, counts.true)
+                grad = grad_log_likelihood(params, true)
             else:
+                counts = CellCounts(true, noise_rng.multinomial(config.k * true.sum(axis=1), q.probs))
+                noise_total += counts.noise
                 grad = mc_grad(params, counts, cfg) if config.objective == "nce" else ns_grad(params, counts)
             blocks = PARAM_BLOCKS if params.z_mode == Z_LEARNED_ZC else PARAM_BLOCKS[:3]
             for name in blocks:
@@ -181,8 +183,7 @@ def _reference_train(config, pairs, n_words, truth):
             if config.objective == "mle_exact":
                 obj = -ce
             else:
-                batch = ProxyBatch(contexts=pairs[:, 0], true_words=pairs[:, 1], noise_words=noise_words)
-                counts = cell_counts(batch, n_words + 1, n_words)
+                counts = CellCounts(stats.bigram_counts, noise_total)
                 obj = (mc_loss(params, counts, cfg) if config.objective == "nce" else ns_loss(params, counts)) / n
             history.append(MetricsRow(
                 epoch=epoch,
@@ -196,9 +197,9 @@ def _reference_train(config, pairs, n_words, truth):
 
 
 # (|V|, pairs, batch size), each epoch ending on a short step. At 2**13
-# cells per count block, |V| = 8 fits 56 steps in a block: 300 pairs in
-# batches of 64 are one block and 1003 in batches of 8 are three. |V| = 70
-# fits one step per block.
+# cells per count block and one (|V| + 1) x |V| grid per step, |V| = 8 fits
+# 113 steps in a block: 300 pairs in batches of 64 are one block and 1003 in
+# batches of 8 are two. |V| = 70 fits one step per block.
 _SHAPES = [(8, 300, 64), (8, 1003, 8), (70, 1500, 48)]
 _RUNS = [("mle_exact", Z_FIXED_ONE), ("nce", Z_LEARNED_ZC), ("nce", Z_FIXED_ONE), ("ns", Z_FIXED_ONE)]
 
