@@ -15,6 +15,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
 from .checks import GRADCHECK_SUITES, run_equiv_check, run_gradcheck
 from .corpus import (
@@ -67,7 +69,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Overflow is reported by the finiteness checks, as exit 2 or 3, not
+        # by numpy's RuntimeWarnings.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -234,18 +239,24 @@ def _cmd_eval(args) -> int:
     stats = stats_from_pairs(pairs, len(vocab))
     zstats = normalization_stats(params, stats.seen_contexts())
     ce = cross_entropy(params, stats.bigram_counts)
-    if not math.isfinite(ce):
-        raise ValueError(f"cross-entropy is {ce}: the model's scores overflow")
-    print(f"cross_entropy {ce:.9g}")
-    print(f"log_z min {zstats['min']:.9g} median {zstats['median']:.9g} max {zstats['max']:.9g}")
+    values = {"cross-entropy": ce, **{f"log Z {name}": v for name, v in zstats.items()}}
     if args.truth:
         truth, tvocab = read_truth(args.truth)
         if tvocab.words != vocab.words:
             raise ValueError("ground-truth vocabulary does not match model")
         rows = kl_truth_rows(truth, params)
+        values.update((f"KL of context {vocab.word_of(c)}", kl) for c, kl in enumerate(rows))
+        values["mean KL"] = rows.mean()
+    # Every value is checked before any is printed: a failed eval prints nothing.
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} is {v}: the model's scores overflow")
+    print(f"cross_entropy {ce:.9g}")
+    print(f"log_z min {zstats['min']:.9g} median {zstats['median']:.9g} max {zstats['max']:.9g}")
+    if args.truth:
         for c, kl in enumerate(rows):
             print(f"kl {vocab.word_of(c)} {kl:.9g}")
-        print(f"kl_mean {rows.mean():.9g}")
+        print(f"kl_mean {values['mean KL']:.9g}")
     return EXIT_OK
 
 

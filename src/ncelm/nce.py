@@ -15,15 +15,16 @@ with z_c pinned to 1) gives the trainable posterior
 
     sigma(Delta)  with  Delta = log u - log z_c - log(k q(w)).
 
-Two objectives are provided: the Monte Carlo form, summing log-posteriors
-over the sampled noise words of a batch given as per-cell true and noise
-counts (``model.CellCounts``), and the exact form, where the noise
-expectation is a full-vocabulary sum (tractable here, and the oracle the
-Monte Carlo form is tested against). The analysis gradient re-expresses the
-exact objective's derivative as a classifier-weighted moment mismatch
-between the empirical conditional and the model weight, which is the lens
-for the large-k behavior: as k grows its direction approaches the exact
-log-likelihood gradient.
+The objective is written once, over the Delta grid and per-cell true and
+noise counts. The Monte Carlo form passes a batch's sampled counts
+(``model.CellCounts``); the exact form passes a corpus's true counts and
+their expected noise counts ``n_c k q(w)``, a full-vocabulary sum that is
+tractable here. The objective is linear in the noise counts, so the Monte
+Carlo form is an unbiased estimate of the exact one, the oracle it is
+tested against. The analysis gradient reads the exact derivative as a
+classifier-weighted moment mismatch between the empirical conditional and
+the model weight, the lens for the large-k behavior: as k grows its
+direction approaches the exact log-likelihood gradient.
 
 All log-posteriors go through the stable log-sigmoid of Delta; a ratio of
 exponentials is never formed.
@@ -68,7 +69,7 @@ class NceConfig:
 
 
 # ---------------------------------------------------------------------------
-# Classifier logits
+# Classifier logits and the two-class objective on cell counts
 # ---------------------------------------------------------------------------
 
 def classifier_logits(
@@ -91,8 +92,23 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -x)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.exp(_log_sigmoid(x))
+def _loss(delta: np.ndarray, counts: CellCounts) -> float:
+    """Two-class log-likelihood of per-cell counts: each true sample scores
+    log sigma(Delta), each noise sample log sigma(-Delta)."""
+    true, noise = counts
+    return float(np.vdot(true, _log_sigmoid(delta)) + np.vdot(noise, _log_sigmoid(-delta)))
+
+
+def _grad(params: ModelParams, delta: np.ndarray, counts: CellCounts, z_mode: str) -> Gradient:
+    """Gradient of :func:`_loss`. A true sample pushes with weight
+    sigma(-Delta), a noise sample pulls with weight sigma(Delta), both
+    through d(log u_adjusted)/d(theta); per cell this is the residual
+    ``T sigma(-Delta) - N sigma(Delta)``."""
+    # sigma(-Delta) and sigma(Delta) in one pass.
+    coef = np.array((delta, -delta))
+    np.negative(np.logaddexp(0.0, coef, out=coef), out=coef)
+    coef_true, coef_noise = np.exp(coef, out=coef)
+    return residual_gradient(params, counts.true * coef_true - counts.noise * coef_noise, z_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -123,45 +139,31 @@ def mc_loss(params: ModelParams, counts: CellCounts, cfg: NceConfig) -> float:
     ValueError unless the counts hold k noise samples per true sample.
     """
     _check_k(counts, cfg.k)
-    delta = _delta_grid(params, cfg)
-    return float(
-        np.vdot(counts.true, _log_sigmoid(delta)) + np.vdot(counts.noise, _log_sigmoid(-delta))
-    )
+    return _loss(_delta_grid(params, cfg), counts)
 
 
 def mc_grad(params: ModelParams, counts: CellCounts, cfg: NceConfig) -> Gradient:
-    """Exact gradient of :func:`mc_loss` in the active parameter blocks.
-
-    The true word pushes with weight (1 - sigma), each noise word pulls with
-    weight sigma, both through d(log u_adjusted)/d(theta); per cell this is
-    the residual ``T sigma(-Delta) - N sigma(Delta)``.
-    """
+    """Exact gradient of :func:`mc_loss` in the active parameter blocks."""
     _check_k(counts, cfg.k)
-    delta = _delta_grid(params, cfg)
-    # sigma(-Delta) and sigma(Delta) in one pass, as _sigmoid computes them.
-    coef = np.array((delta, -delta))
-    np.negative(np.logaddexp(0.0, coef, out=coef), out=coef)
-    coef_true, coef_noise = np.exp(coef, out=coef)
-    residual = counts.true * coef_true - counts.noise * coef_noise
-    return residual_gradient(params, residual, cfg.z_mode)
+    return _grad(params, _delta_grid(params, cfg), counts, cfg.z_mode)
 
 
 # ---------------------------------------------------------------------------
 # Exact objective and its analysis gradient
 # ---------------------------------------------------------------------------
 
-def exact_loss(params: ModelParams, counts: np.ndarray, cfg: NceConfig) -> float:
-    """Proxy objective with the noise expectation summed over the vocabulary,
-    for the pairs counted in ``counts``, (n_contexts, n_words).
+def _expected_counts(counts: np.ndarray, cfg: NceConfig, caller: str) -> CellCounts:
+    """The pairs counted in ``counts`` and their expected noise counts ``n_c k q(w)``."""
+    return CellCounts(counts, context_totals(counts, caller) * cfg.k * cfg.q.probs)
 
-    Per observed pair: log-posterior of the true word plus k times the
-    q-expectation of the log noise-posterior, so context c carries the
-    expected noise counts ``n_c k q(w)``. The Monte Carlo objective is an
-    unbiased estimate of this quantity.
+
+def exact_loss(params: ModelParams, counts: np.ndarray, cfg: NceConfig) -> float:
+    """:func:`mc_loss` at the expected noise counts of the pairs counted in
+    ``counts``, (n_contexts, n_words): context c carries ``n_c k q(w)``
+    noise samples of word w, the q-expectation of its pairs' k noise words.
+    The Monte Carlo objective is an unbiased estimate of this quantity.
     """
-    noise_counts = context_totals(counts, "exact_loss") * cfg.k * cfg.q.probs
-    delta = _logit_rows(params, cfg)
-    return float(np.vdot(counts, _log_sigmoid(delta)) + np.vdot(noise_counts, _log_sigmoid(-delta)))
+    return _loss(_logit_rows(params, cfg), _expected_counts(counts, cfg, "exact_loss"))
 
 
 def exact_grad_analysis(params: ModelParams, counts: np.ndarray, cfg: NceConfig) -> Gradient:
@@ -176,11 +178,8 @@ def exact_grad_analysis(params: ModelParams, counts: np.ndarray, cfg: NceConfig)
     ``N(c, w) sigma(-Delta) - n_c k q(w) sigma(Delta)``, which is n_c times
     ``sigma(-Delta) * p_emp - k q(w) * sigma(Delta)`` per cell.
     """
-    n_c = context_totals(counts, "exact_grad_analysis")
-    delta = _logit_rows(params, cfg)
-    kq = cfg.k * cfg.q.probs[None, :]
-    residual = counts * _sigmoid(-delta) - n_c * kq * _sigmoid(delta)
-    return residual_gradient(params, residual, cfg.z_mode)
+    expected = _expected_counts(counts, cfg, "exact_grad_analysis")
+    return _grad(params, _logit_rows(params, cfg), expected, cfg.z_mode)
 
 
 def _logit_rows(params: ModelParams, cfg: NceConfig) -> np.ndarray:

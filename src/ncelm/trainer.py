@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nce, negsampling, noise
-from .corpus import GroundTruthTable, Vocabulary, pair_count_matrix, stats_from_pairs
+from .corpus import GroundTruthTable, Vocabulary, stats_from_pairs
 from .model import (
     PARAM_BLOCKS,
     CellCounts,
@@ -142,14 +142,13 @@ def train(
             cfg = nce.NceConfig(k=config.k, z_mode=config.z_mode, q=q)
 
     n = pairs.shape[0]
-    seen = stats.seen_contexts()
     history: list[MetricsRow] = []
     start = time.perf_counter()
     for epoch in range(1, config.epochs + 1):
         lr = config.learning_rate * config.lr_decay ** (epoch - 1)
         perm = derive_rng(config.seed, STREAM_SHUFFLE, epoch).permutation(n)
         noise_rng = None if q is None else derive_rng(config.seed, STREAM_NOISE, epoch)
-        total = np.zeros((2, n_words + 1, n_words), dtype=np.int64)
+        total = np.zeros((n_words + 1, n_words), dtype=np.int64)  # the epoch's noise counts
         steps = _epoch_counts(pairs, perm, q, config.k, noise_rng, config.batch_size, n_words, total)
         for step, (size, counts) in enumerate(steps, 1):
             if config.objective == OBJ_MLE:
@@ -166,7 +165,7 @@ def train(
                     f"first non-finite block {block}", epoch, step, block,
                 )
         if epoch % config.eval_every == 0 or epoch == config.epochs:
-            row = _metrics(params, pairs, seen, truth, config, cfg, CellCounts(*total), epoch, start)
+            row = _metrics(params, stats, truth, config, cfg, total, epoch, start)
             metric = next((f for f, v in vars(row).items() if v is not None and not np.isfinite(v)), None)
             if metric is not None:
                 raise TrainingDiverged(
@@ -230,7 +229,7 @@ def _params_z_mode(config: TrainConfig) -> str:
 
 def _epoch_counts(pairs, perm, q, k, rng, batch_size, n_words, total):
     """Yield (batch size, CellCounts) for each step of one epoch, in ``perm``
-    order, and add every step's counts into ``total``, (2, n_contexts, n_words).
+    order, and add every step's noise counts into ``total``, (n_contexts, n_words).
 
     A block of consecutive steps is counted by one bincount over cell ids
     ``context * n_words + word``, the j-th step's ids shifted by j grids.
@@ -247,21 +246,21 @@ def _epoch_counts(pairs, perm, q, k, rng, batch_size, n_words, total):
         n_steps = -(-idx.size // batch_size)
         true = np.bincount(cells[idx] + offsets[: idx.size], minlength=n_steps * grid)
         true = true.reshape(n_steps, n_words + 1, n_words)
-        total[0] += true.sum(axis=0)
         if q is None:
             noise_counts = [None] * n_steps
         else:
             noise_counts = noise.sample_array(q, k * true.sum(axis=2), rng)
-            total[1] += noise_counts.sum(axis=0)
+            total += noise_counts.sum(axis=0)
         for j, step_noise in enumerate(noise_counts):
             yield min(batch_size, idx.size - j * batch_size), CellCounts(true[j], step_noise)
 
 
-def _metrics(params, pairs, seen, truth, config, cfg, counts, epoch, start):
-    n = pairs.shape[0]
-    ce = -log_likelihood(params, pair_count_matrix(pairs, params.n_words)) / n
+def _metrics(params, stats, truth, config, cfg, noise_total, epoch, start):
+    n = stats.total_tokens
+    ce = cross_entropy(params, stats.bigram_counts)
     kl = None if truth is None else kl_truth_model(truth, params)
-    med_z = float(np.median(np.abs(log_partitions(params)[seen])))
+    med_z = float(np.median(np.abs(log_partitions(params)[stats.seen_contexts()])))
+    counts = CellCounts(stats.bigram_counts, noise_total)
     if config.objective == OBJ_MLE:
         obj = -ce
     elif config.objective == OBJ_NCE:
@@ -270,7 +269,7 @@ def _metrics(params, pairs, seen, truth, config, cfg, counts, epoch, start):
         obj = negsampling.ns_loss(params, counts) / n
     return MetricsRow(
         epoch=epoch,
-        cross_entropy=float(ce),
+        cross_entropy=ce,
         kl_truth=kl,
         median_abs_log_z=med_z,
         objective=float(obj),

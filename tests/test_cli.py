@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ncelm.cli import MAX_VOCAB_SIZE
-from ncelm.corpus import build_vocab, read_corpus_tokens, read_truth
+from ncelm.corpus import GroundTruthTable, build_vocab, read_corpus_tokens, read_truth, write_truth
 from ncelm.model import init_params, load_model, save_model
 
 
@@ -141,6 +141,7 @@ def test_train_divergence_exit_code(tmp_path):
     assert r.returncode == 3
     assert "training diverged at epoch 2, step" in r.stderr
     assert "non-finite metric cross_entropy" in r.stderr
+    assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")  # no RuntimeWarnings
     assert (tmp_path / "n.model.ep1.model").exists()
     for name in ("n.model", "n.model.metrics.csv", "n.model.ep2.model"):
         assert not (tmp_path / name).exists()
@@ -239,6 +240,24 @@ def test_eval_overflowing_model_is_usage_error(tmp_path):
     assert r.returncode == 2
     assert "cross-entropy is nan" in r.stderr and "Traceback" not in r.stderr
     assert "cross_entropy" not in r.stdout
+
+
+def test_eval_overflowing_unseen_context_is_usage_error(tmp_path):
+    # The corpus never has c as a context, so cross-entropy and log Z are
+    # finite and only c's KL row to the truth overflows.
+    vocab = build_vocab(["a", "b", "c"])
+    params = init_params(3, 2, seed=0)
+    params.target_emb[:] = 1e200
+    params.context_emb[vocab.id_of("c")] = 1e200
+    save_model(tmp_path / "m.model", params, vocab)
+    (tmp_path / "c.txt").write_text("a b a b c\n")
+    truth = GroundTruthTable(cond=np.full((3, 3), 1 / 3), context_marginal=np.full(3, 1 / 3))
+    write_truth(tmp_path / "t.truth", truth, vocab)
+    r = run_cli("eval", "--model", tmp_path / "m.model", "--corpus", tmp_path / "c.txt",
+                "--truth", tmp_path / "t.truth")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == ["error: KL of context c is nan: the model's scores overflow"]
 
 
 def test_eval_empty_model_is_usage_error(tmp_path):

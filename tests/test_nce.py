@@ -95,24 +95,45 @@ def test_mc_grad_matches_finite_differences():
     assert np.max(np.abs(analytic - fd)) < 1e-7
 
 
-def test_exact_loss_is_expectation_of_mc_loss():
-    # With k=1 the noise expectation can be enumerated: summing mc_loss over
-    # every constant noise assignment, weighted by q, must equal exact_loss.
-    params = small_setup()
-    rng = derive_rng(3, STREAM_DATA)
-    pairs = np.stack([rng.integers(0, 5, 12), rng.integers(0, 4, 12)], axis=1)
+def _constant_noise_batches(seed, n_pairs):
+    """A random batch at k=1, whose noise expectation can be enumerated.
+
+    Returns q, a (q(w), cell counts) pair for each constant noise assignment
+    w of the batch, and the batch's true-count grid.
+    """
+    rng = derive_rng(seed, STREAM_DATA)
+    pairs = np.stack([rng.integers(0, 5, n_pairs), rng.integers(0, 4, n_pairs)], axis=1)
     q = unigram(stats_from_pairs(np.array([[4, 0], [0, 1], [1, 2], [2, 3], [3, 0]]), 4))
-    cfg = NceConfig(k=1, z_mode=Z_LEARNED_ZC, q=q)
-    expectation = 0.0
+    batches = []
     for w in range(4):
         batch = ProxyBatch(
             contexts=pairs[:, 0],
             true_words=pairs[:, 1],
-            noise_words=np.full((12, 1), w),
+            noise_words=np.full((n_pairs, 1), w),
         )
-        # weights sum to 1, so the shared true-sample part is counted once
-        expectation += q.probs[w] * mc_loss(params, cell_counts(batch, 5, 4), cfg)
-    assert exact_loss(params, pair_count_matrix(pairs, 4), cfg) == pytest.approx(expectation, rel=1e-12)
+        batches.append((q.probs[w], cell_counts(batch, 5, 4)))
+    return q, batches, pair_count_matrix(pairs, 4)
+
+
+def test_exact_loss_is_expectation_of_mc_loss():
+    # Summing mc_loss over every constant noise assignment, weighted by q,
+    # must equal exact_loss.
+    params = small_setup()
+    q, batches, counts = _constant_noise_batches(3, 12)
+    cfg = NceConfig(k=1, z_mode=Z_LEARNED_ZC, q=q)
+    # weights sum to 1, so the shared true-sample part is counted once
+    expectation = sum(weight * mc_loss(params, batch, cfg) for weight, batch in batches)
+    assert exact_loss(params, counts, cfg) == pytest.approx(expectation, rel=1e-12)
+
+
+@pytest.mark.parametrize("z_mode", [Z_LEARNED_ZC, Z_FIXED_ONE])
+def test_exact_grad_is_expectation_of_mc_grad(z_mode):
+    params = small_setup(z_mode=z_mode)
+    q, batches, counts = _constant_noise_batches(6, 20)
+    cfg = NceConfig(k=1, z_mode=z_mode, q=q)
+    expectation = sum(weight * mc_grad(params, batch, cfg).to_vector() for weight, batch in batches)
+    exact = exact_grad_analysis(params, counts, cfg).to_vector()
+    assert np.max(np.abs(exact - expectation)) <= 1e-12 * np.max(np.abs(exact))
 
 
 def test_exact_grad_analysis_matches_exact_loss_derivative():
