@@ -38,6 +38,7 @@ _GC_DIM = 4
 _GC_K = 3
 _GC_MODELS = 5
 _GC_PAIRS = 40
+FD_BLOCK_CELLS = 2**14  # grid cells, n_contexts * n_words per model, in one stack
 
 
 @dataclass
@@ -52,19 +53,20 @@ class CheckResult:
 def finite_diff_gradient(loss_fn, params: ModelParams, step: float = 1e-5) -> Gradient:
     """Central-difference gradient of loss_fn over every parameter block.
 
-    Mutates and restores ``params.vector`` coordinate by coordinate; loss_fn
-    must read the live arrays (no caching).
+    loss_fn maps a stack of models, ``params.with_vector`` of (R, P) +-step
+    copies of the vector, to its R values and must not mutate ``params``.
     """
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     grad = zero_gradient(params)
     vec = params.vector
-    for i in range(vec.size):
-        orig = vec[i]
-        vec[i] = orig + step
-        hi = loss_fn(params)
-        vec[i] = orig - step
-        lo = loss_fn(params)
-        vec[i] = orig
-        grad.vector[i] = (hi - lo) / (2.0 * step)
+    chunk = max(1, FD_BLOCK_CELLS // (2 * params.n_contexts * params.n_words))
+    for start in range(0, vec.size, chunk):
+        coords = np.arange(start, min(start + chunk, vec.size))
+        stack = np.tile(vec, (2, coords.size, 1))
+        stack[:, range(coords.size), coords] = vec[coords] + np.array([[step], [-step]])
+        hi, lo = np.reshape(loss_fn(params.with_vector(stack.reshape(-1, vec.size))), (2, -1))
+        grad.vector[coords] = (hi - lo) / (2.0 * step)
     return grad
 
 
@@ -187,6 +189,8 @@ def run_equiv_check(
     """
     if vocab_size < 2:
         raise ValueError("vocab_size must be >= 2")
+    if n_draws < 1:
+        raise ValueError("n_draws must be >= 1")
     k = vocab_size if force_k is None else force_k
     q = uniform(vocab_size)
     cfg = nce.NceConfig(k=k, z_mode=Z_FIXED_ONE, q=q)

@@ -15,6 +15,7 @@ pinned to zero so the classifier must self-normalize.
 
 from __future__ import annotations
 
+import copy
 from typing import NamedTuple
 
 import numpy as np
@@ -31,27 +32,34 @@ PARAM_BLOCKS = ("target_emb", "context_emb", "bias", "log_zc")
 
 
 class _FlatBlocks:
-    """The four ``PARAM_BLOCKS`` arrays as views into one contiguous float64
-    ``vector``, laid out in ``PARAM_BLOCKS`` order. Write to a block in
-    place; rebinding it would detach it from the vector.
+    """The four ``PARAM_BLOCKS`` arrays as views into a float64 ``vector`` of
+    shape (..., P), one model per leading index, in ``PARAM_BLOCKS`` order.
+    Write to a block in place; rebinding it would detach it from the vector.
     """
 
     def __init__(self, vector: np.ndarray, n_words: int, dim: int):
         a = n_words * dim
         b = a + (n_words + 1) * dim
         self.vector = vector
-        self.target_emb = vector[:a].reshape(n_words, dim)  # (n_words, dim)
-        self.context_emb = vector[a:b].reshape(n_words + 1, dim)  # (n_words + 1, dim)
-        self.bias = vector[b : b + n_words]  # (n_words,)
-        self.log_zc = vector[b + n_words :]  # (n_words + 1,)
+        if vector.ndim == 1:  # one model, as each SGD step's gradient: `...` indexing costs ~0.5 us
+            self.target_emb = vector[:a].reshape(n_words, dim)  # (n_words, dim)
+            self.context_emb = vector[a:b].reshape(n_words + 1, dim)  # (n_words + 1, dim)
+            self.bias = vector[b : b + n_words]  # (n_words,)
+            self.log_zc = vector[b + n_words :]  # (n_words + 1,)
+        else:  # a stack of models: the same blocks along the last axis
+            lead = vector.shape[:-1]
+            self.target_emb = vector[..., :a].reshape(*lead, n_words, dim)
+            self.context_emb = vector[..., a:b].reshape(*lead, n_words + 1, dim)
+            self.bias = vector[..., b : b + n_words]
+            self.log_zc = vector[..., b + n_words :]
 
     @property
     def n_words(self) -> int:
-        return self.target_emb.shape[0]
+        return self.target_emb.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.target_emb.shape[1]
+        return self.target_emb.shape[-1]
 
 
 class ModelParams(_FlatBlocks):
@@ -68,10 +76,16 @@ class ModelParams(_FlatBlocks):
 
     @property
     def n_contexts(self) -> int:
-        return self.context_emb.shape[0]
+        return self.context_emb.shape[-2]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.target_emb, self.context_emb, self.bias, self.log_zc, self.z_mode)
+        return self.with_vector(self.vector.copy())
+
+    def with_vector(self, vector: np.ndarray) -> "ModelParams":
+        """Models of this one's shape and z_mode over ``vector``, (..., P), not copied."""
+        other = copy.copy(self)
+        _FlatBlocks.__init__(other, vector, self.n_words, self.dim)
+        return other
 
 
 class Gradient(_FlatBlocks):
@@ -118,15 +132,15 @@ def params_finite(params: ModelParams) -> bool:
 # ---------------------------------------------------------------------------
 
 def score_matrix(params: ModelParams) -> np.ndarray:
-    """Score of every word after every context, (n_contexts, n_words)."""
-    return params.context_emb @ params.target_emb.T + params.bias
+    """Score of every word after every context, (..., n_contexts, n_words)."""
+    return params.context_emb @ params.target_emb.mT + params.bias[..., None, :]
 
 
 def log_partitions(params: ModelParams) -> np.ndarray:
-    """log Z(c) of every context via a max-shifted reduction, (n_contexts,)."""
+    """log Z(c) of every context via a max-shifted reduction, (..., n_contexts)."""
     s = score_matrix(params)
-    m = s.max(axis=1, keepdims=True)
-    return (m + np.log(np.exp(s - m).sum(axis=1, keepdims=True)))[:, 0]
+    m = s.max(axis=-1, keepdims=True)
+    return (m + np.log(np.exp(s - m).sum(axis=-1, keepdims=True)))[..., 0]
 
 
 def softmax_from_scores(scores: np.ndarray) -> np.ndarray:
@@ -136,10 +150,10 @@ def softmax_from_scores(scores: np.ndarray) -> np.ndarray:
 
 
 def log_softmax_matrix(params: ModelParams) -> np.ndarray:
-    """log p(w | c) of every word after every context, (n_contexts, n_words)."""
+    """log p(w | c) of every word after every context, (..., n_contexts, n_words)."""
     s = score_matrix(params)
-    m = s.max(axis=1, keepdims=True)
-    return s - m - np.log(np.exp(s - m).sum(axis=1, keepdims=True))
+    m = s.max(axis=-1, keepdims=True)
+    return s - m - np.log(np.exp(s - m).sum(axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +178,23 @@ def context_totals(counts: np.ndarray, caller: str) -> np.ndarray:
     return n_c
 
 
-def log_likelihood(params: ModelParams, counts: np.ndarray) -> float:
+def per_model(values: np.ndarray) -> float | np.ndarray:
+    """A float for one model, the (R,) array of a stack of R models."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def grid_dot(counts: np.ndarray, grid: np.ndarray) -> float | np.ndarray:
+    """Per model, ``sum(counts * grid)`` over the last two axes as np.vdot sums it."""
+    return per_model(np.vecdot(counts.reshape(-1), grid.reshape(*grid.shape[:-2], -1)))
+
+
+def log_likelihood(params: ModelParams, counts: np.ndarray) -> float | np.ndarray:
     """Total log probability under the exact softmax model of the pairs
     counted in ``counts``, (n_contexts, n_words): ``corpus.pair_count_matrix``
     of a pair array, or ``CorpusStats.bigram_counts``."""
     active = np.flatnonzero(context_totals(counts, "log_likelihood"))
-    return float((counts[active] * log_softmax_matrix(params)[active]).sum())
+    log_p = log_softmax_matrix(params).take(active, axis=-2)
+    return per_model((counts[active] * log_p).sum(axis=(-2, -1)))
 
 
 def grad_log_likelihood(params: ModelParams, counts: np.ndarray) -> Gradient:

@@ -44,6 +44,7 @@ from .model import (
     Z_FIXED_ONE,
     Z_LEARNED_ZC,
     context_totals,
+    grid_dot,
     residual_gradient,
     score_matrix,
 )
@@ -85,18 +86,19 @@ def classifier_logits(
     contexts = np.asarray(contexts)
     if words.ndim == 2:
         contexts = contexts[:, None]
-    return rows[contexts, words]
+    # C order: the log-sigmoid of a strided gather rounds differently.
+    return np.ascontiguousarray(rows[..., contexts, words])
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -x)
 
 
-def _loss(delta: np.ndarray, counts: CellCounts) -> float:
+def _loss(delta: np.ndarray, counts: CellCounts) -> float | np.ndarray:
     """Two-class log-likelihood of per-cell counts: each true sample scores
     log sigma(Delta), each noise sample log sigma(-Delta)."""
     true, noise = counts
-    return float(np.vdot(true, _log_sigmoid(delta)) + np.vdot(noise, _log_sigmoid(-delta)))
+    return grid_dot(true, _log_sigmoid(delta)) + grid_dot(noise, _log_sigmoid(-delta))
 
 
 def _grad(params: ModelParams, delta: np.ndarray, counts: CellCounts, z_mode: str) -> Gradient:
@@ -125,13 +127,13 @@ def _check_k(counts: CellCounts, k: int) -> None:
 
 
 def _delta_grid(params: ModelParams, cfg: NceConfig) -> np.ndarray:
-    """Delta on every (context, word) cell, shape (n_contexts, n_words)."""
+    """Delta on every (context, word) cell, shape (..., n_contexts, n_words)."""
     return classifier_logits(
         params, np.arange(params.n_contexts), np.arange(params.n_words)[None, :], cfg
     )
 
 
-def mc_loss(params: ModelParams, counts: CellCounts, cfg: NceConfig) -> float:
+def mc_loss(params: ModelParams, counts: CellCounts, cfg: NceConfig) -> float | np.ndarray:
     """Sampled two-class log-likelihood of a batch given as cell counts.
 
     Per example: log-posterior of the true word plus the log noise-posterior
@@ -157,7 +159,7 @@ def _expected_counts(counts: np.ndarray, cfg: NceConfig, caller: str) -> CellCou
     return CellCounts(counts, context_totals(counts, caller) * cfg.k * cfg.q.probs)
 
 
-def exact_loss(params: ModelParams, counts: np.ndarray, cfg: NceConfig) -> float:
+def exact_loss(params: ModelParams, counts: np.ndarray, cfg: NceConfig) -> float | np.ndarray:
     """:func:`mc_loss` at the expected noise counts of the pairs counted in
     ``counts``, (n_contexts, n_words): context c carries ``n_c k q(w)``
     noise samples of word w, the q-expectation of its pairs' k noise words.
@@ -183,9 +185,9 @@ def exact_grad_analysis(params: ModelParams, counts: np.ndarray, cfg: NceConfig)
 
 
 def _logit_rows(params: ModelParams, cfg: NceConfig) -> np.ndarray:
-    """Delta over the whole vocabulary for every context, (n_contexts, n_words)."""
+    """Delta over the whole vocabulary for every context, (..., n_contexts, n_words)."""
     s = score_matrix(params)
     if cfg.z_mode == Z_LEARNED_ZC:
-        s -= params.log_zc[:, None]
+        s -= params.log_zc[..., :, None]
     s -= cfg.log_kq
     return s

@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Z_FIXED_ONE, CellCounts, Gradient, ModelParams, residual_gradient
+from .model import Z_FIXED_ONE, CellCounts, Gradient, ModelParams, grid_dot, residual_gradient
 
 
-def ns_loss(params: ModelParams, counts: CellCounts) -> float:
+def ns_loss(params: ModelParams, counts: CellCounts) -> float | np.ndarray:
     """Two-class log-likelihood with the sigmoid-of-score posterior, of a
     batch given as cell counts."""
     s = _score_grid(params)
-    return float(
-        -np.vdot(counts.true, np.logaddexp(0.0, -s)) - np.vdot(counts.noise, np.logaddexp(0.0, s))
-    )
+    true, noise = counts
+    return -grid_dot(true, np.logaddexp(0.0, -s)) - grid_dot(noise, np.logaddexp(0.0, s))
 
 
 def ns_grad(params: ModelParams, counts: CellCounts) -> Gradient:
@@ -42,5 +41,5 @@ def ns_grad(params: ModelParams, counts: CellCounts) -> Gradient:
 
 
 def _score_grid(params: ModelParams) -> np.ndarray:
-    """Score of every (context, word) cell, shape (n_contexts, n_words)."""
-    return params.context_emb @ params.target_emb.T + params.bias
+    """Score of every (context, word) cell, shape (..., n_contexts, n_words)."""
+    return params.context_emb @ params.target_emb.mT + params.bias[..., None, :]

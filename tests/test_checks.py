@@ -2,28 +2,81 @@ import numpy as np
 import pytest
 
 from batch_reference import ProxyBatch, cell_counts
+from finite_diff_reference import finite_diff_reference
 from ncelm import checks, nce, negsampling
 from ncelm.checks import (
     finite_diff_gradient,
     run_equiv_check,
     run_gradcheck,
 )
-from ncelm.model import CellCounts, init_params
+from ncelm.model import Z_LEARNED_ZC, CellCounts, init_params
+from ncelm.noise import uniform
 from ncelm.seeding import STREAM_DATA, derive_rng
 
 
 def test_finite_diff_restores_parameters():
     p = init_params(3, 2, seed=0)
     before = p.target_emb.copy()
-    finite_diff_gradient(lambda q: float(q.target_emb.sum()), p)
+    finite_diff_gradient(lambda q: q.target_emb.sum(axis=(-2, -1)), p)
     assert np.array_equal(p.target_emb, before)
 
 
 def test_finite_diff_on_linear_function_is_exact():
     p = init_params(3, 2, seed=1)
-    g = finite_diff_gradient(lambda q: 2.0 * float(q.bias.sum()), p)
+    g = finite_diff_gradient(lambda q: 2.0 * q.bias.sum(axis=-1), p)
     assert np.allclose(g.bias, 2.0, atol=1e-9)
     assert np.allclose(g.target_emb, 0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-5, np.inf, np.nan])
+def test_finite_diff_rejects_a_bad_step(step):
+    p = init_params(3, 2, seed=1)
+    with pytest.raises(ValueError, match="step"):
+        finite_diff_gradient(lambda q: q.bias.sum(axis=-1), p, step=step)
+
+
+def test_finite_diff_equals_the_coordinate_loop_on_every_gradcheck_suite(monkeypatch):
+    # Each finite-difference gradient of `gradcheck --which all` (every suite
+    # and z_mode) is bitwise the one the per-coordinate loop computes. A model
+    # has 125 coordinates, and a stack of 2^14 cells holds 52 of them.
+    compared = []
+
+    def both(loss_fn, params, step):
+        stacks = []
+
+        def loss(p):
+            stacks.append(p.vector.shape)
+            return loss_fn(p)
+
+        got = finite_diff_gradient(loss, params, step)
+        want = finite_diff_reference(loss_fn, params, step)
+        compared.append((got.vector.tobytes() == want.vector.tobytes(), stacks))
+        return got
+
+    monkeypatch.setattr(checks, "finite_diff_gradient", both)
+    assert run_gradcheck(which="all", seed=5).ok
+    stacks = [(104, 125), (104, 125), (42, 125)]
+    assert compared == [(True, stacks)] * (6 * checks._GC_MODELS)
+
+
+def test_finite_diff_equals_the_coordinate_loop_across_chunks(monkeypatch):
+    # At |V| = 64 a stack of 2^16 cells holds 7 coordinates, so the 645
+    # coordinates take 93 loss calls, the last of them on a single coordinate.
+    monkeypatch.setattr(checks, "FD_BLOCK_CELLS", 2**16)
+    params = init_params(64, 4, seed=8, z_mode=Z_LEARNED_ZC)
+    params.log_zc[:] = derive_rng(8, STREAM_DATA).normal(0.0, 0.5, params.n_contexts)
+    counts = checks._sampled_counts(derive_rng(9, STREAM_DATA), 300, 64, 2)
+    cfg = nce.NceConfig(k=2, z_mode=Z_LEARNED_ZC, q=uniform(64))
+    calls = []
+
+    def loss(p):
+        calls.append(p.vector.shape)
+        return nce.mc_loss(p, counts, cfg)
+
+    got = finite_diff_gradient(loss, params)
+    assert len(calls) == 93 and calls[0] == (14, 645) and calls[-1] == (2, 645)
+    want = finite_diff_reference(loss, params)
+    assert got.vector.tobytes() == want.vector.tobytes()
 
 
 def test_gradcheck_single_suite_and_unknown():
@@ -45,6 +98,8 @@ def test_equiv_check_negative_control_and_validation():
     assert not run_equiv_check(vocab_size=8, seed=1, force_k=7).ok
     with pytest.raises(ValueError):
         run_equiv_check(vocab_size=1)
+    with pytest.raises(ValueError, match="n_draws"):
+        run_equiv_check(n_draws=0)
 
 
 def _record_counts(monkeypatch, module, name):

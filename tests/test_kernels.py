@@ -214,3 +214,39 @@ def test_exact_oracle_takes_any_count_grid(name):
     assert fn(params, counts.astype(np.float64), cfg) == fn(params, counts, cfg)
     with pytest.raises(ValueError, match="at least one pair"):
         fn(params, np.zeros_like(counts), cfg)
+
+
+# Each loss on the counts of a batch; the exact losses read its true counts.
+_LOSSES = {
+    "log_likelihood": lambda p, counts, cfg: log_likelihood(p, counts.true),
+    "exact_loss": lambda p, counts, cfg: exact_loss(p, counts.true, cfg),
+    "mc_loss": lambda p, counts, cfg: mc_loss(p, counts, cfg),
+    "ns_loss": lambda p, counts, cfg: ns_loss(p, counts),
+}
+
+
+@pytest.mark.parametrize("n_models", [1, 7, 250])
+@pytest.mark.parametrize(
+    "name,z_mode",
+    [
+        ("log_likelihood", Z_EXACT),
+        ("exact_loss", Z_LEARNED_ZC),
+        ("exact_loss", Z_FIXED_ONE),
+        ("mc_loss", Z_LEARNED_ZC),
+        ("mc_loss", Z_FIXED_ONE),
+        ("ns_loss", Z_FIXED_ONE),
+    ],
+)
+def test_stacked_losses_equal_single_model_calls_bitwise(name, z_mode, n_models):
+    # A stack of perturbed parameter vectors, (R, P), gives in one call the R
+    # values of R single-model calls, to the bit.
+    loss = _LOSSES[name]
+    params, batch, q = _setup(5, z_mode, seed=60, extreme=True)
+    cfg = NceConfig(k=5, z_mode=z_mode if z_mode != Z_EXACT else Z_FIXED_ONE, q=q)
+    counts = cell_counts(batch, params.n_contexts, params.n_words)
+    rng = derive_rng(n_models, STREAM_DATA)
+    stack = params.vector + rng.normal(0.0, 0.1, (n_models, params.vector.size))
+    got = loss(params.with_vector(stack), counts, cfg)
+    want = [loss(params.with_vector(row.copy()), counts, cfg) for row in stack]
+    assert got.shape == (n_models,)
+    assert np.array_equal(got, want)

@@ -161,8 +161,7 @@ def test_flat_vector_invariants():
     emb[0, 0] += 1.0
     assert q.target_emb[0, 0] == p.target_emb[0, 0]
     assert not np.shares_memory(q.vector, p.vector)
-    # An in-place write to a block, as finite_diff_gradient makes, is seen
-    # by the losses.
+    # An in-place write to a block is seen by the losses.
     counts = pair_count_matrix(np.array([[4, 1], [0, 2], [2, 3], [2, 1]]), 4)
     before = log_likelihood(p, counts)
     p.context_emb[2, 1] += 0.5
@@ -171,6 +170,16 @@ def test_flat_vector_invariants():
     assert moved == log_likelihood(
         ModelParams(p.target_emb, p.context_emb, p.bias, p.log_zc, Z_LEARNED_ZC), counts
     )
+    # with_vector() views an (R, P) stack as R models without copying it.
+    stack = np.stack([p.vector, 2.0 * p.vector])
+    s = p.with_vector(stack)
+    assert s.z_mode == p.z_mode and (s.n_words, s.dim, s.n_contexts) == (4, 3, 5)
+    for name in PARAM_BLOCKS:
+        assert np.shares_memory(getattr(s, name), stack)
+        assert np.array_equal(getattr(s, name)[1], 2.0 * getattr(p, name))
+    s.bias[0, 1] = 7.0
+    assert stack[0, 4 * 3 + 5 * 3 + 1] == 7.0 and p.bias[1] != 7.0
+    assert np.array_equal(s.copy().vector, stack) and not np.shares_memory(s.copy().vector, stack)
     # copy() is independent of the original.
     c = p.copy()
     assert c.z_mode == p.z_mode and np.array_equal(c.vector, p.vector)
