@@ -8,6 +8,7 @@ a preformatted report; callers decide how to surface it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,7 +105,8 @@ def run_gradcheck(
     if which != "all" and which not in GRADCHECK_SUITES:
         raise ValueError(f"unknown gradcheck suite {which!r}")
     suites = GRADCHECK_SUITES if which == "all" else (which,)
-    result = CheckResult(ok=True)
+    # A NaN error or a non-finite tolerance fails: each comparison puts NaN on the failing side.
+    result = CheckResult(ok=math.isfinite(tol))
     for label in suites:
         for z_mode in _suite_z_modes(label):
             worst = {name: (0.0, ()) for name in PARAM_BLOCKS}
@@ -113,13 +115,13 @@ def run_gradcheck(
                 if corrupt:
                     analytic.target_emb[0, 0] += 1.0
                 for name, (err, ix) in _block_errors(analytic, fd).items():
-                    if err > worst[name][0]:
+                    if not (err <= worst[name][0] or math.isnan(worst[name][0])):
                         worst[name] = (err, ix)
             tag = label if z_mode is None else f"{label}/{z_mode}"
             for name in PARAM_BLOCKS:
                 err, ix = worst[name]
                 line = f"gradcheck {tag} {name} worst_err {err:.3e}"
-                if err > tol:
+                if not err <= tol:
                     line += f" FAIL at {name}{list(ix)}"
                     result.ok = False
                 result.lines.append(line)
@@ -194,22 +196,20 @@ def run_equiv_check(
     k = vocab_size if force_k is None else force_k
     q = uniform(vocab_size)
     cfg = nce.NceConfig(k=k, z_mode=Z_FIXED_ONE, q=q)
-    max_dloss = 0.0
-    max_dgrad = 0.0
+    dloss, dgrad = np.empty((2, n_draws))
     for i in range(n_draws):
         rng = derive_rng(seed, STREAM_DATA, i)
         params = init_params(vocab_size, 4, seed + i, z_mode=Z_FIXED_ONE)
         counts = _sampled_counts(rng, 30, vocab_size, k)
-        dloss = abs(nce.mc_loss(params, counts, cfg) - negsampling.ns_loss(params, counts))
-        dgrad = np.max(
+        dloss[i] = abs(nce.mc_loss(params, counts, cfg) - negsampling.ns_loss(params, counts))
+        dgrad[i] = np.max(
             np.abs(
                 nce.mc_grad(params, counts, cfg).to_vector()
                 - negsampling.ns_grad(params, counts).to_vector()
             )
         )
-        max_dloss = max(max_dloss, float(dloss))
-        max_dgrad = max(max_dgrad, float(dgrad))
-    ok = max_dloss <= tol and max_dgrad <= tol
+    max_dloss, max_dgrad = dloss.max(), dgrad.max()  # unlike max(), these keep a NaN
+    ok = bool(math.isfinite(tol) and max_dloss <= tol and max_dgrad <= tol)
     lines = [
         f"equiv-check k={k} |V|={vocab_size} draws={n_draws}",
         f"max |dloss| {max_dloss:.3e}",

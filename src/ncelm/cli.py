@@ -202,7 +202,7 @@ def _train_config(args, objective: str, seed: int) -> TrainConfig:
     return TrainConfig(
         objective=objective,
         k=args.k,
-        z_mode=Z_FIXED_ONE if objective == OBJ_NS else z_mode,
+        z_mode=z_mode,
         noise=args.noise,
         learning_rate=args.lr,
         lr_decay=args.lr_decay,

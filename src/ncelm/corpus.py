@@ -258,38 +258,66 @@ def write_truth(path, truth: GroundTruthTable, vocab: Vocabulary) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"gt v1 {n}\n")
         fh.write(" ".join(vocab.words) + "\n")
-        fh.write("marginal " + _fmt_row(truth.context_marginal) + "\n")
-        for c in range(n):
-            fh.write(_fmt_row(truth.cond[c]) + "\n")
+        fh.write("marginal " + format_row(truth.context_marginal) + "\n")
+        for row in truth.cond:
+            fh.write(format_row(row) + "\n")
 
 
 def read_truth(path) -> tuple[GroundTruthTable, Vocabulary]:
+    """Read a ground truth written by :func:`write_truth`. ValueError for a bad
+    header, a line count other than 3 + N, a vocabulary other than N distinct
+    words, a row other than N finite numbers, or tables not distributions."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+        lines = fh.read().splitlines()
     if not lines:
         raise ValueError("ground-truth file is empty")
     header = lines[0].split()
-    if len(header) != 3 or header[0] != "gt" or header[1] != "v1":
+    n = int(header[2]) if len(header) == 3 and header[2].isdecimal() else 0
+    if header[:2] != ["gt", "v1"] or n < 1:
         raise ValueError(f"bad ground-truth header: {lines[0]!r}")
-    n = int(header[2])
-    if len(lines) < 3 + n:
-        raise ValueError(
-            f"ground-truth file truncated: {len(lines)} lines, expected {3 + n}"
-        )
-    vocab = build_vocab(lines[1].split())
-    if len(vocab) != n:
-        raise ValueError("ground-truth vocabulary line does not match header size")
-    marg_fields = lines[2].split()
-    if marg_fields[:1] != ["marginal"] or len(marg_fields) != n + 1:
+    check_line_count(lines, 3 + n, "ground-truth file")
+    words = lines[1].split()
+    vocab = build_vocab(words)
+    if len(words) != n or len(vocab) != n:
+        raise ValueError(f"ground-truth vocabulary line is not {n} distinct words")
+    label, _, marginal = lines[2].partition(" ")
+    if label != "marginal":
         raise ValueError("bad ground-truth marginal line")
-    marginal = np.array([float(x) for x in marg_fields[1:]])
-    cond = np.array([[float(x) for x in lines[3 + c].split()] for c in range(n)])
-    if cond.shape != (n, n):
-        raise ValueError(f"ground-truth conditional table has shape {cond.shape}, expected {(n, n)}")
-    truth = GroundTruthTable(cond=cond, context_marginal=marginal)
+    truth = GroundTruthTable(
+        cond=parse_rows(lines[3:], n, "ground-truth conditional table"),
+        context_marginal=parse_rows([marginal], n, "ground-truth marginal")[0],
+    )
     truth.validate()
     return truth, vocab
 
 
-def _fmt_row(values: np.ndarray) -> str:
+def format_row(values) -> str:
+    """Floats separated by spaces with 17 significant digits, so that
+    :func:`parse_rows` reads them back bit-faithfully."""
     return " ".join(f"{v:.17g}" for v in values)
+
+
+def check_line_count(lines, expected: int, what: str) -> None:
+    """ValueError unless ``what``, read as ``lines``, holds exactly ``expected`` lines."""
+    if len(lines) != expected:
+        problem = "truncated" if len(lines) < expected else "has trailing content"
+        raise ValueError(f"{what} {problem}: {len(lines)} lines, expected {expected}")
+
+
+def parse_rows(lines, cols: int, what: str) -> np.ndarray:
+    """The (len(lines), cols) float64 array of rows written by :func:`format_row`.
+
+    Raises ValueError naming ``what`` unless every row holds exactly ``cols``
+    numbers and every number is finite.
+    """
+    fields = [line.split() for line in lines]
+    for r, row in enumerate(fields, 1):
+        if len(row) != cols:
+            raise ValueError(f"{what} row {r} has {len(row)} fields, expected {cols}")
+    try:
+        data = np.array(fields, dtype=np.float64).reshape(len(fields), cols)
+    except ValueError as exc:  # names the first field that is not a number
+        raise ValueError(f"{what}: {exc}") from None
+    if not np.isfinite(data).all():
+        raise ValueError(f"{what} holds a non-finite value")
+    return data

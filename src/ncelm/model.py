@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Vocabulary, build_vocab
+from .corpus import Vocabulary, build_vocab, check_line_count, format_row, parse_rows
 from .seeding import STREAM_INIT, derive_rng
 
 Z_EXACT = "exact"
@@ -248,65 +248,38 @@ def save_model(path, params: ModelParams, vocab: Vocabulary) -> None:
         fh.write(f"lblm v1 {params.n_words} {params.dim} {params.z_mode}\n")
         for word in vocab.words:
             fh.write(word + "\n")
-        _write_block(fh, "target_emb", params.target_emb)
-        _write_block(fh, "context_emb", params.context_emb)
-        _write_block(fh, "bias", params.bias[None, :])
-        _write_block(fh, "log_zc", params.log_zc[None, :])
+        for name in PARAM_BLOCKS:
+            fh.write(name + "\n")
+            for row in np.atleast_2d(getattr(params, name)):  # bias and log_zc: one row
+                fh.write(format_row(row) + "\n")
 
 
 def load_model(path) -> tuple[ModelParams, Vocabulary]:
-    """Read a model written by :func:`save_model`.
-
-    Raises ValueError for a bad header, a missing or truncated block, or any
-    non-finite value.
-    """
+    """Read a model written by :func:`save_model`. ValueError for a bad header,
+    a line count other than the header's, a vocabulary other than N distinct
+    words one per line, a misplaced block label, or a row that is not its
+    block's number of finite values."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError("model file is empty")
     header = lines[0].split()
-    if len(header) != 5 or header[0] != "lblm" or header[1] != "v1":
+    sizes = [int(f) if f.isdecimal() else 0 for f in header[2:4]]
+    if len(header) != 5 or header[:2] != ["lblm", "v1"] or min(sizes) < 1:
         raise ValueError(f"bad model header: {lines[0]!r}")
-    n_words, dim, z_mode = int(header[2]), int(header[3]), header[4]
+    (n_words, dim), z_mode = sizes, header[4]
     if z_mode not in Z_MODES:
         raise ValueError(f"unknown z_mode {z_mode!r} in model file")
-    if len(lines) < 1 + n_words:
-        raise ValueError("model file truncated inside the vocabulary")
-    vocab = build_vocab(lines[1 : 1 + n_words])
-    pos = 1 + n_words
-    blocks = {}
-    expected = {
-        "target_emb": (n_words, dim),
-        "context_emb": (n_words + 1, dim),
-        "bias": (1, n_words),
-        "log_zc": (1, n_words + 1),
-    }
-    for name in PARAM_BLOCKS:
-        rows, cols = expected[name]
-        if pos + 1 + rows > len(lines):
-            raise ValueError(f"model file truncated inside block {name!r}")
+    rows, cols = (n_words, n_words + 1, 1, 1), (dim, dim, n_words, n_words + 1)
+    check_line_count(lines, 1 + n_words + len(PARAM_BLOCKS) + sum(rows), "model file")
+    words = lines[1 : 1 + n_words]
+    vocab = build_vocab(words)
+    if len(vocab) != n_words or any(word.split() != [word] for word in words):
+        raise ValueError(f"model vocabulary is not {n_words} distinct words, one per line")
+    pos, blocks = 1 + n_words, []
+    for name, n_rows, n_cols in zip(PARAM_BLOCKS, rows, cols):
         if lines[pos] != name:
             raise ValueError(f"expected block {name!r}, found {lines[pos]!r}")
-        data = np.array(
-            [[float(x) for x in lines[pos + 1 + r].split()] for r in range(rows)]
-        )
-        if data.shape != (rows, cols):
-            raise ValueError(f"block {name!r} has shape {data.shape}, expected {(rows, cols)}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError(f"block {name!r} holds a non-finite value")
-        blocks[name] = data
-        pos += 1 + rows
-    params = ModelParams(
-        target_emb=blocks["target_emb"],
-        context_emb=blocks["context_emb"],
-        bias=blocks["bias"][0],
-        log_zc=blocks["log_zc"][0],
-        z_mode=z_mode,
-    )
-    return params, vocab
-
-
-def _write_block(fh, name: str, data: np.ndarray) -> None:
-    fh.write(name + "\n")
-    for row in data:
-        fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        blocks.append(parse_rows(lines[pos + 1 : pos + 1 + n_rows], n_cols, f"block {name!r}"))
+        pos += 1 + n_rows
+    return ModelParams(*blocks, z_mode=z_mode), vocab

@@ -133,13 +133,8 @@ def train(
     if checkpoint_prefix is not None and vocab is None:
         raise ValueError("checkpoints need a vocabulary")
     stats = stats_from_pairs(pairs, n_words)
-    params = init_params(n_words, config.dim, config.seed, z_mode=_params_z_mode(config))
-    cfg = None
-    q = None
-    if config.objective in (OBJ_NCE, OBJ_NS):
-        q = noise.parse_noise_spec(config.noise, stats, n_words)
-        if config.objective == OBJ_NCE:
-            cfg = nce.NceConfig(k=config.k, z_mode=config.z_mode, q=q)
+    z_mode, q, grad_fn, loss_fn = _objective(config, stats, n_words)
+    params = init_params(n_words, config.dim, config.seed, z_mode=z_mode)
 
     n = pairs.shape[0]
     history: list[MetricsRow] = []
@@ -151,13 +146,7 @@ def train(
         total = np.zeros((n_words + 1, n_words), dtype=np.int64)  # the epoch's noise counts
         steps = _epoch_counts(pairs, perm, q, config.k, noise_rng, config.batch_size, n_words, total)
         for step, (size, counts) in enumerate(steps, 1):
-            if config.objective == OBJ_MLE:
-                grad = grad_log_likelihood(params, counts.true)
-            elif config.objective == OBJ_NCE:
-                grad = nce.mc_grad(params, counts, cfg)
-            else:
-                grad = negsampling.ns_grad(params, counts)
-            apply_gradient(params, grad, lr / size)
+            apply_gradient(params, grad_fn(params, counts), lr / size)
             if not params_finite(params):
                 block = next(b for b in PARAM_BLOCKS if not np.isfinite(getattr(params, b)).all())
                 raise TrainingDiverged(
@@ -165,7 +154,7 @@ def train(
                     f"first non-finite block {block}", epoch, step, block,
                 )
         if epoch % config.eval_every == 0 or epoch == config.epochs:
-            row = _metrics(params, stats, truth, config, cfg, total, epoch, start)
+            row = _metrics(params, stats, truth, loss_fn, total, epoch, start)
             metric = next((f for f, v in vars(row).items() if v is not None and not np.isfinite(v)), None)
             if metric is not None:
                 raise TrainingDiverged(
@@ -217,14 +206,23 @@ def check_ks(ks: list[int]) -> None:
 # Internals
 # ---------------------------------------------------------------------------
 
-def _params_z_mode(config: TrainConfig) -> str:
+def _objective(config: TrainConfig, stats, n_words: int):
+    """(parameter z_mode, q, gradient, loss) of the configured objective; the
+    gradient and the loss (a total) take the parameters and a ``CellCounts``.
+    MLE has no q and no loss: its objective is minus the cross-entropy. The
+    lambdas look kernels up at call time, so rebinding a module attribute (as
+    a tracer does) also reaches the training loop."""
     if config.objective == OBJ_MLE:
-        return Z_EXACT
+        return Z_EXACT, None, lambda p, c: grad_log_likelihood(p, c.true), None
+    q = noise.parse_noise_spec(config.noise, stats, n_words)
     if config.objective == OBJ_NS:
         # Normalizer parameters have no meaning under negative sampling;
         # freezing them keeps the NCE equivalence checks well-posed.
-        return Z_FIXED_ONE
-    return config.z_mode
+        return (Z_FIXED_ONE, q, lambda p, c: negsampling.ns_grad(p, c),
+                lambda p, c: negsampling.ns_loss(p, c))
+    cfg = nce.NceConfig(k=config.k, z_mode=config.z_mode, q=q)
+    return (config.z_mode, q, lambda p, c: nce.mc_grad(p, c, cfg),
+            lambda p, c: nce.mc_loss(p, c, cfg))
 
 
 def _epoch_counts(pairs, perm, q, k, rng, batch_size, n_words, total):
@@ -255,18 +253,13 @@ def _epoch_counts(pairs, perm, q, k, rng, batch_size, n_words, total):
             yield min(batch_size, idx.size - j * batch_size), CellCounts(true[j], step_noise)
 
 
-def _metrics(params, stats, truth, config, cfg, noise_total, epoch, start):
+def _metrics(params, stats, truth, loss_fn, noise_total, epoch, start):
     n = stats.total_tokens
     ce = cross_entropy(params, stats.bigram_counts)
     kl = None if truth is None else kl_truth_model(truth, params)
     med_z = float(np.median(np.abs(log_partitions(params)[stats.seen_contexts()])))
     counts = CellCounts(stats.bigram_counts, noise_total)
-    if config.objective == OBJ_MLE:
-        obj = -ce
-    elif config.objective == OBJ_NCE:
-        obj = nce.mc_loss(params, counts, cfg) / n
-    else:
-        obj = negsampling.ns_loss(params, counts) / n
+    obj = -ce if loss_fn is None else loss_fn(params, counts) / n
     return MetricsRow(
         epoch=epoch,
         cross_entropy=ce,

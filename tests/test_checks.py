@@ -3,7 +3,7 @@ import pytest
 
 from batch_reference import ProxyBatch, cell_counts
 from finite_diff_reference import finite_diff_reference
-from ncelm import checks, nce, negsampling
+from ncelm import checks, cli, nce, negsampling
 from ncelm.checks import (
     finite_diff_gradient,
     run_equiv_check,
@@ -100,6 +100,36 @@ def test_equiv_check_negative_control_and_validation():
         run_equiv_check(vocab_size=1)
     with pytest.raises(ValueError, match="n_draws"):
         run_equiv_check(n_draws=0)
+
+
+def test_gradcheck_fails_on_nan(monkeypatch, capsys):
+    # A non-finite tolerance fails even where every error is small.
+    assert not run_gradcheck(which="mle", corrupt=True, tol=np.nan).ok
+    assert not run_gradcheck(which="mle", tol=np.inf).ok
+    exact = checks.grad_log_likelihood
+
+    def nan_at_first_coordinate(params, counts):
+        grad = exact(params, counts)
+        grad.target_emb[0, 0] = np.nan
+        return grad
+
+    monkeypatch.setattr(checks, "grad_log_likelihood", nan_at_first_coordinate)
+    res = run_gradcheck(which="mle")
+    assert not res.ok
+    assert res.lines[0].startswith("gradcheck mle target_emb worst_err nan FAIL at target_emb")
+    assert cli.main(["gradcheck", "--which", "mle"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "gradcheck FAIL (tolerance 1e-05)"
+
+
+def test_equiv_check_fails_on_nan(monkeypatch, capsys):
+    assert not run_equiv_check(tol=np.nan).ok
+    assert not run_equiv_check(tol=np.inf).ok
+    monkeypatch.setattr(negsampling, "ns_loss", lambda params, counts: np.nan)
+    res = run_equiv_check(n_draws=3)
+    assert not res.ok
+    assert "max |dloss| nan" in res.lines
+    assert cli.main(["equiv-check"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "equiv-check FAIL (tolerance 1e-10)"
 
 
 def _record_counts(monkeypatch, module, name):

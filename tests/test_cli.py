@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import re
 import subprocess
@@ -5,10 +7,22 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ncelm import cli
 from ncelm.cli import MAX_VOCAB_SIZE
-from ncelm.corpus import GroundTruthTable, build_vocab, read_corpus_tokens, read_truth, write_truth
-from ncelm.model import init_params, load_model, save_model
+from ncelm.corpus import (
+    GroundTruthTable,
+    build_vocab,
+    generate_synthetic_stream,
+    make_zipf_truth,
+    read_corpus_tokens,
+    read_truth,
+    write_corpus_tokens,
+    write_truth,
+)
+from ncelm.model import Z_LEARNED_ZC, init_params, load_model, save_model
 
 
 def run_cli(*args, cwd=None):
@@ -276,6 +290,145 @@ def test_truncated_truth_is_usage_error(tmp_path):
     r = run_cli(*train_args(prefix, tmp_path / "m.model", "--objective", "mle"))
     assert r.returncode == 2
     assert "truncated" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.fixture(scope="module")
+def eval_lab(tmp_path_factory):
+    """A 5-word learned_zc model, its ground truth and a corpus that eval accepts."""
+    root = tmp_path_factory.mktemp("eval_lab")
+    truth = make_zipf_truth(5, 1.2, seed=2)
+    vocab = build_vocab(f"w{i}" for i in range(5))
+    params = init_params(5, 3, seed=4, z_mode=Z_LEARNED_ZC)
+    params.log_zc[:] = np.linspace(-0.5, 0.5, 6)
+    save_model(root / "m.model", params, vocab)
+    write_truth(root / "t.truth", truth, vocab)
+    ids = generate_synthetic_stream(truth, 200, seed=2)
+    write_corpus_tokens(root / "c.txt", (vocab.word_of(i) for i in ids))
+    return root
+
+
+def _eval_in_process(lab, model, truth):
+    """Exit code, stdout and stderr of an in-process eval."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["eval", "--model", str(model), "--corpus", str(lab / "c.txt"),
+                         "--truth", str(truth)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def _dim_zero(lines):
+    """The model as dim 0 would write it: empty rows in both embedding blocks."""
+    lines = [lines[0].replace(" 5 3 ", " 5 0 ")] + lines[1:]
+    for i in (*range(7, 12), *range(13, 19)):
+        lines[i] = ""
+    return lines
+
+
+# (file, edit of its lines, expected error text). Lines 1-5 of the model are
+# its vocabulary, lines 7-11 and 13-18 its embedding rows; line 3 of the
+# truth is its first conditional row.
+_MALFORMED = {
+    "truth-negative-size": ("truth", lambda lines: ["gt v1 -5"], "header"),
+    "truth-trailing-row": ("truth", lambda lines: lines + [lines[-1]], "trailing content"),
+    "truth-ragged-row": ("truth", lambda lines: lines[:3] + [lines[3].rsplit(" ", 1)[0]] + lines[4:],
+                         "has 4 fields, expected 5"),
+    "model-trailing-row": ("model", lambda lines: lines + ["0.5"], "trailing content"),
+    "model-dim-zero": ("model", _dim_zero, "header"),
+    "model-duplicate-word": ("model", lambda lines: lines[:4] + ["w0"] + lines[5:], "5 distinct words"),
+    "model-empty-word": ("model", lambda lines: lines[:2] + [""] + lines[3:], "5 distinct words"),
+    "model-word-with-space": ("model", lambda lines: lines[:2] + ["w1 w9"] + lines[3:], "5 distinct words"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_eval_rejects_malformed_model_and_truth_files(eval_lab, tmp_path, case):
+    which, edit, message = _MALFORMED[case]
+    paths = {"model": eval_lab / "m.model", "truth": eval_lab / "t.truth"}
+    lines = paths[which].read_text().splitlines()
+    paths[which] = tmp_path / paths[which].name
+    paths[which].write_text("\n".join(edit(lines)) + "\n")
+    code, out, err = _eval_in_process(eval_lab, paths["model"], paths["truth"])
+    _assert_usage_error(code, out, err)
+    assert message in err
+
+
+# Each property mutates one saved file, the model or the truth, and runs eval
+# on it with the other file pristine. derandomize keeps Tier-1 deterministic.
+_PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+_KIND = st.sampled_from(["model", "truth"])
+
+
+def _eval_mutated(lab, kind, data: bytes):
+    mutated = lab / f"mutated.{kind}"
+    mutated.write_bytes(data)
+    if kind == "model":
+        return _eval_in_process(lab, mutated, lab / "t.truth")
+    return _eval_in_process(lab, lab / "m.model", mutated)
+
+
+def _original(lab, kind) -> bytes:
+    return (lab / ("m.model" if kind == "model" else "t.truth")).read_bytes()
+
+
+def test_pristine_files_pass_eval(eval_lab):
+    code, out, err = _eval_in_process(eval_lab, eval_lab / "m.model", eval_lab / "t.truth")
+    assert (code, err) == (0, "") and out.startswith("cross_entropy ")
+
+
+@_PROPERTY
+@given(kind=_KIND, data=st.data())
+def test_dropping_lines_is_a_usage_error(eval_lab, kind, data):
+    lines = _original(eval_lab, kind).decode().splitlines()
+    dropped = data.draw(st.sets(st.integers(0, len(lines) - 1), min_size=1))
+    kept = [line for i, line in enumerate(lines) if i not in dropped]
+    text = "".join(line + "\n" for line in kept)
+    _assert_usage_error(*_eval_mutated(eval_lab, kind, text.encode()))
+
+
+@_PROPERTY
+@given(kind=_KIND, value=st.sampled_from(["nan", "inf", "-inf"]), data=st.data())
+def test_a_non_finite_field_is_a_usage_error(eval_lab, kind, value, data):
+    lines = [line.split(" ") for line in _original(eval_lab, kind).decode().splitlines()]
+    # Floats follow the model's vocabulary lines and the truth's "marginal" label.
+    first = 6 if kind == "model" else 2
+    fields = [(i, j) for i in range(first, len(lines)) for j, field in enumerate(lines[i])
+              if field not in ("marginal", "target_emb", "context_emb", "bias", "log_zc")]
+    i, j = data.draw(st.sampled_from(fields))
+    lines[i][j] = value
+    text = "".join(" ".join(line) + "\n" for line in lines)
+    _assert_usage_error(*_eval_mutated(eval_lab, kind, text.encode()))
+
+
+def _usage_error_or_ok(code, out, err):
+    # A number cut short or a flipped digit can leave a valid file with other
+    # values, so success is allowed; anything else must be a clean usage error.
+    if code == 0:
+        assert err == "" and out.startswith("cross_entropy ")
+    else:
+        _assert_usage_error(code, out, err)
+
+
+@_PROPERTY
+@given(kind=_KIND, data=st.data())
+def test_a_cut_file_is_read_or_rejected(eval_lab, kind, data):
+    original = _original(eval_lab, kind)
+    cut = data.draw(st.integers(0, len(original) - 1))
+    _usage_error_or_ok(*_eval_mutated(eval_lab, kind, original[:cut]))
+
+
+@_PROPERTY
+@given(kind=_KIND, data=st.data())
+def test_a_flipped_bit_is_read_or_rejected(eval_lab, kind, data):
+    original = bytearray(_original(eval_lab, kind))
+    bit = data.draw(st.integers(0, 8 * len(original) - 1))
+    original[bit // 8] ^= 1 << (bit % 8)
+    _usage_error_or_ok(*_eval_mutated(eval_lab, kind, bytes(original)))
 
 
 def test_sweep_row_count_and_determinism(tmp_path):
