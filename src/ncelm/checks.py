@@ -83,8 +83,7 @@ def _block_errors(analytic: Gradient, fd: Gradient) -> dict[str, tuple[float, tu
         f = getattr(fd, name)
         err = np.abs(a - f) / np.maximum(1.0, np.abs(a) + np.abs(f))
         flat = int(np.argmax(err))
-        ix = np.unravel_index(flat, err.shape) if err.ndim > 1 else (flat,)
-        worst[name] = (float(err.flat[flat]), ix)
+        worst[name] = (float(err.flat[flat]), tuple(map(int, np.unravel_index(flat, err.shape))))
     return worst
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -182,13 +183,22 @@ def _cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+def _read(reader, path):
+    """``reader(path)``, with the path in front of a ValueError about the file."""
+    try:
+        return reader(path)
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_training_data(args):
-    tokens = read_corpus_tokens(args.corpus)
-    if args.truth:
-        truth, vocab = read_truth(args.truth)
-    else:
-        truth, vocab = None, build_vocab(tokens)
-    return pairs_from_tokens(tokens, vocab), len(vocab), truth, vocab
+    tokens = _read(read_corpus_tokens, args.corpus)
+    truth, vocab = _read(read_truth, args.truth) if args.truth else (None, None)
+    try:
+        vocab = build_vocab(tokens) if vocab is None else vocab
+        return pairs_from_tokens(tokens, vocab), len(vocab), truth, vocab
+    except ValueError as exc:
+        raise ValueError(f"{args.corpus}: {exc}") from None
 
 
 def _train_config(args, objective: str, seed: int) -> TrainConfig:
@@ -230,20 +240,22 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    params, vocab = load_model(args.model)
-    tokens = read_corpus_tokens(args.corpus)
+    params, vocab = _read(load_model, args.model)
+    tokens = _read(read_corpus_tokens, args.corpus)
     try:
         pairs = pairs_from_tokens(tokens, vocab)
     except ValueError as exc:
-        raise ValueError(f"corpus does not match model vocabulary: {exc}") from None
+        raise ValueError(
+            f"{args.corpus}: corpus does not match the vocabulary of {args.model}: {exc}"
+        ) from None
     stats = stats_from_pairs(pairs, len(vocab))
     zstats = normalization_stats(params, stats.seen_contexts())
     ce = cross_entropy(params, stats.bigram_counts)
     values = {"cross-entropy": ce, **{f"log Z {name}": v for name, v in zstats.items()}}
     if args.truth:
-        truth, tvocab = read_truth(args.truth)
+        truth, tvocab = _read(read_truth, args.truth)
         if tvocab.words != vocab.words:
-            raise ValueError("ground-truth vocabulary does not match model")
+            raise ValueError(f"{args.truth}: ground-truth vocabulary does not match {args.model}")
         rows = kl_truth_rows(truth, params)
         values.update((f"KL of context {vocab.word_of(c)}", kl) for c, kl in enumerate(rows))
         values["mean KL"] = rows.mean()
@@ -273,7 +285,8 @@ def _cmd_sweep(args) -> int:
     pairs, n_words, truth, _ = _load_training_data(args)
     objective = _OBJECTIVES[args.objective]
     # Bad k lists, seed counts and TrainConfig values fail before any file is written.
-    bases = [_train_config(args, objective, args.seed + offset) for offset in range(args.seeds)]
+    base = _train_config(args, objective, args.seed)
+    bases = [replace(base, seed=args.seed + offset) for offset in range(args.seeds)]
     _write_config(args.out, args)
     # Rows are flushed as they finish so a diverging run leaves partial results.
     with open(args.out, "w", encoding="utf-8") as fh:

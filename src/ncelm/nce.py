@@ -26,8 +26,8 @@ classifier-weighted moment mismatch between the empirical conditional and
 the model weight, the lens for the large-k behavior: as k grows its
 direction approaches the exact log-likelihood gradient.
 
-All log-posteriors go through the stable log-sigmoid of Delta; a ratio of
-exponentials is never formed.
+Log-posteriors and classifier weights are all computed from exp(-|Delta|),
+which is at most 1, so nothing overflows.
 """
 
 from __future__ import annotations
@@ -90,27 +90,34 @@ def classifier_logits(
     return np.ascontiguousarray(rows[..., contexts, words])
 
 
-def _log_sigmoid(x: np.ndarray) -> np.ndarray:
-    return -np.logaddexp(0.0, -x)
+def _log_sigmoids(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log sigma(Delta) and log sigma(-Delta): min(+-Delta, 0) - log1p(exp(-|Delta|))."""
+    soft = np.log1p(np.exp(-np.abs(delta)))
+    return np.minimum(delta, 0.0) - soft, np.minimum(-delta, 0.0) - soft
 
 
 def _loss(delta: np.ndarray, counts: CellCounts) -> float | np.ndarray:
     """Two-class log-likelihood of per-cell counts: each true sample scores
     log sigma(Delta), each noise sample log sigma(-Delta)."""
     true, noise = counts
-    return grid_dot(true, _log_sigmoid(delta)) + grid_dot(noise, _log_sigmoid(-delta))
+    log_sig, log_sig_neg = _log_sigmoids(delta)
+    return grid_dot(true, log_sig) + grid_dot(noise, log_sig_neg)
 
 
-def _grad(params: ModelParams, delta: np.ndarray, counts: CellCounts, z_mode: str) -> Gradient:
-    """Gradient of :func:`_loss`. A true sample pushes with weight
-    sigma(-Delta), a noise sample pulls with weight sigma(Delta), both
-    through d(log u_adjusted)/d(theta); per cell this is the residual
-    ``T sigma(-Delta) - N sigma(Delta)``."""
-    # sigma(-Delta) and sigma(Delta) in one pass.
-    coef = np.array((delta, -delta))
-    np.negative(np.logaddexp(0.0, coef, out=coef), out=coef)
-    coef_true, coef_noise = np.exp(coef, out=coef)
-    return residual_gradient(params, counts.true * coef_true - counts.noise * coef_noise, z_mode)
+def _residual(delta: np.ndarray, counts: CellCounts) -> np.ndarray:
+    """``T sigma(-Delta) - N sigma(Delta)`` per cell from e = exp(-|Delta|):
+    (T e - N)/(1+e) where Delta >= 0, else (T - N e)/(1+e); NaN stays NaN."""
+    true, noise = counts
+    e = np.exp(-np.abs(delta))
+    residual = np.where(delta >= 0.0, true * e - noise, true - noise * e)
+    residual /= 1.0 + e
+    return residual
+
+
+def _grad(params: ModelParams, counts: CellCounts, cfg: NceConfig) -> Gradient:
+    """Gradient of :func:`_loss`: a true sample pushes with weight sigma(-Delta),
+    a noise sample pulls with weight sigma(Delta), through d(log u_adjusted)/d(theta)."""
+    return residual_gradient(params, _residual(_logit_rows(params, cfg), counts), cfg.z_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +133,6 @@ def _check_k(counts: CellCounts, k: int) -> None:
         )
 
 
-def _delta_grid(params: ModelParams, cfg: NceConfig) -> np.ndarray:
-    """Delta on every (context, word) cell, shape (..., n_contexts, n_words)."""
-    return classifier_logits(
-        params, np.arange(params.n_contexts), np.arange(params.n_words)[None, :], cfg
-    )
-
-
 def mc_loss(params: ModelParams, counts: CellCounts, cfg: NceConfig) -> float | np.ndarray:
     """Sampled two-class log-likelihood of a batch given as cell counts.
 
@@ -141,13 +141,16 @@ def mc_loss(params: ModelParams, counts: CellCounts, cfg: NceConfig) -> float | 
     ValueError unless the counts hold k noise samples per true sample.
     """
     _check_k(counts, cfg.k)
-    return _loss(_delta_grid(params, cfg), counts)
+    delta = classifier_logits(
+        params, np.arange(params.n_contexts), np.arange(params.n_words)[None, :], cfg
+    )
+    return _loss(delta, counts)
 
 
 def mc_grad(params: ModelParams, counts: CellCounts, cfg: NceConfig) -> Gradient:
     """Exact gradient of :func:`mc_loss` in the active parameter blocks."""
     _check_k(counts, cfg.k)
-    return _grad(params, _delta_grid(params, cfg), counts, cfg.z_mode)
+    return _grad(params, counts, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +183,7 @@ def exact_grad_analysis(params: ModelParams, counts: np.ndarray, cfg: NceConfig)
     ``N(c, w) sigma(-Delta) - n_c k q(w) sigma(Delta)``, which is n_c times
     ``sigma(-Delta) * p_emp - k q(w) * sigma(Delta)`` per cell.
     """
-    expected = _expected_counts(counts, cfg, "exact_grad_analysis")
-    return _grad(params, _logit_rows(params, cfg), expected, cfg.z_mode)
+    return _grad(params, _expected_counts(counts, cfg, "exact_grad_analysis"), cfg)
 
 
 def _logit_rows(params: ModelParams, cfg: NceConfig) -> np.ndarray:

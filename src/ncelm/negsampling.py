@@ -24,20 +24,30 @@ from .model import Z_FIXED_ONE, CellCounts, Gradient, ModelParams, grid_dot, res
 def ns_loss(params: ModelParams, counts: CellCounts) -> float | np.ndarray:
     """Two-class log-likelihood with the sigmoid-of-score posterior, of a
     batch given as cell counts."""
-    s = _score_grid(params)
     true, noise = counts
-    return -grid_dot(true, np.logaddexp(0.0, -s)) - grid_dot(noise, np.logaddexp(0.0, s))
+    log_sig, log_sig_neg = _log_sigmoids(_score_grid(params))
+    return grid_dot(true, log_sig) + grid_dot(noise, log_sig_neg)
 
 
 def ns_grad(params: ModelParams, counts: CellCounts) -> Gradient:
     """Exact gradient of :func:`ns_loss`; the log_zc block is always zero."""
-    s = _score_grid(params)
-    # 1 - sigma(s) and sigma(s), both in one pass.
-    coef = np.array((s, -s))
-    np.negative(np.logaddexp(0.0, coef, out=coef), out=coef)
-    coef_true, coef_noise = np.exp(coef, out=coef)
-    residual = counts.true * coef_true - counts.noise * coef_noise
-    return residual_gradient(params, residual, Z_FIXED_ONE)
+    return residual_gradient(params, _residual(_score_grid(params), counts), Z_FIXED_ONE)
+
+
+def _log_sigmoids(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log sigma(+-s) = min(+-s, 0) - log1p(exp(-|s|)); exp(-|s|) <= 1 cannot overflow."""
+    soft = np.log1p(np.exp(-np.abs(s)))
+    return np.minimum(s, 0.0) - soft, np.minimum(-s, 0.0) - soft
+
+
+def _residual(s: np.ndarray, counts: CellCounts) -> np.ndarray:
+    """``T (1 - sigma(s)) - N sigma(s)`` per cell from one exp, e = exp(-|s|):
+    (T e - N)/(1+e) for s >= 0, else (T - N e)/(1+e); a NaN score stays NaN."""
+    true, noise = counts
+    e = np.exp(-np.abs(s))
+    residual = np.where(s >= 0.0, true * e - noise, true - noise * e)
+    residual /= 1.0 + e
+    return residual
 
 
 def _score_grid(params: ModelParams) -> np.ndarray:

@@ -232,8 +232,9 @@ def _epoch_counts(pairs, perm, q, k, rng, batch_size, n_words, total):
     A block of consecutive steps is counted by one bincount over cell ids
     ``context * n_words + word``, the j-th step's ids shifted by j grids.
     Each context c of a step then gets k * n_c noise words from q, drawn as
-    counts by one ``sample_array`` call per block. Without q (exact MLE)
-    nothing is drawn and the noise counts are None.
+    counts by one ``sample_array`` call per block. The kernels get float64
+    counts, cast once per block. Without q (exact MLE) nothing is drawn and
+    the noise counts are None.
     """
     grid = (n_words + 1) * n_words
     cells = pairs[:, 0] * n_words + pairs[:, 1]
@@ -245,12 +246,13 @@ def _epoch_counts(pairs, perm, q, k, rng, batch_size, n_words, total):
         true = np.bincount(cells[idx] + offsets[: idx.size], minlength=n_steps * grid)
         true = true.reshape(n_steps, n_words + 1, n_words)
         if q is None:
-            noise_counts = [None] * n_steps
+            steps = [(step_true, None) for step_true in true.astype(np.float64)]
         else:
             noise_counts = noise.sample_array(q, k * true.sum(axis=2), rng)
             total += noise_counts.sum(axis=0)
-        for j, step_noise in enumerate(noise_counts):
-            yield min(batch_size, idx.size - j * batch_size), CellCounts(true[j], step_noise)
+            steps = np.stack((true, noise_counts), axis=1, dtype=np.float64)
+        for j, (step_true, step_noise) in enumerate(steps):
+            yield min(batch_size, idx.size - j * batch_size), CellCounts(step_true, step_noise)
 
 
 def _metrics(params, stats, truth, loss_fn, noise_total, epoch, start):

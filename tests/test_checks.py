@@ -91,6 +91,8 @@ def test_gradcheck_corrupt_negative_control():
     res = run_gradcheck(which="mle", seed=0, corrupt=True)
     assert not res.ok
     assert "FAIL" in res.report()
+    # The failing coordinate prints as plain ints.
+    assert res.lines[0] == "gradcheck mle target_emb worst_err 1.000e+00 FAIL at target_emb[0, 0]"
 
 
 def test_equiv_check_negative_control_and_validation():

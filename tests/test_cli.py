@@ -127,6 +127,21 @@ def test_train_missing_corpus_is_io_error(tmp_path):
     assert "error" in r.stderr.lower()
 
 
+def test_corpus_content_errors_name_the_corpus(tmp_path):
+    prefix = gen_fixture(tmp_path)
+    one_word, unknown = tmp_path / "one.txt", tmp_path / "unknown.txt"
+    one_word.write_text("a a a\n")
+    unknown.write_text("w0 w1 zz\n")
+    for corpus, truth, message in ((one_word, [], "degenerate vocabulary"),
+                                   (unknown, ["--truth", f"{prefix}.truth"], "unknown token 'zz'")):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["train", "--corpus", str(corpus), *truth, "--objective", "mle",
+                             "--out", str(tmp_path / "m.model")])
+        assert code == 2
+        assert err.getvalue().startswith(f"error: {corpus}: {message}"), err.getvalue()
+
+
 def test_train_ns_with_learned_z_warns_and_freezes(tmp_path):
     prefix = gen_fixture(tmp_path)
     out = tmp_path / "ns.model"
@@ -307,19 +322,21 @@ def eval_lab(tmp_path_factory):
     return root
 
 
-def _eval_in_process(lab, model, truth):
+def _eval_in_process(lab, model, truth, corpus=None):
     """Exit code, stdout and stderr of an in-process eval."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["eval", "--model", str(model), "--corpus", str(lab / "c.txt"),
+        code = cli.main(["eval", "--model", str(model), "--corpus", str(corpus or lab / "c.txt"),
                          "--truth", str(truth)])
     return code, out.getvalue(), err.getvalue()
 
 
-def _assert_usage_error(code, out, err):
+def _assert_usage_error(code, out, err, path=None):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    if path is not None:  # the file at fault
+        assert str(path) in err, err
 
 
 def _dim_zero(lines):
@@ -354,8 +371,20 @@ def test_eval_rejects_malformed_model_and_truth_files(eval_lab, tmp_path, case):
     paths[which] = tmp_path / paths[which].name
     paths[which].write_text("\n".join(edit(lines)) + "\n")
     code, out, err = _eval_in_process(eval_lab, paths["model"], paths["truth"])
-    _assert_usage_error(code, out, err)
+    _assert_usage_error(code, out, err, paths[which])
     assert message in err
+
+
+@pytest.mark.parametrize("which", ["model", "truth", "corpus"])
+def test_reader_errors_name_their_file(eval_lab, tmp_path, which):
+    paths = {"model": eval_lab / "m.model", "truth": eval_lab / "t.truth", "corpus": eval_lab / "c.txt"}
+    data = bytearray(paths[which].read_bytes())
+    data[1] = 0xB0  # not UTF-8
+    paths[which] = tmp_path / paths[which].name
+    paths[which].write_bytes(bytes(data))
+    code, out, err = _eval_in_process(eval_lab, paths["model"], paths["truth"], paths["corpus"])
+    _assert_usage_error(code, out, err)
+    assert err.startswith(f"error: {paths[which]}: 'utf-8' codec can't decode byte 0xb0")
 
 
 # Each property mutates one saved file, the model or the truth, and runs eval
@@ -365,11 +394,12 @@ _KIND = st.sampled_from(["model", "truth"])
 
 
 def _eval_mutated(lab, kind, data: bytes):
+    """Exit code, stdout and stderr of eval on the mutated file, and its path."""
     mutated = lab / f"mutated.{kind}"
     mutated.write_bytes(data)
     if kind == "model":
-        return _eval_in_process(lab, mutated, lab / "t.truth")
-    return _eval_in_process(lab, lab / "m.model", mutated)
+        return (*_eval_in_process(lab, mutated, lab / "t.truth"), mutated)
+    return (*_eval_in_process(lab, lab / "m.model", mutated), mutated)
 
 
 def _original(lab, kind) -> bytes:
@@ -405,13 +435,14 @@ def test_a_non_finite_field_is_a_usage_error(eval_lab, kind, value, data):
     _assert_usage_error(*_eval_mutated(eval_lab, kind, text.encode()))
 
 
-def _usage_error_or_ok(code, out, err):
+def _usage_error_or_ok(code, out, err, path):
     # A number cut short or a flipped digit can leave a valid file with other
-    # values, so success is allowed; anything else must be a clean usage error.
+    # values, so success is allowed; anything else must be a clean usage error
+    # that names the file.
     if code == 0:
         assert err == "" and out.startswith("cross_entropy ")
     else:
-        _assert_usage_error(code, out, err)
+        _assert_usage_error(code, out, err, path)
 
 
 @_PROPERTY
@@ -443,6 +474,21 @@ def test_sweep_row_count_and_determinism(tmp_path):
     assert lines[0] == "k,seed,final_kl,final_ce,median_abs_log_z"
     assert len(lines) == 1 + 3 * 3
     assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
+
+
+def test_sweep_ns_with_learned_z_warns_once(tmp_path):
+    # One warning per command, not one per seed.
+    prefix = gen_fixture(tmp_path, tokens=300)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["sweep", "--corpus", f"{prefix}.txt", "--truth", f"{prefix}.truth",
+                         "--objective", "ns", "--z-mode", "learned", "--ks", "1,2", "--seeds", "2",
+                         "--epochs", "1", "--dim", "2", "--out", str(tmp_path / "s.csv")])
+    assert code == 0
+    assert err.getvalue().splitlines() == [
+        "warning: negative sampling has no learnable normalizer; z is frozen at 1"
+    ]
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + 2 * 2
 
 
 def test_sweep_rejects_bad_ks(tmp_path):

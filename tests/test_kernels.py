@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from batch_reference import ProxyBatch, cell_counts, score
+from ncelm import nce, negsampling
 from ncelm.corpus import pair_count_matrix, stats_from_pairs
 from ncelm.model import (
     PARAM_BLOCKS,
@@ -250,3 +251,72 @@ def test_stacked_losses_equal_single_model_calls_bitwise(name, z_mode, n_models)
     want = [loss(params.with_vector(row.copy()), counts, cfg) for row in stack]
     assert got.shape == (n_models,)
     assert np.array_equal(got, want)
+
+
+# The one-exp two-class pass of each module, differential-tested against the
+# logaddexp forms it replaced, kept here as the reference. Delta covers zero,
+# +-1e-300, +-36.7 (exp(-|Delta|) below the float64 epsilon), +-745 (a
+# subnormal exp(-|Delta|)), +-800 (it underflows to 0), infinities and random
+# values. pytest turns any RuntimeWarning into an error.
+_PASSES = {
+    "nce": (nce._log_sigmoids, nce._residual),
+    "ns": (negsampling._log_sigmoids, negsampling._residual),
+}
+
+
+def _edge_deltas():
+    edges = np.array([0.0, 1e-300, 36.7, 745.0, 800.0, np.inf])
+    rng = derive_rng(70, STREAM_DATA)
+    values = np.concatenate(
+        [edges, -edges[1:], rng.normal(0.0, 10.0, 61), rng.uniform(-800.0, 800.0, 32)]
+    )
+    return values.reshape(8, 13)
+
+
+@pytest.mark.parametrize("module", sorted(_PASSES))
+def test_log_sigmoids_match_logaddexp_reference(module):
+    log_sigmoids, _ = _PASSES[module]
+    delta = _edge_deltas()
+    reference = (-np.logaddexp(0.0, -delta), -np.logaddexp(0.0, delta))
+    for got, want in zip(log_sigmoids(delta), reference):
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite])  # -inf exactly where the reference has it
+        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-15 * np.abs(want[finite]))
+
+
+@pytest.mark.parametrize("noise_scale", [1.0, 1e6])
+@pytest.mark.parametrize("module", sorted(_PASSES))
+def test_residual_matches_logaddexp_reference(module, noise_scale):
+    # Integer true counts against integer sampled noise counts and against
+    # large fractional expected noise counts n_c k q(w).
+    _, residual = _PASSES[module]
+    delta = _edge_deltas()
+    rng = derive_rng(71, STREAM_DATA)
+    true = rng.integers(0, 6, delta.shape).astype(np.float64)
+    noise = np.round(rng.uniform(0.0, 60.0, delta.shape) * noise_scale, 3)
+    want = true * np.exp(-np.logaddexp(0.0, delta)) - noise * np.exp(-np.logaddexp(0.0, -delta))
+    got = residual(delta, CellCounts(true, noise))
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, true + noise))
+
+
+@pytest.mark.parametrize("module", sorted(_PASSES))
+def test_nan_delta_gives_nan_residual_and_gradient(module):
+    # A NaN logit must reach the gradient, even in a cell with no samples.
+    _, residual = _PASSES[module]
+    delta = np.array([[np.nan, np.nan, 0.5], [np.nan, 2.0, -3.0]])
+    counts = CellCounts(
+        np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+    )
+    got = residual(delta, counts)
+    assert np.all(np.isnan(got[np.isnan(delta)])) and np.all(np.isfinite(got[~np.isnan(delta)]))
+    params, batch, q = _setup(5, Z_FIXED_ONE, seed=72)
+    params.bias[2] = np.nan
+    counts = cell_counts(batch, params.n_contexts, params.n_words)
+    cfg = NceConfig(k=5, z_mode=Z_FIXED_ONE, q=q)
+    if module == "nce":
+        grads = [mc_grad(params, counts, cfg), exact_grad_analysis(params, counts.true, cfg)]
+    else:
+        grads = [ns_grad(params, counts)]
+    for grad in grads:
+        assert not np.all(np.isfinite(grad.vector))
