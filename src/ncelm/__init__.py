@@ -43,7 +43,9 @@ from .trainer import (
     TrainingDiverged,
     kl_truth_model,
     sweep_k,
+    sweep_runs,
     train,
+    train_lockstep,
 )
 
 __all__ = [
@@ -79,6 +81,8 @@ __all__ = [
     "save_model",
     "stats_from_pairs",
     "sweep_k",
+    "sweep_runs",
     "train",
+    "train_lockstep",
     "__version__",
 ]

@@ -133,11 +133,13 @@ def run_gradcheck(
 def _sampled_counts(rng, n_pairs: int, n_words: int, k: int) -> CellCounts:
     """Cell counts of a random sampled batch: n_pairs uniform (context, word)
     pairs, the sentence-start context included, and for each context c
-    k * n_c noise words from uniform q, drawn as counts."""
+    k * n_c noise words from uniform q, drawn as counts. The kernels get
+    float64 counts, cast once here as the trainer casts its own."""
     contexts = rng.integers(0, n_words + 1, n_pairs)
     words = rng.integers(0, n_words, n_pairs)
     true = pair_count_matrix(np.stack([contexts, words], axis=1), n_words)
-    return CellCounts(true, sample_array(uniform(n_words), k * true.sum(axis=1), rng))
+    noise = sample_array(uniform(n_words), k * true.sum(axis=1), rng)
+    return CellCounts(true.astype(np.float64), noise.astype(np.float64))
 
 
 def _suite_z_modes(label: str):

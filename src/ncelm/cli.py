@@ -41,7 +41,7 @@ from .trainer import (
     check_ks,
     cross_entropy,
     kl_truth_rows,
-    sweep_k,
+    sweep_runs,
     train,
     write_metrics_csv,
 )
@@ -288,17 +288,16 @@ def _cmd_sweep(args) -> int:
     base = _train_config(args, objective, args.seed)
     bases = [replace(base, seed=args.seed + offset) for offset in range(args.seeds)]
     _write_config(args.out, args)
-    # Rows are flushed as they finish so a diverging run leaves partial results.
+    # Every (seed, k) run trains in one lockstep call. A diverged run leaves
+    # the rows of the runs before it in (seed, k) order, as a serial loop would.
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(SWEEP_HEADER + "\n")
         fh.flush()
-        for base in bases:
-            for row in sweep_k(base, ks, pairs, n_words, truth):
-                fh.write(
-                    f"{row.k},{base.seed},{row.final_kl:.9g},"
-                    f"{row.final_ce:.9g},{row.median_abs_log_z:.9g}\n"
-                )
-                fh.flush()
+        for seed, row in sweep_runs(bases, ks, pairs, n_words, truth):
+            fh.write(
+                f"{row.k},{seed},{row.final_kl:.9g},"
+                f"{row.final_ce:.9g},{row.median_abs_log_z:.9g}\n"
+            )
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -113,18 +113,24 @@ def init_params(n_words: int, dim: int, seed: int, z_mode: str = Z_EXACT) -> Mod
     )
 
 
-def apply_gradient(params: ModelParams, grad: Gradient, scale: float) -> None:
-    """In-place ascent step ``params += scale * grad``.
+def apply_gradient(params: ModelParams, grad: Gradient, scale) -> None:
+    """In-place ascent step ``params += scale * grad``; for a stack of R
+    models ``scale`` may hold one value per model, (R,).
 
     The per-context normalizers move only in learned mode; in the other modes
     they are frozen at their current values (zero for fixed-one models).
     """
     end = None if params.z_mode == Z_LEARNED_ZC else -params.n_contexts
-    params.vector[:end] += scale * grad.vector[:end]
+    # Transposed, the parameter axis comes first and a rate per model
+    # broadcasts along the model axis.
+    params.vector.T[:end] += scale * grad.vector.T[:end]
 
 
-def params_finite(params: ModelParams) -> bool:
-    return bool(np.isfinite(params.vector).all())
+def params_finite(params: ModelParams) -> bool | np.ndarray:
+    """Whether every parameter is finite: a bool for one model, one flag per
+    model, (R,), for a stack."""
+    flags = np.isfinite(params.vector).all(axis=-1)
+    return bool(flags) if flags.ndim == 0 else flags
 
 
 # ---------------------------------------------------------------------------
@@ -162,18 +168,20 @@ def log_softmax_matrix(params: ModelParams) -> np.ndarray:
 
 class CellCounts(NamedTuple):
     """A sampled batch as true and noise sample counts per (context, word)
-    cell, each (n_contexts, n_words): the one batch type of the sampled
-    objectives and their gradients, which depend on nothing else. Exact MLE
-    reads only ``true``; the trainer leaves its ``noise`` None."""
+    cell, each (n_contexts, n_words), or (R, n_contexts, n_words) with one
+    grid per model of a stack: the one batch type of the sampled objectives
+    and their gradients, which depend on nothing else. Exact MLE reads only
+    ``true``; the trainer leaves its ``noise`` None."""
 
     true: np.ndarray
     noise: np.ndarray
 
 
 def context_totals(counts: np.ndarray, caller: str) -> np.ndarray:
-    """Row sums n_c of a count grid, (n_contexts, 1); ValueError if all are 0."""
-    n_c = counts.sum(axis=1, keepdims=True)
-    if not n_c.any():
+    """Row sums n_c of a count grid, (..., n_contexts, 1); ValueError if all
+    of a grid's are 0."""
+    n_c = counts.sum(axis=-1, keepdims=True)
+    if not (n_c.any() if n_c.ndim == 2 else n_c.any(axis=-2).all()):
         raise ValueError(f"{caller} needs at least one pair")
     return n_c
 
@@ -185,7 +193,8 @@ def per_model(values: np.ndarray) -> float | np.ndarray:
 
 def grid_dot(counts: np.ndarray, grid: np.ndarray) -> float | np.ndarray:
     """Per model, ``sum(counts * grid)`` over the last two axes as np.vdot sums it."""
-    return per_model(np.vecdot(counts.reshape(-1), grid.reshape(*grid.shape[:-2], -1)))
+    return per_model(np.vecdot(counts.reshape(*counts.shape[:-2], -1),
+                               grid.reshape(*grid.shape[:-2], -1)))
 
 
 def log_likelihood(params: ModelParams, counts: np.ndarray) -> float | np.ndarray:
@@ -197,9 +206,12 @@ def log_likelihood(params: ModelParams, counts: np.ndarray) -> float | np.ndarra
     return per_model((counts[active] * log_p).sum(axis=(-2, -1)))
 
 
-def grad_log_likelihood(params: ModelParams, counts: np.ndarray) -> Gradient:
+def grad_log_likelihood(
+    params: ModelParams, counts: np.ndarray, out: Gradient | None = None
+) -> Gradient:
     """Exact gradient of :func:`log_likelihood` for the same count matrix,
-    or the ``true`` counts of a :class:`CellCounts`.
+    or the ``true`` counts of a :class:`CellCounts`; one count grid per
+    model for a stack. ``out`` as in :func:`residual_gradient`.
 
     Per pair the score of the observed word goes up and the expected score
     under the model distribution comes down; accumulated over the multiset
@@ -207,23 +219,27 @@ def grad_log_likelihood(params: ModelParams, counts: np.ndarray) -> Gradient:
     """
     n_c = context_totals(counts, "grad_log_likelihood")
     probs = softmax_from_scores(score_matrix(params))
-    return residual_gradient(params, counts - n_c * probs, Z_EXACT)
+    return residual_gradient(params, counts - n_c * probs, Z_EXACT, out)
 
 
-def residual_gradient(params: ModelParams, residual: np.ndarray, z_mode: str) -> Gradient:
-    """Sum of ``residual[c, w] * d(log u_adjusted(w, c))/d(theta)`` over the grid.
+def residual_gradient(
+    params: ModelParams, residual: np.ndarray, z_mode: str, out: Gradient | None = None
+) -> Gradient:
+    """Sum of ``residual[..., c, w] * d(log u_adjusted(w, c))/d(theta)`` over
+    the grid, per model of a stack.
 
     Every objective's gradient has this form once its per-pair coefficients
-    are merged into one (n_contexts, n_words) residual matrix, so the heavy
-    lifting is two small matmuls. The log_zc block is nonzero only for
-    learned normalizers.
+    are merged into one (..., n_contexts, n_words) residual matrix, so the
+    heavy lifting is two small matmuls. The log_zc block is nonzero only for
+    learned normalizers; it is not written otherwise, so a reused ``out``
+    (a :func:`zero_gradient` of ``params``) keeps it at zero.
     """
-    grad = zero_gradient(params)
-    np.matmul(residual.T, params.context_emb, out=grad.target_emb)
+    grad = zero_gradient(params) if out is None else out
+    np.matmul(residual.mT, params.context_emb, out=grad.target_emb)
     np.matmul(residual, params.target_emb, out=grad.context_emb)
-    residual.sum(axis=0, out=grad.bias)
+    residual.sum(axis=-2, out=grad.bias)
     if z_mode == Z_LEARNED_ZC:
-        np.negative(residual.sum(axis=1, out=grad.log_zc), out=grad.log_zc)
+        np.negative(residual.sum(axis=-1, out=grad.log_zc), out=grad.log_zc)
     return grad
 
 

@@ -69,6 +69,31 @@ class NceConfig:
         return np.log(self.k * self.q.probs)
 
 
+@dataclass(frozen=True)
+class NceStack:
+    """The configs of a stack of models, model r under ``cfgs[r]``, for the
+    Monte Carlo kernels: one z_mode, one k and one q per model."""
+
+    cfgs: tuple[NceConfig, ...]
+
+    def __post_init__(self):
+        if len({cfg.z_mode for cfg in self.cfgs}) > 1:
+            raise ValueError("a stack of NCE configs needs one z_mode")
+
+    @property
+    def z_mode(self) -> str:
+        return self.cfgs[0].z_mode
+
+    @cached_property
+    def k(self) -> np.ndarray:
+        return np.array([cfg.k for cfg in self.cfgs])
+
+    @cached_property
+    def log_kq(self) -> np.ndarray:
+        """log(k q(w)) per model and word, (R, n_words)."""
+        return np.stack([cfg.log_kq for cfg in self.cfgs])
+
+
 # ---------------------------------------------------------------------------
 # Classifier logits and the two-class objective on cell counts
 # ---------------------------------------------------------------------------
@@ -114,31 +139,41 @@ def _residual(delta: np.ndarray, counts: CellCounts) -> np.ndarray:
     return residual
 
 
-def _grad(params: ModelParams, counts: CellCounts, cfg: NceConfig) -> Gradient:
+def _grad(
+    params: ModelParams, counts: CellCounts, cfg: NceConfig | NceStack, out: Gradient | None = None
+) -> Gradient:
     """Gradient of :func:`_loss`: a true sample pushes with weight sigma(-Delta),
     a noise sample pulls with weight sigma(Delta), through d(log u_adjusted)/d(theta)."""
-    return residual_gradient(params, _residual(_logit_rows(params, cfg), counts), cfg.z_mode)
+    return residual_gradient(params, _residual(_logit_rows(params, cfg), counts), cfg.z_mode, out)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo objective
 # ---------------------------------------------------------------------------
 
-def _check_k(counts: CellCounts, k: int) -> None:
-    """Raise unless ``counts`` holds k noise samples per true sample."""
-    if int(counts.noise.sum()) != k * int(counts.true.sum()):
+def _check_k(counts: CellCounts, k) -> None:
+    """Raise unless each count grid holds k noise samples per true sample;
+    for a stack, grid r its own ``k[r]``."""
+    true, noise = counts.true.sum(axis=(-2, -1)), counts.noise.sum(axis=(-2, -1))
+    bad = noise != k * true
+    if bad.any() if bad.ndim else bad:  # one grid gives a numpy bool
+        i = np.flatnonzero(bad)[0]
+        where = "" if bad.ndim == 0 else f"model {i}: "
+        true, noise, k = (np.broadcast_to(a, bad.shape).flat[i] for a in (true, noise, k))
         raise ValueError(
-            f"k mismatch: counts hold {counts.noise.sum()} noise samples for "
-            f"{counts.true.sum()} true samples, config says k={k}"
+            f"k mismatch: {where}counts hold {noise:g} noise samples for "
+            f"{true:g} true samples, config says k={k}"
         )
 
 
-def mc_loss(params: ModelParams, counts: CellCounts, cfg: NceConfig) -> float | np.ndarray:
+def mc_loss(params: ModelParams, counts: CellCounts, cfg: NceConfig | NceStack) -> float | np.ndarray:
     """Sampled two-class log-likelihood of a batch given as cell counts.
 
     Per example: log-posterior of the true word plus the log noise-posterior
     of each of its k sampled noise words, summed here per cell. Raises
-    ValueError unless the counts hold k noise samples per true sample.
+    ValueError unless the counts hold k noise samples per true sample. A
+    stack of models takes one config or an :class:`NceStack`, and one count
+    grid or one per model.
     """
     _check_k(counts, cfg.k)
     delta = classifier_logits(
@@ -147,10 +182,13 @@ def mc_loss(params: ModelParams, counts: CellCounts, cfg: NceConfig) -> float | 
     return _loss(delta, counts)
 
 
-def mc_grad(params: ModelParams, counts: CellCounts, cfg: NceConfig) -> Gradient:
-    """Exact gradient of :func:`mc_loss` in the active parameter blocks."""
+def mc_grad(
+    params: ModelParams, counts: CellCounts, cfg: NceConfig | NceStack, out: Gradient | None = None
+) -> Gradient:
+    """Exact gradient of :func:`mc_loss` in the active parameter blocks, per
+    model of a stack; ``out`` as in ``model.residual_gradient``."""
     _check_k(counts, cfg.k)
-    return _grad(params, counts, cfg)
+    return _grad(params, counts, cfg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +224,10 @@ def exact_grad_analysis(params: ModelParams, counts: np.ndarray, cfg: NceConfig)
     return _grad(params, _expected_counts(counts, cfg, "exact_grad_analysis"), cfg)
 
 
-def _logit_rows(params: ModelParams, cfg: NceConfig) -> np.ndarray:
+def _logit_rows(params: ModelParams, cfg: NceConfig | NceStack) -> np.ndarray:
     """Delta over the whole vocabulary for every context, (..., n_contexts, n_words)."""
     s = score_matrix(params)
     if cfg.z_mode == Z_LEARNED_ZC:
         s -= params.log_zc[..., :, None]
-    s -= cfg.log_kq
+    s -= cfg.log_kq[..., None, :]
     return s

@@ -29,9 +29,10 @@ def ns_loss(params: ModelParams, counts: CellCounts) -> float | np.ndarray:
     return grid_dot(true, log_sig) + grid_dot(noise, log_sig_neg)
 
 
-def ns_grad(params: ModelParams, counts: CellCounts) -> Gradient:
-    """Exact gradient of :func:`ns_loss`; the log_zc block is always zero."""
-    return residual_gradient(params, _residual(_score_grid(params), counts), Z_FIXED_ONE)
+def ns_grad(params: ModelParams, counts: CellCounts, out: Gradient | None = None) -> Gradient:
+    """Exact gradient of :func:`ns_loss`, per model of a stack; the log_zc
+    block is always zero. ``out`` as in ``model.residual_gradient``."""
+    return residual_gradient(params, _residual(_score_grid(params), counts), Z_FIXED_ONE, out)
 
 
 def _log_sigmoids(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

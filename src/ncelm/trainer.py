@@ -10,11 +10,17 @@ pairs of, so its cost does not grow with k.
 
 Batch updates use the mean gradient over the batch, which keeps the learning
 rate comparable across batch sizes.
+
+Independent runs of one shape (a k sweep, seeds) train in lockstep: each
+step makes one call per kernel on the stack of their models, and each run
+keeps its own shuffle and noise streams, so every run gets the bits it gets
+when trained alone. ``train`` is the one-run case of that loop.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,7 +42,9 @@ from .model import (
     log_partitions,
     log_softmax_matrix,
     params_finite,
+    per_model,
     save_model,
+    zero_gradient,
 )
 from .seeding import STREAM_NOISE, STREAM_SHUFFLE, derive_rng
 
@@ -54,13 +62,15 @@ COUNT_BLOCK_CELLS = 2**13
 class TrainingDiverged(RuntimeError):
     """Raised when any parameter goes non-finite, or when an evaluated metric
     does (finite parameters whose scores overflow); names the epoch, the step
-    within it (1-based) and the first non-finite block or metric."""
+    within it (1-based), the first non-finite block or metric and the
+    epoch's learning rate."""
 
-    def __init__(self, message: str, epoch: int, step: int, block: str):
+    def __init__(self, message: str, epoch: int, step: int, block: str, lr: float):
         super().__init__(message)
         self.epoch = epoch
         self.step = step
         self.block = block
+        self.lr = lr
 
 
 @dataclass(frozen=True)
@@ -95,6 +105,10 @@ class TrainConfig:
             raise ValueError(f"{self.objective} z_mode must be one of {z_modes}, got {self.z_mode!r}")
 
 
+# What the runs trained in lockstep share; k, noise, seed and the rates may differ.
+LOCKSTEP_FIELDS = ("objective", "z_mode", "dim", "batch_size", "epochs", "eval_every")
+
+
 @dataclass(frozen=True)
 class MetricsRow:
     epoch: int
@@ -125,46 +139,139 @@ def train(
 
     Metrics are recorded every ``eval_every`` epochs and at the final epoch;
     checkpoints (needing ``vocab``) are written at the same epochs. Fully
-    deterministic given the config.
+    deterministic given the config. The one-run case of :func:`train_lockstep`.
     """
+    (result,) = train_lockstep([config], pairs, n_words, truth, vocab, [checkpoint_prefix])
+    if isinstance(result, TrainingDiverged):
+        raise result
+    return result
+
+
+def train_lockstep(
+    configs: Sequence[TrainConfig],
+    pairs: np.ndarray,
+    n_words: int,
+    truth: GroundTruthTable | None = None,
+    vocab: Vocabulary | None = None,
+    checkpoint_prefixes: Sequence[str | None] | None = None,
+) -> list[tuple[ModelParams, list[MetricsRow]] | TrainingDiverged]:
+    """Train R runs on the same pairs in lockstep: each SGD step is one call
+    per kernel on the stack of their R models.
+
+    The runs share ``LOCKSTEP_FIELDS``. Each keeps its own shuffle and noise
+    streams, and every kernel treats the models of a stack independently, so
+    run r's result is bitwise what :func:`train` gives for ``configs[r]``
+    alone: ``(params, history)``, or the :class:`TrainingDiverged` that
+    :func:`train` would raise. A run that diverges leaves the stack and the
+    others go on. ``checkpoint_prefixes`` holds one prefix, or None, per run.
+    """
+    configs = list(configs)
     pairs = np.asarray(pairs, dtype=np.int64)
+    if not configs:
+        raise ValueError("train_lockstep needs at least one config")
     if pairs.shape[0] == 0:
         raise ValueError("training needs at least one pair")
-    if checkpoint_prefix is not None and vocab is None:
+    first = configs[0]
+    if any(getattr(c, f) != getattr(first, f) for c in configs for f in LOCKSTEP_FIELDS):
+        raise ValueError(f"runs trained in lockstep must share {', '.join(LOCKSTEP_FIELDS)}")
+    prefixes = list(checkpoint_prefixes or [None] * len(configs))
+    if len(prefixes) != len(configs):
+        raise ValueError("checkpoint_prefixes needs one entry per config")
+    if any(p is not None for p in prefixes) and vocab is None:
         raise ValueError("checkpoints need a vocabulary")
     stats = stats_from_pairs(pairs, n_words)
-    z_mode, q, grad_fn, loss_fn = _objective(config, stats, n_words)
-    params = init_params(n_words, config.dim, config.seed, z_mode=z_mode)
+    z_mode = {OBJ_MLE: Z_EXACT, OBJ_NS: Z_FIXED_ONE}.get(first.objective, first.z_mode)
+    qs = None if first.objective == OBJ_MLE else [
+        noise.parse_noise_spec(c.noise, stats, n_words) for c in configs
+    ]
+    kernel_cfgs = [None] * len(configs)  # NCE's per-run kernel configs, else placeholders
+    if first.objective == OBJ_NCE:
+        kernel_cfgs = [nce.NceConfig(k=c.k, z_mode=c.z_mode, q=q) for c, q in zip(configs, qs)]
+    inits = [init_params(n_words, first.dim, c.seed, z_mode=z_mode) for c in configs]
+    models = inits[0].with_vector(np.stack([p.vector for p in inits]))
+    stack = _Stack(first.objective, kernel_cfgs, models)
 
+    results: list = [None] * len(configs)
+    histories: list[list[MetricsRow]] = [[] for _ in configs]
+    live = np.arange(len(configs))  # the runs still training, in config order
     n = pairs.shape[0]
-    history: list[MetricsRow] = []
     start = time.perf_counter()
-    for epoch in range(1, config.epochs + 1):
-        lr = config.learning_rate * config.lr_decay ** (epoch - 1)
-        perm = derive_rng(config.seed, STREAM_SHUFFLE, epoch).permutation(n)
-        noise_rng = None if q is None else derive_rng(config.seed, STREAM_NOISE, epoch)
-        total = np.zeros((n_words + 1, n_words), dtype=np.int64)  # the epoch's noise counts
-        steps = _epoch_counts(pairs, perm, q, config.k, noise_rng, config.batch_size, n_words, total)
+    for epoch in range(1, first.epochs + 1):
+        lr = np.array([configs[r].learning_rate * configs[r].lr_decay ** (epoch - 1) for r in live])
+        perms = [derive_rng(configs[r].seed, STREAM_SHUFFLE, epoch).permutation(n) for r in live]
+        samplers = None if qs is None else [
+            (qs[r], configs[r].k, derive_rng(configs[r].seed, STREAM_NOISE, epoch)) for r in live
+        ]
+        totals = np.zeros((live.size, n_words + 1, n_words), dtype=np.int64)  # the epoch's noise counts
+        drawn_for, kept, pick = live, None, None  # kept: the live runs' rows of the epoch's counts
+        steps = _epoch_counts(pairs, perms, samplers, first.batch_size, n_words, totals)
         for step, (size, counts) in enumerate(steps, 1):
-            apply_gradient(params, grad_fn(params, counts), lr / size)
-            if not params_finite(params):
-                block = next(b for b in PARAM_BLOCKS if not np.isfinite(getattr(params, b)).all())
-                raise TrainingDiverged(
-                    f"training diverged at epoch {epoch}, step {step}: "
-                    f"first non-finite block {block}", epoch, step, block,
-                )
-        if epoch % config.eval_every == 0 or epoch == config.epochs:
-            row = _metrics(params, stats, truth, loss_fn, total, epoch, start)
-            metric = next((f for f, v in vars(row).items() if v is not None and not np.isfinite(v)), None)
-            if metric is not None:
-                raise TrainingDiverged(
-                    f"training diverged at epoch {epoch}, step {step}: "
-                    f"non-finite metric {metric}", epoch, step, metric,
-                )
-            history.append(row)
-            if checkpoint_prefix is not None:
-                save_model(f"{checkpoint_prefix}.ep{epoch}.model", params, vocab)
-    return params, history
+            if pick is not None:
+                counts = CellCounts(*(None if c is None else c[pick] for c in counts))
+            model = stack.model
+            rate = lr[0] if stack.single else lr
+            apply_gradient(model, stack.grad_fn(model, counts, stack.grad), rate / size)
+            finite = params_finite(model)  # a bool for a lone run
+            if not (finite is True or np.all(finite)):
+                finite = np.reshape(finite, -1)
+                for i in np.flatnonzero(~finite):
+                    run = stack.run(i)
+                    block = next(b for b in PARAM_BLOCKS if not np.isfinite(getattr(run, b)).all())
+                    results[live[i]] = _diverged(epoch, step, "first non-finite block", block, lr[i])
+                live, lr, stack = live[finite], lr[finite], stack.keep(finite)
+                if not live.size:
+                    return results
+                kept = np.flatnonzero(np.isin(drawn_for, live))
+                pick = kept[0] if stack.single else kept
+        if epoch % first.eval_every == 0 or epoch == first.epochs:
+            noise_total = totals if kept is None else totals[kept]
+            metrics = _metrics(stack.models, stats, truth, stack.loss_fn, noise_total, epoch, start)
+            ok = np.ones(live.size, dtype=bool)
+            for i, (r, row) in enumerate(zip(live, metrics)):
+                metric = next((f for f, v in vars(row).items()
+                               if v is not None and not np.isfinite(v)), None)
+                if metric is not None:
+                    results[r] = _diverged(epoch, step, "non-finite metric", metric, lr[i])
+                    ok[i] = False
+                    continue
+                histories[r].append(row)
+                if prefixes[r] is not None:
+                    save_model(f"{prefixes[r]}.ep{epoch}.model", stack.run(i), vocab)
+            if not ok.all():
+                live, stack = live[ok], stack.keep(ok)
+                if not live.size:
+                    return results
+    for i, r in enumerate(live):
+        results[r] = (stack.run(i).copy(), histories[r])
+    return results
+
+
+def sweep_runs(
+    bases: Sequence[TrainConfig],
+    ks: list[int],
+    pairs: np.ndarray,
+    n_words: int,
+    truth: GroundTruthTable,
+) -> Iterator[tuple[int, SweepRow]]:
+    """One run per (base, k), all trained in lockstep; yields (seed, row) in
+    (base, k) order. At the first run that diverged it raises
+    TrainingDiverged naming that run's seed and k, after the rows before it,
+    as training the runs one after another would."""
+    check_ks(ks)
+    configs = [replace(base, k=k) for base in bases for k in ks]
+    for config, result in zip(configs, train_lockstep(configs, pairs, n_words, truth=truth)):
+        if isinstance(result, TrainingDiverged):
+            raise TrainingDiverged(
+                f"seed={config.seed}, k={config.k}: {result}",
+                result.epoch, result.step, result.block, result.lr,
+            ) from result
+        last = result[1][-1]
+        yield config.seed, SweepRow(
+            k=config.k,
+            final_kl=last.kl_truth,
+            final_ce=last.cross_entropy,
+            median_abs_log_z=last.median_abs_log_z,
+        )
 
 
 def sweep_k(
@@ -175,23 +282,7 @@ def sweep_k(
     truth: GroundTruthTable,
 ) -> list[SweepRow]:
     """One training run per k, all other settings and seeds identical."""
-    check_ks(ks)
-    rows = []
-    for k in ks:
-        try:
-            _, history = train(replace(base, k=k), pairs, n_words, truth=truth)
-        except TrainingDiverged as exc:
-            raise TrainingDiverged(f"k={k}: {exc}", exc.epoch, exc.step, exc.block) from exc
-        last = history[-1]
-        rows.append(
-            SweepRow(
-                k=k,
-                final_kl=last.kl_truth,
-                final_ce=last.cross_entropy,
-                median_abs_log_z=last.median_abs_log_z,
-            )
-        )
-    return rows
+    return [row for _, row in sweep_runs([base], ks, pairs, n_words, truth)]
 
 
 def check_ks(ks: list[int]) -> None:
@@ -206,90 +297,127 @@ def check_ks(ks: list[int]) -> None:
 # Internals
 # ---------------------------------------------------------------------------
 
-def _objective(config: TrainConfig, stats, n_words: int):
-    """(parameter z_mode, q, gradient, loss) of the configured objective; the
-    gradient and the loss (a total) take the parameters and a ``CellCounts``.
-    MLE has no q and no loss: its objective is minus the cross-entropy. The
-    lambdas look kernels up at call time, so rebinding a module attribute (as
-    a tracer does) also reaches the training loop."""
-    if config.objective == OBJ_MLE:
-        return Z_EXACT, None, lambda p, c: grad_log_likelihood(p, c.true), None
-    q = noise.parse_noise_spec(config.noise, stats, n_words)
-    if config.objective == OBJ_NS:
-        # Normalizer parameters have no meaning under negative sampling;
-        # freezing them keeps the NCE equivalence checks well-posed.
-        return (Z_FIXED_ONE, q, lambda p, c: negsampling.ns_grad(p, c),
-                lambda p, c: negsampling.ns_loss(p, c))
-    cfg = nce.NceConfig(k=config.k, z_mode=config.z_mode, q=q)
-    return (config.z_mode, q, lambda p, c: nce.mc_grad(p, c, cfg),
-            lambda p, c: nce.mc_loss(p, c, cfg))
+class _Stack:
+    """The runs still training in a lockstep loop: their models as one stack,
+    ``models`` of (R, P), the model the kernels step, their kernels and one
+    gradient buffer that every step reuses.
 
-
-def _epoch_counts(pairs, perm, q, k, rng, batch_size, n_words, total):
-    """Yield (batch size, CellCounts) for each step of one epoch, in ``perm``
-    order, and add every step's noise counts into ``total``, (n_contexts, n_words).
-
-    A block of consecutive steps is counted by one bincount over cell ids
-    ``context * n_words + word``, the j-th step's ids shifted by j grids.
-    Each context c of a step then gets k * n_c noise words from q, drawn as
-    counts by one ``sample_array`` call per block. The kernels get float64
-    counts, cast once per block. Without q (exact MLE) nothing is drawn and
-    the noise counts are None.
+    A lone run is stepped as one model of (P,), whose kernel calls cost less
+    than on a stack of one; the metrics always take ``models``.
+    ``grad_fn(model, counts, out)`` writes the gradient of every model into
+    ``out``; ``loss_fn(models, counts)`` gives each model's total loss. MLE
+    has no loss: its objective is minus the cross-entropy. The lambdas look
+    kernels up at call time, so rebinding a module attribute (as a tracer
+    does) also reaches the training loop. ``cfgs`` holds one ``NceConfig``
+    per run for NCE and placeholders for the other objectives.
     """
-    grid = (n_words + 1) * n_words
-    cells = pairs[:, 0] * n_words + pairs[:, 1]
-    rows = max(1, COUNT_BLOCK_CELLS // grid) * batch_size
-    offsets = np.arange(rows) // batch_size * grid
-    for lo in range(0, perm.size, rows):
-        idx = perm[lo : lo + rows]
-        n_steps = -(-idx.size // batch_size)
-        true = np.bincount(cells[idx] + offsets[: idx.size], minlength=n_steps * grid)
-        true = true.reshape(n_steps, n_words + 1, n_words)
-        if q is None:
-            steps = [(step_true, None) for step_true in true.astype(np.float64)]
+
+    def __init__(self, objective: str, cfgs: list, models: ModelParams):
+        self.objective, self.cfgs, self.models = objective, cfgs, models
+        self.single = len(cfgs) == 1
+        self.model = self.run(0) if self.single else models
+        self.grad = zero_gradient(self.model)
+        if objective == OBJ_MLE:
+            self.grad_fn, self.loss_fn = lambda p, c, out: grad_log_likelihood(p, c.true, out), None
+        elif objective == OBJ_NS:
+            # Normalizer parameters have no meaning under negative sampling;
+            # freezing them keeps the NCE equivalence checks well-posed.
+            self.grad_fn = lambda p, c, out: negsampling.ns_grad(p, c, out)
+            self.loss_fn = lambda p, c: negsampling.ns_loss(p, c)
         else:
-            noise_counts = noise.sample_array(q, k * true.sum(axis=2), rng)
-            total += noise_counts.sum(axis=0)
-            steps = np.stack((true, noise_counts), axis=1, dtype=np.float64)
-        for j, (step_true, step_noise) in enumerate(steps):
-            yield min(batch_size, idx.size - j * batch_size), CellCounts(step_true, step_noise)
+            cfg = cfgs[0] if self.single else nce.NceStack(tuple(cfgs))
+            self.grad_fn = lambda p, c, out: nce.mc_grad(p, c, cfg, out)
+            self.loss_fn = lambda p, c: nce.mc_loss(p, c, cfg)
+
+    def run(self, i: int) -> ModelParams:
+        """The model of the i-th run in the stack, a view of its parameters."""
+        return self.models.with_vector(self.models.vector[i])
+
+    def keep(self, mask: np.ndarray) -> "_Stack":
+        """The stack of the runs that ``mask`` selects."""
+        cfgs = [cfg for cfg, kept in zip(self.cfgs, mask) if kept]
+        return _Stack(self.objective, cfgs, self.models.with_vector(self.models.vector[mask]))
 
 
-def _metrics(params, stats, truth, loss_fn, noise_total, epoch, start):
-    n = stats.total_tokens
-    ce = cross_entropy(params, stats.bigram_counts)
-    kl = None if truth is None else kl_truth_model(truth, params)
-    med_z = float(np.median(np.abs(log_partitions(params)[stats.seen_contexts()])))
-    counts = CellCounts(stats.bigram_counts, noise_total)
-    obj = -ce if loss_fn is None else loss_fn(params, counts) / n
-    return MetricsRow(
-        epoch=epoch,
-        cross_entropy=ce,
-        kl_truth=kl,
-        median_abs_log_z=med_z,
-        objective=float(obj),
-        seconds=time.perf_counter() - start,
+def _diverged(epoch: int, step: int, kind: str, name: str, lr) -> TrainingDiverged:
+    return TrainingDiverged(
+        f"training diverged at epoch {epoch}, step {step}: {kind} {name} (lr {lr:.9g})",
+        epoch, step, name, float(lr),
     )
 
 
+def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals):
+    """Yield (batch size, CellCounts) for each step of one epoch of R runs,
+    run r's pairs in ``perms[r]`` order, and add every step's noise counts
+    into ``totals``, (R, n_contexts, n_words).
+
+    A block of consecutive steps is counted by one bincount over cell ids
+    ``context * n_words + word``, run r's j-th step shifted by j * R + r
+    grids. Each context c of a run's step then gets k * n_c noise words from
+    its q, drawn as counts by one ``sample_array`` call per run and block,
+    from the run's ``samplers`` entry (q, k, generator). The kernels get
+    float64 counts, (R, n_contexts, n_words) per step, cast once per block;
+    a lone run's are (n_contexts, n_words). Without samplers (exact MLE)
+    nothing is drawn and the noise counts are None.
+    """
+    n_runs = len(perms)
+    grid = (n_words + 1) * n_words
+    cells = pairs[:, 0] * n_words + pairs[:, 1]
+    rows = max(1, COUNT_BLOCK_CELLS // grid) * batch_size
+    offsets = (np.arange(rows) // batch_size * n_runs + np.arange(n_runs)[:, None]) * grid
+    perms = np.stack(perms)
+    for lo in range(0, perms.shape[1], rows):
+        idx = perms[:, lo : lo + rows]
+        n_steps = -(-idx.shape[1] // batch_size)
+        true = np.bincount((cells[idx] + offsets[:, : idx.shape[1]]).ravel(),
+                           minlength=n_steps * n_runs * grid)
+        true = true.reshape(n_steps, n_runs, n_words + 1, n_words)
+        counts = np.empty((n_steps, 1 if samplers is None else 2, *true.shape[1:]))
+        counts[:, 0] = true
+        for r, (q, k, rng) in enumerate(samplers or ()):
+            drawn = noise.sample_array(q, k * true[:, r].sum(axis=2), rng)
+            totals[r] += drawn.sum(axis=0)
+            counts[:, 1, r] = drawn
+        for j, step in enumerate(counts[:, :, 0] if n_runs == 1 else counts):
+            size = min(batch_size, idx.shape[1] - j * batch_size)
+            yield size, CellCounts(step[0], None if samplers is None else step[1])
+
+
+def _metrics(params, stats, truth, loss_fn, noise_total, epoch, start) -> list[MetricsRow]:
+    """One row per model of the stack ``params``, its noise counts ``noise_total[r]``."""
+    n = stats.total_tokens
+    ce = cross_entropy(params, stats.bigram_counts)
+    kl = [None] * len(ce) if truth is None else kl_truth_model(truth, params)
+    med_z = np.median(np.abs(log_partitions(params)[..., stats.seen_contexts()]), axis=-1)
+    counts = CellCounts(stats.bigram_counts, noise_total)
+    obj = -ce if loss_fn is None else loss_fn(params, counts) / n
+    seconds = time.perf_counter() - start
+    return [
+        MetricsRow(epoch=epoch, cross_entropy=float(c), kl_truth=None if k is None else float(k),
+                   median_abs_log_z=float(m), objective=float(o), seconds=seconds)
+        for c, k, m, o in zip(ce, kl, med_z, obj)
+    ]
+
+
 def kl_truth_rows(truth: GroundTruthTable, params: ModelParams) -> np.ndarray:
-    """KL(truth row || model row) for each word context, in nats."""
-    logp = log_softmax_matrix(params)[: truth.n_words]
+    """KL(truth row || model row) for each word context, in nats: (n_words,),
+    or (R, n_words) for a stack of R models."""
+    logp = log_softmax_matrix(params)[..., : truth.n_words, :]
     t = truth.cond
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(t > 0, t * (np.log(t) - logp), 0.0)
-    return terms.sum(axis=1)
+    return terms.sum(axis=-1)
 
 
-def kl_truth_model(truth: GroundTruthTable, params: ModelParams) -> float:
-    """Unweighted mean of kl_truth_rows."""
-    return float(kl_truth_rows(truth, params).mean())
+def kl_truth_model(truth: GroundTruthTable, params: ModelParams) -> float | np.ndarray:
+    """Unweighted mean of kl_truth_rows, per model."""
+    return per_model(kl_truth_rows(truth, params).mean(axis=-1))
 
 
-def cross_entropy(params: ModelParams, counts: np.ndarray) -> float:
+def cross_entropy(params: ModelParams, counts: np.ndarray) -> float | np.ndarray:
     """Mean negative log probability per pair under the exact softmax, for
-    the pairs counted in ``counts``, (n_contexts, n_words)."""
-    return float(-log_likelihood(params, counts) / counts.sum())
+    the pairs counted in ``counts``, (n_contexts, n_words); per model."""
+    return per_model(-log_likelihood(params, counts) / counts.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,17 @@ causes; this catches it in the unit suite instead. The benchmark modules are
 only read, never changed.
 """
 
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
 import sys
 from pathlib import Path
 
 import pytest
+
+from ncelm import cli
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -41,3 +45,24 @@ def test_pinned_span_is_a_traced_ncelm_function(span):
 
 def test_every_workload_pins_spans():
     assert sorted(workloads.EXPECTED_SPANS) == sorted(workloads.WORKLOADS)
+
+
+# The training spans a sweep must record now that all its runs train in one
+# lockstep loop, outside trainer.train.
+_SWEEP_SPANS = ("noise.sample_array", "nce.mc_grad", "model.apply_gradient", "model.params_finite",
+                "trainer.kl_truth_model", "model.log_partitions")
+
+
+def test_a_stacked_sweep_fires_the_pinned_training_spans(tmp_path):
+    prefix = str(tmp_path / "lab")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen-data", "--vocab-size", "8", "--tokens", "600", "--out-prefix", prefix]) == 0
+    assert set(_SWEEP_SPANS) <= set(layers.SPANS)
+    with layers.Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["sweep", "--corpus", prefix + ".txt", "--truth", prefix + ".truth",
+                         "--noise", "unigram", "--ks", "1,5", "--epochs", "2", "--eval-every", "2",
+                         "--dim", "3", "--out", str(tmp_path / "sweep.csv")])
+    assert code == 0
+    assert tracer.calls["cli.main"] == 1 and tracer.calls["trainer.train"] == 0
+    for span in _SWEEP_SPANS:
+        assert tracer.calls[span] > 0, span

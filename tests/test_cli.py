@@ -17,12 +17,14 @@ from ncelm.corpus import (
     build_vocab,
     generate_synthetic_stream,
     make_zipf_truth,
+    pairs_from_tokens,
     read_corpus_tokens,
     read_truth,
     write_corpus_tokens,
     write_truth,
 )
 from ncelm.model import Z_LEARNED_ZC, init_params, load_model, save_model
+from ncelm.trainer import TrainConfig, TrainingDiverged, train
 
 
 def run_cli(*args, cwd=None):
@@ -489,6 +491,66 @@ def test_sweep_ns_with_learned_z_warns_once(tmp_path):
         "warning: negative sampling has no learnable normalizer; z is frozen at 1"
     ]
     assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + 2 * 2
+
+
+def _main(*args):
+    """In-process ``cli.main``: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in args])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_sweep_rows_equal_solo_sweeps(tmp_path):
+    # All (seed, k) runs train in lockstep; each row is the one a sweep of
+    # that run alone writes.
+    prefix = gen_fixture(tmp_path, tokens=700)
+    args = ["sweep", "--corpus", f"{prefix}.txt", "--truth", f"{prefix}.truth", "--objective", "nce",
+            "--z-mode", "learned", "--noise", "unigram", "--epochs", 2, "--eval-every", 1,
+            "--batch-size", 24, "--dim", 3]
+    code, _, err = _main(*args, "--ks", "1,3,7", "--seeds", 2, "--seed", 4, "--out", tmp_path / "all.csv")
+    assert code == 0, err
+    lines = (tmp_path / "all.csv").read_text().splitlines()
+    want = [lines[0]]
+    for seed in (4, 5):
+        for k in (1, 3, 7):
+            code, _, err = _main(*args, "--ks", k, "--seed", seed, "--out", tmp_path / "one.csv")
+            assert code == 0, err
+            _, row = (tmp_path / "one.csv").read_text().splitlines()
+            want.append(row)
+    assert lines == want
+
+
+def test_sweep_divergence_leaves_the_rows_of_the_serial_loop(tmp_path):
+    # At lr 1.6e6 the run of seed 1, k = 5 overflows a metric in epoch 2.
+    # The sweep exits 3 with that run named and leaves the rows that training
+    # the runs one after another, in (seed, k) order, writes before it.
+    prefix = gen_fixture(tmp_path, tokens=400, seed=0)
+    opt = dict(learning_rate=1.6e6, epochs=2, eval_every=1, dim=2)
+    code, _, err = _main("sweep", "--corpus", f"{prefix}.txt", "--truth", f"{prefix}.truth",
+                         "--ks", "1,3,5", "--seeds", 3, "--lr", opt["learning_rate"], "--epochs", 2,
+                         "--eval-every", 1, "--dim", 2, "--out", tmp_path / "s.csv")
+    truth, vocab = read_truth(f"{prefix}.truth")
+    pairs = pairs_from_tokens(read_corpus_tokens(f"{prefix}.txt"), vocab)
+    rows, failure = ["k,seed,final_kl,final_ce,median_abs_log_z"], None
+    with np.errstate(all="ignore"):
+        for seed in range(3):
+            for k in (1, 3, 5):
+                try:
+                    _, history = train(TrainConfig(objective="nce", k=k, seed=seed, **opt),
+                                       pairs, len(vocab), truth=truth)
+                except TrainingDiverged as exc:
+                    failure = f"error: seed={seed}, k={k}: {exc}\n"
+                    break
+                last = history[-1]
+                rows.append(f"{k},{seed},{last.kl_truth:.9g},{last.cross_entropy:.9g},"
+                            f"{last.median_abs_log_z:.9g}")
+            if failure:
+                break
+    assert failure is not None and failure.startswith("error: seed=1, k=5: training diverged at epoch 2")
+    assert (code, err) == (3, failure)
+    assert (tmp_path / "s.csv").read_text().splitlines() == rows
+    assert len(rows) == 1 + 5
 
 
 def test_sweep_rejects_bad_ks(tmp_path):

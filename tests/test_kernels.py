@@ -21,11 +21,22 @@ from ncelm.model import (
     Z_FIXED_ONE,
     Z_LEARNED_ZC,
     CellCounts,
+    apply_gradient,
     grad_log_likelihood,
     init_params,
     log_likelihood,
+    params_finite,
+    zero_gradient,
 )
-from ncelm.nce import NceConfig, classifier_logits, exact_grad_analysis, exact_loss, mc_grad, mc_loss
+from ncelm.nce import (
+    NceConfig,
+    NceStack,
+    classifier_logits,
+    exact_grad_analysis,
+    exact_loss,
+    mc_grad,
+    mc_loss,
+)
 from ncelm.negsampling import ns_grad, ns_loss
 from ncelm.noise import unigram
 from ncelm.seeding import STREAM_DATA, derive_rng
@@ -251,6 +262,64 @@ def test_stacked_losses_equal_single_model_calls_bitwise(name, z_mode, n_models)
     want = [loss(params.with_vector(row.copy()), counts, cfg) for row in stack]
     assert got.shape == (n_models,)
     assert np.array_equal(got, want)
+
+
+_GRADS = {
+    "grad_log_likelihood": lambda p, counts, cfg, out=None: grad_log_likelihood(p, counts.true, out),
+    "mc_grad": lambda p, counts, cfg, out=None: mc_grad(p, counts, cfg, out),
+    "ns_grad": lambda p, counts, cfg, out=None: ns_grad(p, counts, out),
+}
+
+
+@pytest.mark.parametrize("n_models", [1, 5])
+@pytest.mark.parametrize(
+    "name,z_mode",
+    [("grad_log_likelihood", Z_EXACT), ("mc_grad", Z_LEARNED_ZC), ("mc_grad", Z_FIXED_ONE),
+     ("ns_grad", Z_FIXED_ONE)],
+)
+def test_stacked_gradient_and_step_equal_single_model_calls_bitwise(name, z_mode, n_models):
+    # R models, each with its own float64 counts, k and q, in one call per
+    # kernel: the gradient (twice into one reused buffer), the step with one
+    # lr per model and the finiteness flags give the R single-model results.
+    grad = _GRADS[name]
+    runs = []
+    for r in range(n_models):
+        k = 1 + 2 * r
+        params, batch, q = _setup(k, z_mode, seed=80 + r, extreme=True)
+        counts = cell_counts(batch, params.n_contexts, params.n_words)
+        counts = CellCounts(*(c.astype(np.float64) for c in counts))
+        cfg = NceConfig(k=k, z_mode=z_mode if z_mode != Z_EXACT else Z_FIXED_ONE, q=q)
+        runs.append((params, counts, cfg))
+    stack = runs[0][0].with_vector(np.stack([params.vector for params, _, _ in runs]))
+    counts = CellCounts(*(np.stack(c) for c in zip(*(counts for _, counts, _ in runs))))
+    cfg = NceStack(tuple(cfg for _, _, cfg in runs))
+    out = zero_gradient(stack)
+    for _ in range(2):
+        assert grad(stack, counts, cfg, out) is out
+        want = [grad(params, counts, cfg).vector for params, counts, cfg in runs]
+        assert out.vector.tobytes() == np.stack(want).tobytes()
+    lrs = np.linspace(0.1, 0.5, n_models)
+    apply_gradient(stack, out, lrs)
+    for (params, counts, cfg), lr in zip(runs, lrs):
+        apply_gradient(params, grad(params, counts, cfg), lr)
+    assert stack.vector.tobytes() == np.stack([params.vector for params, _, _ in runs]).tobytes()
+    assert params_finite(stack).tolist() == [True] * n_models
+    stack.bias[-1, 0] = np.nan
+    assert params_finite(stack).tolist() == [True] * (n_models - 1) + [False]
+
+
+def test_stacked_k_check_names_the_model():
+    params, batch, q = _setup(3, Z_FIXED_ONE, seed=41)
+    counts = cell_counts(batch, params.n_contexts, params.n_words)
+    stack = params.with_vector(np.stack([params.vector] * 3))
+    stacked = CellCounts(*(np.stack([c] * 3) for c in counts))
+    ks = [NceConfig(k=k, z_mode=Z_FIXED_ONE, q=q) for k in (3, 3, 4)]
+    want = "k mismatch: model 2: counts hold 90 noise samples for 30 true samples, config says k=4"
+    with pytest.raises(ValueError, match=want):
+        mc_grad(stack, stacked, NceStack(tuple(ks)))
+    mc_grad(stack, stacked, NceStack((ks[0],) * 3))
+    with pytest.raises(ValueError, match="one z_mode"):
+        NceStack((ks[0], NceConfig(k=3, z_mode=Z_LEARNED_ZC, q=q)))
 
 
 # The one-exp two-class pass of each module, differential-tested against the

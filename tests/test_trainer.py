@@ -25,6 +25,7 @@ from ncelm.model import (
     load_model,
     log_likelihood,
     log_partitions,
+    save_model,
 )
 from ncelm.nce import NceConfig, mc_grad, mc_loss
 from ncelm.negsampling import ns_grad, ns_loss
@@ -40,6 +41,7 @@ from ncelm.trainer import (
     kl_truth_rows,
     sweep_k,
     train,
+    train_lockstep,
     write_metrics_csv,
 )
 
@@ -218,6 +220,104 @@ def test_train_matches_per_step_batch_reference(objective, z_mode, n_words, n_pa
     want_params, want_history = _reference_train(cfg, pairs, n_words, truth)
     assert params.vector.tobytes() == want_params.vector.tobytes()
     assert [dataclasses.replace(r, seconds=0.0) for r in history] == want_history
+
+
+def _exact(history):
+    """MetricsRows without their wall-clock seconds, as a string that tells
+    floats apart to the bit (repr round-trips)."""
+    return repr([dataclasses.replace(r, seconds=0.0) for r in history])
+
+
+# (k, seed, noise, learning rate) of the runs trained in lockstep.
+_MIXED = [(1, 0, "unigram", 0.4), (5, 1, "uniform", 0.3), (3, 2, "flattened:0.5", 0.5),
+          (2, 0, "uniform", 0.4), (4, 3, "unigram", 0.45)]
+
+
+@pytest.mark.parametrize("batch_size", [48, 8])
+@pytest.mark.parametrize("objective,z_mode", _RUNS[:4])
+def test_lockstep_runs_equal_solo_runs_bitwise(objective, z_mode, batch_size, tmp_path):
+    # 1003 pairs: each epoch ends on a short step; in batches of 8 an epoch
+    # takes two count blocks. Each run's parameters, metric rows, checkpoints
+    # and written model and metrics files are those of training it alone.
+    truth, pairs = fixture_data(1003)
+    vocab = build_vocab(f"w{i}" for i in range(8))
+    configs = [TrainConfig(objective=objective, k=k, z_mode=z_mode, noise=noise, seed=seed,
+                           learning_rate=lr, epochs=3, eval_every=2, batch_size=batch_size, dim=4)
+               for k, seed, noise, lr in _MIXED]
+    prefixes = [str(tmp_path / f"stack{r}") for r in range(len(configs))]
+    results = train_lockstep(configs, pairs, 8, truth=truth, vocab=vocab, checkpoint_prefixes=prefixes)
+    for r, (config, (params, history)) in enumerate(zip(configs, results)):
+        want_params, want_history = train(config, pairs, 8, truth=truth, vocab=vocab,
+                                          checkpoint_prefix=str(tmp_path / f"solo{r}"))
+        assert params.vector.tobytes() == want_params.vector.tobytes()
+        assert params.vector.shape == want_params.vector.shape and params.z_mode == want_params.z_mode
+        assert _exact(history) == _exact(want_history)
+        for tag, p, h in (("stack", params, history), ("solo", want_params, want_history)):
+            save_model(tmp_path / f"{tag}{r}.model", p, vocab)
+            write_metrics_csv(h, tmp_path / f"{tag}{r}.csv")
+        for suffix in (".model", ".csv", ".ep2.model", ".ep3.model"):
+            assert (tmp_path / f"stack{r}{suffix}").read_bytes() == (tmp_path / f"solo{r}{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "objective,lrs",
+    # MLE: lr 1e13 overflows a metric at epoch 1; 1e12 and 3e11 overflow the
+    # parameters at steps 2 and 3 of epoch 2, so the lr 0.4 run trains alone
+    # from there. NCE and NS: 2e6 and 5e6 overflow a metric at epochs 3 and 2.
+    [("mle_exact", [0.4, 1e12, 1e13, 3e11]), ("nce", [2e6, 0.4, 5e6]), ("ns", [2e6, 0.4, 5e6])],
+)
+def test_lockstep_divergence_matches_solo_runs(objective, lrs):
+    truth, pairs = fixture_data(400)
+    configs = [TrainConfig(objective=objective, k=1 + r, noise="unigram", seed=r, learning_rate=lr,
+                           epochs=3, eval_every=1, batch_size=32, dim=2)
+               for r, lr in enumerate(lrs)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = train_lockstep(configs, pairs, 8, truth=truth)
+        for config, result in zip(configs, results):
+            try:
+                params, history = train(config, pairs, 8, truth=truth)
+            except TrainingDiverged as exc:
+                assert isinstance(result, TrainingDiverged)
+                assert (str(result), result.epoch, result.step, result.block, result.lr) == (
+                    str(exc), exc.epoch, exc.step, exc.block, exc.lr)
+                assert exc.lr == config.learning_rate * config.lr_decay ** (exc.epoch - 1)
+                assert str(exc).endswith(f"(lr {exc.lr:.9g})")
+            else:
+                assert result[0].vector.tobytes() == params.vector.tobytes()
+                assert _exact(result[1]) == _exact(history)
+    kinds = {"ok" if isinstance(r, tuple) else r.block in PARAM_BLOCKS for r in results}
+    assert kinds == ({"ok", True, False} if objective == "mle_exact" else {"ok", False})
+
+
+def test_lockstep_validates_its_runs():
+    truth, pairs = fixture_data(200)
+    cfg = TrainConfig(objective="nce", epochs=1, eval_every=1, seed=0, dim=3)
+    with pytest.raises(ValueError, match="at least one config"):
+        train_lockstep([], pairs, 8)
+    for field in ("objective", "z_mode", "dim", "batch_size", "epochs", "eval_every"):
+        other = {"objective": "ns", "z_mode": Z_LEARNED_ZC, "dim": 4, "batch_size": 16,
+                 "epochs": 2, "eval_every": 2}[field]
+        with pytest.raises(ValueError, match="must share"):
+            train_lockstep([cfg, dataclasses.replace(cfg, **{field: other})], pairs, 8)
+    with pytest.raises(ValueError, match="vocabulary"):
+        train_lockstep([cfg, cfg], pairs, 8, checkpoint_prefixes=[None, "x"])
+    with pytest.raises(ValueError, match="one entry per config"):
+        train_lockstep([cfg, cfg], pairs, 8, checkpoint_prefixes=[None])
+
+
+def test_eval_helpers_on_a_stack_equal_solo_calls_bitwise():
+    truth, pairs = fixture_data(600)
+    counts = pair_count_matrix(pairs, 8)
+    rng = derive_rng(12, STREAM_DATA)
+    params = init_params(8, 3, seed=0)
+    stack = params.with_vector(params.vector + rng.normal(0.0, 1.0, (3, params.vector.size)))
+    solo = [params.with_vector(row.copy()) for row in stack.vector]
+    assert kl_truth_rows(truth, stack).tobytes() == np.stack([kl_truth_rows(truth, p) for p in solo]).tobytes()
+    for helper in (lambda p: kl_truth_model(truth, p), lambda p: cross_entropy(p, counts)):
+        got = helper(stack)
+        assert got.shape == (3,)
+        assert got.tobytes() == np.array([helper(p) for p in solo]).tobytes()
+        assert all(type(helper(p)) is float for p in solo)
 
 
 def test_checkpoints_written_at_eval_epochs(tmp_path):
