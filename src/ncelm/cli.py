@@ -288,8 +288,10 @@ def _cmd_sweep(args) -> int:
     base = _train_config(args, objective, args.seed)
     bases = [replace(base, seed=args.seed + offset) for offset in range(args.seeds)]
     _write_config(args.out, args)
-    # Every (seed, k) run trains in one lockstep call. A diverged run leaves
-    # the rows of the runs before it in (seed, k) order, as a serial loop would.
+    # The (seed, k) runs train in lockstep, up to trainer.LOCKSTEP_PAIRS
+    # shuffled pairs per call. Rows are flushed as each call finishes, and a
+    # diverged run leaves the rows of the runs before it in (seed, k) order,
+    # as a serial loop would.
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(SWEEP_HEADER + "\n")
         fh.flush()
@@ -298,6 +300,7 @@ def _cmd_sweep(args) -> int:
                 f"{row.k},{seed},{row.final_kl:.9g},"
                 f"{row.final_ce:.9g},{row.median_abs_log_z:.9g}\n"
             )
+            fh.flush()
     print(f"wrote {args.out}")
     return EXIT_OK
 

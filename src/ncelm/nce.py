@@ -161,8 +161,8 @@ def _check_k(counts: CellCounts, k) -> None:
         where = "" if bad.ndim == 0 else f"model {i}: "
         true, noise, k = (np.broadcast_to(a, bad.shape).flat[i] for a in (true, noise, k))
         raise ValueError(
-            f"k mismatch: {where}counts hold {noise:g} noise samples for "
-            f"{true:g} true samples, config says k={k}"
+            f"k mismatch: {where}counts hold {int(noise)} noise samples for "
+            f"{int(true)} true samples, config says k={k}"
         )
 
 

@@ -58,6 +58,11 @@ OBJECTIVES = (OBJ_MLE, OBJ_NCE, OBJ_NS)
 # (n_words + 1) * n_words cells, so memory stays bounded for any |V| and n.
 COUNT_BLOCK_CELLS = 2**13
 
+# Shuffled pair indices one lockstep call holds at most: an epoch keeps one
+# permutation of the n pairs per run, so a sweep trains its runs in chunks
+# of max(1, LOCKSTEP_PAIRS // n) runs: 32 MB of them, or one run's if more.
+LOCKSTEP_PAIRS = 2**22
+
 
 class TrainingDiverged(RuntimeError):
     """Raised when any parameter goes non-finite, or when an evaluated metric
@@ -164,6 +169,7 @@ def train_lockstep(
     alone: ``(params, history)``, or the :class:`TrainingDiverged` that
     :func:`train` would raise. A run that diverges leaves the stack and the
     others go on. ``checkpoint_prefixes`` holds one prefix, or None, per run.
+    An epoch holds R permutations of the pairs: R * n int64 values.
     """
     configs = list(configs)
     pairs = np.asarray(pairs, dtype=np.int64)
@@ -198,19 +204,19 @@ def train_lockstep(
     start = time.perf_counter()
     for epoch in range(1, first.epochs + 1):
         lr = np.array([configs[r].learning_rate * configs[r].lr_decay ** (epoch - 1) for r in live])
-        perms = [derive_rng(configs[r].seed, STREAM_SHUFFLE, epoch).permutation(n) for r in live]
+        perms = np.empty((live.size, n), dtype=np.int64)  # one shuffle per run, filled in place
+        for i, r in enumerate(live):
+            perms[i] = derive_rng(configs[r].seed, STREAM_SHUFFLE, epoch).permutation(n)
         samplers = None if qs is None else [
             (qs[r], configs[r].k, derive_rng(configs[r].seed, STREAM_NOISE, epoch)) for r in live
         ]
         totals = np.zeros((live.size, n_words + 1, n_words), dtype=np.int64)  # the epoch's noise counts
-        drawn_for, kept, pick = live, None, None  # kept: the live runs' rows of the epoch's counts
+        drawn_for, pick = live, stack.sel  # pick: the stepped runs' rows of each step's counts
         steps = _epoch_counts(pairs, perms, samplers, first.batch_size, n_words, totals)
         for step, (size, counts) in enumerate(steps, 1):
-            if pick is not None:
-                counts = CellCounts(*(None if c is None else c[pick] for c in counts))
+            counts = CellCounts(*(None if c is None else c[pick] for c in counts))
             model = stack.model
-            rate = lr[0] if stack.single else lr
-            apply_gradient(model, stack.grad_fn(model, counts, stack.grad), rate / size)
+            apply_gradient(model, stack.grad_fn(model, counts, stack.grad), lr[stack.sel] / size)
             finite = params_finite(model)  # a bool for a lone run
             if not (finite is True or np.all(finite)):
                 finite = np.reshape(finite, -1)
@@ -221,10 +227,9 @@ def train_lockstep(
                 live, lr, stack = live[finite], lr[finite], stack.keep(finite)
                 if not live.size:
                     return results
-                kept = np.flatnonzero(np.isin(drawn_for, live))
-                pick = kept[0] if stack.single else kept
+                pick = np.flatnonzero(np.isin(drawn_for, live))[stack.sel]
         if epoch % first.eval_every == 0 or epoch == first.epochs:
-            noise_total = totals if kept is None else totals[kept]
+            noise_total = totals[np.isin(drawn_for, live)]
             metrics = _metrics(stack.models, stats, truth, stack.loss_fn, noise_total, epoch, start)
             ok = np.ones(live.size, dtype=bool)
             for i, (r, row) in enumerate(zip(live, metrics)):
@@ -253,13 +258,20 @@ def sweep_runs(
     n_words: int,
     truth: GroundTruthTable,
 ) -> Iterator[tuple[int, SweepRow]]:
-    """One run per (base, k), all trained in lockstep; yields (seed, row) in
-    (base, k) order. At the first run that diverged it raises
-    TrainingDiverged naming that run's seed and k, after the rows before it,
-    as training the runs one after another would."""
+    """One run per (base, k), trained in lockstep a chunk of runs at a time
+    (see ``LOCKSTEP_PAIRS``); yields (seed, row) in (base, k) order, a
+    chunk's rows once the chunk is trained. At the first run that diverged
+    it raises TrainingDiverged naming that run's seed and k, after the rows
+    before it, as training the runs one after another would."""
     check_ks(ks)
     configs = [replace(base, k=k) for base in bases for k in ks]
-    for config, result in zip(configs, train_lockstep(configs, pairs, n_words, truth=truth)):
+    chunk = max(1, LOCKSTEP_PAIRS // len(pairs))
+    results = (
+        result
+        for lo in range(0, len(configs), chunk)
+        for result in train_lockstep(configs[lo : lo + chunk], pairs, n_words, truth=truth)
+    )
+    for config, result in zip(configs, results):
         if isinstance(result, TrainingDiverged):
             raise TrainingDiverged(
                 f"seed={config.seed}, k={config.k}: {result}",
@@ -299,11 +311,16 @@ def check_ks(ks: list[int]) -> None:
 
 class _Stack:
     """The runs still training in a lockstep loop: their models as one stack,
-    ``models`` of (R, P), the model the kernels step, their kernels and one
-    gradient buffer that every step reuses.
+    ``models`` of (R, P), the ``model`` that the kernels step, their kernels
+    and one gradient buffer that every step reuses.
 
-    A lone run is stepped as one model of (P,), whose kernel calls cost less
-    than on a stack of one; the metrics always take ``models``.
+    ``sel`` picks the stepped models out of the stack, and each step's
+    counts and rates out of theirs: all of them, or for a lone run the one
+    model of (P,). A lone run's kernel calls cost less than a stack of
+    one's (step_us 51.3 against 56.7 µs on train-small-k, 79.9 against
+    87.5 µs on train-large-k; BENCH_lockstep.json); the metrics always take
+    ``models``.
+
     ``grad_fn(model, counts, out)`` writes the gradient of every model into
     ``out``; ``loss_fn(models, counts)`` gives each model's total loss. MLE
     has no loss: its objective is minus the cross-entropy. The lambdas look
@@ -314,8 +331,8 @@ class _Stack:
 
     def __init__(self, objective: str, cfgs: list, models: ModelParams):
         self.objective, self.cfgs, self.models = objective, cfgs, models
-        self.single = len(cfgs) == 1
-        self.model = self.run(0) if self.single else models
+        self.sel = 0 if len(cfgs) == 1 else slice(None)
+        self.model = models.with_vector(models.vector[self.sel])
         self.grad = zero_gradient(self.model)
         if objective == OBJ_MLE:
             self.grad_fn, self.loss_fn = lambda p, c, out: grad_log_likelihood(p, c.true, out), None
@@ -325,7 +342,7 @@ class _Stack:
             self.grad_fn = lambda p, c, out: negsampling.ns_grad(p, c, out)
             self.loss_fn = lambda p, c: negsampling.ns_loss(p, c)
         else:
-            cfg = cfgs[0] if self.single else nce.NceStack(tuple(cfgs))
+            cfg = cfgs[0] if len(cfgs) == 1 else nce.NceStack(tuple(cfgs))
             self.grad_fn = lambda p, c, out: nce.mc_grad(p, c, cfg, out)
             self.loss_fn = lambda p, c: nce.mc_loss(p, c, cfg)
 
@@ -348,24 +365,23 @@ def _diverged(epoch: int, step: int, kind: str, name: str, lr) -> TrainingDiverg
 
 def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals):
     """Yield (batch size, CellCounts) for each step of one epoch of R runs,
-    run r's pairs in ``perms[r]`` order, and add every step's noise counts
-    into ``totals``, (R, n_contexts, n_words).
+    run r's pairs in ``perms[r]`` order (``perms`` of (R, n)), and add every
+    step's noise counts into ``totals``, (R, n_contexts, n_words).
 
     A block of consecutive steps is counted by one bincount over cell ids
     ``context * n_words + word``, run r's j-th step shifted by j * R + r
     grids. Each context c of a run's step then gets k * n_c noise words from
     its q, drawn as counts by one ``sample_array`` call per run and block,
     from the run's ``samplers`` entry (q, k, generator). The kernels get
-    float64 counts, (R, n_contexts, n_words) per step, cast once per block;
-    a lone run's are (n_contexts, n_words). Without samplers (exact MLE)
-    nothing is drawn and the noise counts are None.
+    float64 counts, (R, n_contexts, n_words) per step, cast once per block.
+    Without samplers (exact MLE) nothing is drawn and the noise counts are
+    None.
     """
     n_runs = len(perms)
     grid = (n_words + 1) * n_words
     cells = pairs[:, 0] * n_words + pairs[:, 1]
     rows = max(1, COUNT_BLOCK_CELLS // grid) * batch_size
     offsets = (np.arange(rows) // batch_size * n_runs + np.arange(n_runs)[:, None]) * grid
-    perms = np.stack(perms)
     for lo in range(0, perms.shape[1], rows):
         idx = perms[:, lo : lo + rows]
         n_steps = -(-idx.shape[1] // batch_size)
@@ -378,7 +394,7 @@ def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals):
             drawn = noise.sample_array(q, k * true[:, r].sum(axis=2), rng)
             totals[r] += drawn.sum(axis=0)
             counts[:, 1, r] = drawn
-        for j, step in enumerate(counts[:, :, 0] if n_runs == 1 else counts):
+        for j, step in enumerate(counts):
             size = min(batch_size, idx.shape[1] - j * batch_size)
             yield size, CellCounts(step[0], None if samplers is None else step[1])
 

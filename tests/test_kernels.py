@@ -320,6 +320,12 @@ def test_stacked_k_check_names_the_model():
     mc_grad(stack, stacked, NceStack((ks[0],) * 3))
     with pytest.raises(ValueError, match="one z_mode"):
         NceStack((ks[0], NceConfig(k=3, z_mode=Z_LEARNED_ZC, q=q)))
+    # Float64 counts of seven and more digits are named exactly.
+    big = CellCounts(counts.true * 41_153, counts.noise * 41_153)
+    big.noise[0, 0] += 1
+    want = "counts hold 3703771 noise samples for 1234590 true samples, config says k=3"
+    with pytest.raises(ValueError, match=f"^k mismatch: {want}$"):
+        mc_grad(params, big, ks[0])
 
 
 # The one-exp two-class pass of each module, differential-tested against the

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from batch_reference import ProxyBatch, cell_counts
-from ncelm import noise
+from ncelm import noise, trainer
 from ncelm.corpus import (
     build_vocab,
     generate_synthetic_corpus,
@@ -34,12 +34,14 @@ from ncelm.trainer import (
     COUNT_BLOCK_CELLS,
     METRICS_HEADER,
     MetricsRow,
+    SweepRow,
     TrainConfig,
     TrainingDiverged,
     cross_entropy,
     kl_truth_model,
     kl_truth_rows,
     sweep_k,
+    sweep_runs,
     train,
     train_lockstep,
     write_metrics_csv,
@@ -347,6 +349,25 @@ def test_sweep_degenerate_equals_single_run():
     assert rows[0].k == 7
     assert rows[0].final_kl == history[-1].kl_truth
     assert rows[0].final_ce == history[-1].cross_entropy
+
+
+def test_sweep_trains_its_runs_in_chunks_of_bounded_size(monkeypatch):
+    # Room for 4 permutations of the 300 pairs: 6 runs train as 4 then 2,
+    # and every row is that of training its run alone.
+    truth, pairs = fixture_data(300)
+    monkeypatch.setattr(trainer, "LOCKSTEP_PAIRS", 4 * 300 + 299)
+    sizes = []
+    lockstep = trainer.train_lockstep
+    monkeypatch.setattr(trainer, "train_lockstep",
+                        lambda configs, *a, **kw: sizes.append(len(configs)) or lockstep(configs, *a, **kw))
+    bases = [TrainConfig(objective="nce", noise="unigram", epochs=2, eval_every=2, seed=seed,
+                         batch_size=32, dim=3) for seed in (0, 1)]
+    rows = list(sweep_runs(bases, [1, 2, 5], pairs, 8, truth))
+    assert sizes == [4, 2]
+    for (seed, row), (base, k) in zip(rows, [(b, k) for b in bases for k in (1, 2, 5)], strict=True):
+        last = train(dataclasses.replace(base, k=k), pairs, 8, truth=truth)[1][-1]
+        assert (seed, row) == (base.seed, SweepRow(k, last.kl_truth, last.cross_entropy,
+                                                   last.median_abs_log_z))
 
 
 def test_sweep_validates_ks():
