@@ -24,7 +24,7 @@ import numpy as np
 
 from ncelm.corpus import generate_synthetic_corpus, make_zipf_truth
 from ncelm.model import log_partitions
-from ncelm.trainer import TrainConfig, kl_truth_model, train
+from ncelm.trainer import TrainConfig, kl_truth_model, train, train_lockstep
 
 VOCAB = 12
 SEED = 3
@@ -40,18 +40,17 @@ mle_kl = kl_truth_model(truth, mle_params)
 print("act one: KL(truth || model) after 15 epochs, dim 4, unigram noise")
 print("%12s %14s" % ("objective", "final KL"))
 print("%12s %14.5f" % ("MLE", mle_kl))
-for k in (1, 5, 25):
-    cfg = TrainConfig(objective="nce", k=k, z_mode="fixed_one",
-                      noise="unigram", **base)
-    params, _ = train(cfg, pairs, VOCAB)
+# The k grid trains in lockstep: one stack of runs, each bitwise its solo run.
+ks = (1, 5, 25)
+nce_runs = train_lockstep([TrainConfig(objective="nce", k=k, z_mode="fixed_one",
+                                       noise="unigram", **base) for k in ks], pairs, VOCAB)
+for k, (params, _) in zip(ks, nce_runs):
     print("%12s %14.5f" % ("NCE k=%d" % k, kl_truth_model(truth, params)))
 print()
 
 # Self-normalization: with z pinned to 1 the objective itself pushes the
 # unnormalized scores toward summing to one in every context.
-cfg = TrainConfig(objective="nce", k=25, z_mode="fixed_one",
-                  noise="unigram", **base)
-params, history = train(cfg, pairs, VOCAB)
+params, history = nce_runs[-1]  # act one's k = 25 run
 lz = log_partitions(params)[:VOCAB]
 
 print("act two: the partition function takes care of itself, k = 25")

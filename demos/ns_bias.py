@@ -29,7 +29,7 @@ import numpy as np
 from ncelm.corpus import generate_synthetic_corpus, make_zipf_truth, stats_from_pairs
 from ncelm.model import score_matrix, softmax_from_scores
 from ncelm.noise import unigram
-from ncelm.trainer import TrainConfig, kl_truth_model, train
+from ncelm.trainer import TrainConfig, kl_truth_model, train, train_lockstep
 
 VOCAB = 16
 SEED = 0
@@ -40,18 +40,19 @@ stats = stats_from_pairs(pairs, VOCAB)
 base = dict(k=5, learning_rate=0.4, lr_decay=0.95, epochs=25, eval_every=25,
             batch_size=64, seed=SEED, dim=16)
 
-runs = [
-    ("NCE, unigram noise", TrainConfig(objective="nce", z_mode="learned_zc",
-                                       noise="unigram", **base)),
-    ("NS,  uniform noise", TrainConfig(objective="ns", noise="uniform", **base)),
-    ("NS,  unigram noise", TrainConfig(objective="ns", noise="unigram", **base)),
-]
+nce_params, _ = train(TrainConfig(objective="nce", z_mode="learned_zc",
+                                  noise="unigram", **base), pairs, VOCAB)
+# The two NS runs differ only in their noise, so they train in lockstep.
+ns_runs = train_lockstep([TrainConfig(objective="ns", noise=q_name, **base)
+                          for q_name in ("uniform", "unigram")], pairs, VOCAB)
+fitted = {
+    "NCE, unigram noise": nce_params,
+    "NS,  uniform noise": ns_runs[0][0],
+    "NS,  unigram noise": ns_runs[1][0],
+}
 
 print("KL(truth || model) after identical training budgets, dim 16:")
-fitted = {}
-for label, cfg in runs:
-    params, _ = train(cfg, pairs, VOCAB)
-    fitted[label] = params
+for label, params in fitted.items():
     print("  %-20s %8.4f nats" % (label, kl_truth_model(truth, params)))
 print()
 

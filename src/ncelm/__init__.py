@@ -42,7 +42,6 @@ from .trainer import (
     TrainConfig,
     TrainingDiverged,
     kl_truth_model,
-    sweep_k,
     sweep_runs,
     train,
     train_lockstep,
@@ -80,7 +79,6 @@ __all__ = [
     "parse_noise_spec",
     "save_model",
     "stats_from_pairs",
-    "sweep_k",
     "sweep_runs",
     "train",
     "train_lockstep",

@@ -38,7 +38,6 @@ from .trainer import (
     OBJ_NS,
     TrainConfig,
     TrainingDiverged,
-    check_ks,
     cross_entropy,
     kl_truth_rows,
     sweep_runs,
@@ -277,9 +276,6 @@ def _cmd_sweep(args) -> int:
         ks = [int(x) for x in args.ks.split(",") if x]
     except ValueError:
         raise ValueError(f"bad --ks value {args.ks!r}") from None
-    if not ks or any(k < 1 for k in ks):
-        raise ValueError("--ks must be a comma list of positive integers")
-    check_ks(ks)
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
     pairs, n_words, truth, _ = _load_training_data(args)
@@ -287,6 +283,7 @@ def _cmd_sweep(args) -> int:
     # Bad k lists, seed counts and TrainConfig values fail before any file is written.
     base = _train_config(args, objective, args.seed)
     bases = [replace(base, seed=args.seed + offset) for offset in range(args.seeds)]
+    rows = sweep_runs(bases, ks, pairs, n_words, truth)
     _write_config(args.out, args)
     # The (seed, k) runs train in lockstep, up to trainer.LOCKSTEP_PAIRS
     # shuffled pairs per call. Rows are flushed as each call finishes, and a
@@ -295,7 +292,7 @@ def _cmd_sweep(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(SWEEP_HEADER + "\n")
         fh.flush()
-        for seed, row in sweep_runs(bases, ks, pairs, n_words, truth):
+        for seed, row in rows:
             fh.write(
                 f"{row.k},{seed},{row.final_kl:.9g},"
                 f"{row.final_ce:.9g},{row.median_abs_log_z:.9g}\n"

@@ -40,18 +40,12 @@ class _FlatBlocks:
     def __init__(self, vector: np.ndarray, n_words: int, dim: int):
         a = n_words * dim
         b = a + (n_words + 1) * dim
+        lead = vector.shape[:-1]
         self.vector = vector
-        if vector.ndim == 1:  # one model, as each SGD step's gradient: `...` indexing costs ~0.5 us
-            self.target_emb = vector[:a].reshape(n_words, dim)  # (n_words, dim)
-            self.context_emb = vector[a:b].reshape(n_words + 1, dim)  # (n_words + 1, dim)
-            self.bias = vector[b : b + n_words]  # (n_words,)
-            self.log_zc = vector[b + n_words :]  # (n_words + 1,)
-        else:  # a stack of models: the same blocks along the last axis
-            lead = vector.shape[:-1]
-            self.target_emb = vector[..., :a].reshape(*lead, n_words, dim)
-            self.context_emb = vector[..., a:b].reshape(*lead, n_words + 1, dim)
-            self.bias = vector[..., b : b + n_words]
-            self.log_zc = vector[..., b + n_words :]
+        self.target_emb = vector[..., :a].reshape(*lead, n_words, dim)  # (..., n_words, dim)
+        self.context_emb = vector[..., a:b].reshape(*lead, n_words + 1, dim)  # (..., n_words + 1, dim)
+        self.bias = vector[..., b : b + n_words]  # (..., n_words)
+        self.log_zc = vector[..., b + n_words :]  # (..., n_words + 1)
 
     @property
     def n_words(self) -> int:
@@ -126,11 +120,9 @@ def apply_gradient(params: ModelParams, grad: Gradient, scale) -> None:
     params.vector.T[:end] += scale * grad.vector.T[:end]
 
 
-def params_finite(params: ModelParams) -> bool | np.ndarray:
-    """Whether every parameter is finite: a bool for one model, one flag per
-    model, (R,), for a stack."""
-    flags = np.isfinite(params.vector).all(axis=-1)
-    return bool(flags) if flags.ndim == 0 else flags
+def params_finite(params: ModelParams) -> bool:
+    """Whether every parameter of a model, or of a whole stack, is finite."""
+    return bool(np.isfinite(params.vector).all())
 
 
 # ---------------------------------------------------------------------------

@@ -167,9 +167,10 @@ def train_lockstep(
     streams, and every kernel treats the models of a stack independently, so
     run r's result is bitwise what :func:`train` gives for ``configs[r]``
     alone: ``(params, history)``, or the :class:`TrainingDiverged` that
-    :func:`train` would raise. A run that diverges leaves the stack and the
-    others go on. ``checkpoint_prefixes`` holds one prefix, or None, per run.
-    An epoch holds R permutations of the pairs: R * n int64 values.
+    :func:`train` would raise. A run that diverges leaves the stack at the
+    end of that epoch and the others go on. ``checkpoint_prefixes`` holds
+    one prefix, or None, per run. An epoch holds R permutations of the
+    pairs: R * n int64 values.
     """
     configs = list(configs)
     pairs = np.asarray(pairs, dtype=np.int64)
@@ -178,8 +179,7 @@ def train_lockstep(
     if pairs.shape[0] == 0:
         raise ValueError("training needs at least one pair")
     first = configs[0]
-    if any(getattr(c, f) != getattr(first, f) for c in configs for f in LOCKSTEP_FIELDS):
-        raise ValueError(f"runs trained in lockstep must share {', '.join(LOCKSTEP_FIELDS)}")
+    _check_lockstep(configs)
     prefixes = list(checkpoint_prefixes or [None] * len(configs))
     if len(prefixes) != len(configs):
         raise ValueError("checkpoint_prefixes needs one entry per config")
@@ -190,16 +190,16 @@ def train_lockstep(
     qs = None if first.objective == OBJ_MLE else [
         noise.parse_noise_spec(c.noise, stats, n_words) for c in configs
     ]
-    kernel_cfgs = [None] * len(configs)  # NCE's per-run kernel configs, else placeholders
+    kernel_cfgs = []  # NCE's per-run kernel configs
     if first.objective == OBJ_NCE:
         kernel_cfgs = [nce.NceConfig(k=c.k, z_mode=c.z_mode, q=q) for c, q in zip(configs, qs)]
     inits = [init_params(n_words, first.dim, c.seed, z_mode=z_mode) for c in configs]
     models = inits[0].with_vector(np.stack([p.vector for p in inits]))
     stack = _Stack(first.objective, kernel_cfgs, models)
 
-    results: list = [None] * len(configs)
+    results: list = [None] * len(configs)  # a run's entry is set when it finishes or diverges
     histories: list[list[MetricsRow]] = [[] for _ in configs]
-    live = np.arange(len(configs))  # the runs still training, in config order
+    live = np.arange(len(configs))  # the runs in the stack, in config order
     n = pairs.shape[0]
     start = time.perf_counter()
     for epoch in range(1, first.epochs + 1):
@@ -211,41 +211,40 @@ def train_lockstep(
             (qs[r], configs[r].k, derive_rng(configs[r].seed, STREAM_NOISE, epoch)) for r in live
         ]
         totals = np.zeros((live.size, n_words + 1, n_words), dtype=np.int64)  # the epoch's noise counts
-        drawn_for, pick = live, stack.sel  # pick: the stepped runs' rows of each step's counts
-        steps = _epoch_counts(pairs, perms, samplers, first.batch_size, n_words, totals)
+        steps = _epoch_counts(pairs, perms, samplers, first.batch_size, n_words, totals, stack.sel)
         for step, (size, counts) in enumerate(steps, 1):
-            counts = CellCounts(*(None if c is None else c[pick] for c in counts))
             model = stack.model
             apply_gradient(model, stack.grad_fn(model, counts, stack.grad), lr[stack.sel] / size)
-            finite = params_finite(model)  # a bool for a lone run
-            if not (finite is True or np.all(finite)):
-                finite = np.reshape(finite, -1)
-                for i in np.flatnonzero(~finite):
+            if not params_finite(model):
+                # A diverged run is parked until the epoch ends: a zero row
+                # stepped at rate 0 stays finite and leaves the others' bits.
+                for i, r in enumerate(live):
                     run = stack.run(i)
-                    block = next(b for b in PARAM_BLOCKS if not np.isfinite(getattr(run, b)).all())
-                    results[live[i]] = _diverged(epoch, step, "first non-finite block", block, lr[i])
-                live, lr, stack = live[finite], lr[finite], stack.keep(finite)
-                if not live.size:
+                    block = next((b for b in PARAM_BLOCKS if not np.isfinite(getattr(run, b)).all()), None)
+                    if block is not None:
+                        results[r] = _diverged(epoch, step, "first non-finite block", block, lr[i])
+                        run.vector[:] = lr[i] = 0.0
+                if all(results[r] is not None for r in live):
                     return results
-                pick = np.flatnonzero(np.isin(drawn_for, live))[stack.sel]
         if epoch % first.eval_every == 0 or epoch == first.epochs:
-            noise_total = totals[np.isin(drawn_for, live)]
-            metrics = _metrics(stack.models, stats, truth, stack.loss_fn, noise_total, epoch, start)
-            ok = np.ones(live.size, dtype=bool)
+            metrics = _metrics(stack.models, stats, truth, stack.loss_fn, totals, epoch, start)
             for i, (r, row) in enumerate(zip(live, metrics)):
+                if results[r] is not None:
+                    continue
                 metric = next((f for f, v in vars(row).items()
                                if v is not None and not np.isfinite(v)), None)
                 if metric is not None:
                     results[r] = _diverged(epoch, step, "non-finite metric", metric, lr[i])
-                    ok[i] = False
                     continue
                 histories[r].append(row)
                 if prefixes[r] is not None:
                     save_model(f"{prefixes[r]}.ep{epoch}.model", stack.run(i), vocab)
-            if not ok.all():
-                live, stack = live[ok], stack.keep(ok)
-                if not live.size:
-                    return results
+        # The one place runs leave the stack: those that diverged this epoch.
+        kept = np.array([results[r] is None for r in live])
+        if not kept.all():
+            live, stack = live[kept], stack.keep(kept)
+            if not live.size:
+                return results
     for i, r in enumerate(live):
         results[r] = (stack.run(i).copy(), histories[r])
     return results
@@ -262,47 +261,29 @@ def sweep_runs(
     (see ``LOCKSTEP_PAIRS``); yields (seed, row) in (base, k) order, a
     chunk's rows once the chunk is trained. At the first run that diverged
     it raises TrainingDiverged naming that run's seed and k, after the rows
-    before it, as training the runs one after another would."""
-    check_ks(ks)
+    before it, as training the runs one after another would.
+
+    The arguments are checked when it is called: ValueError unless ``ks`` is
+    nonempty and strictly ascending, ``bases`` and ``pairs`` are nonempty,
+    and every (base, k) is a valid config and shares ``LOCKSTEP_FIELDS``.
+    """
+    if not ks:
+        raise ValueError("ks must be nonempty")
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("ks must be sorted ascending")
+    if not bases:
+        raise ValueError("a sweep needs at least one base config")
+    if len(pairs) == 0:
+        raise ValueError("training needs at least one pair")
     configs = [replace(base, k=k) for base in bases for k in ks]
+    _check_lockstep(configs)  # whichever chunks they fall in
     chunk = max(1, LOCKSTEP_PAIRS // len(pairs))
     results = (
         result
         for lo in range(0, len(configs), chunk)
         for result in train_lockstep(configs[lo : lo + chunk], pairs, n_words, truth=truth)
     )
-    for config, result in zip(configs, results):
-        if isinstance(result, TrainingDiverged):
-            raise TrainingDiverged(
-                f"seed={config.seed}, k={config.k}: {result}",
-                result.epoch, result.step, result.block, result.lr,
-            ) from result
-        last = result[1][-1]
-        yield config.seed, SweepRow(
-            k=config.k,
-            final_kl=last.kl_truth,
-            final_ce=last.cross_entropy,
-            median_abs_log_z=last.median_abs_log_z,
-        )
-
-
-def sweep_k(
-    base: TrainConfig,
-    ks: list[int],
-    pairs: np.ndarray,
-    n_words: int,
-    truth: GroundTruthTable,
-) -> list[SweepRow]:
-    """One training run per k, all other settings and seeds identical."""
-    return [row for _, row in sweep_runs([base], ks, pairs, n_words, truth)]
-
-
-def check_ks(ks: list[int]) -> None:
-    """Raise ValueError unless ``ks`` is nonempty and strictly ascending."""
-    if not ks:
-        raise ValueError("ks must be nonempty")
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("ks must be sorted ascending")
+    return (_sweep_row(config, result) for config, result in zip(configs, results))
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +307,12 @@ class _Stack:
     has no loss: its objective is minus the cross-entropy. The lambdas look
     kernels up at call time, so rebinding a module attribute (as a tracer
     does) also reaches the training loop. ``cfgs`` holds one ``NceConfig``
-    per run for NCE and placeholders for the other objectives.
+    per run for NCE and is empty for the other objectives.
     """
 
     def __init__(self, objective: str, cfgs: list, models: ModelParams):
         self.objective, self.cfgs, self.models = objective, cfgs, models
-        self.sel = 0 if len(cfgs) == 1 else slice(None)
+        self.sel = 0 if len(models.vector) == 1 else slice(None)
         self.model = models.with_vector(models.vector[self.sel])
         self.grad = zero_gradient(self.model)
         if objective == OBJ_MLE:
@@ -356,6 +337,27 @@ class _Stack:
         return _Stack(self.objective, cfgs, self.models.with_vector(self.models.vector[mask]))
 
 
+def _check_lockstep(configs: list[TrainConfig]) -> None:
+    if any(getattr(c, f) != getattr(configs[0], f) for c in configs for f in LOCKSTEP_FIELDS):
+        raise ValueError(f"runs trained in lockstep must share {', '.join(LOCKSTEP_FIELDS)}")
+
+
+def _sweep_row(config: TrainConfig, result) -> tuple[int, SweepRow]:
+    """(seed, row) of a finished sweep run; a diverged one raises, naming its seed and k."""
+    if isinstance(result, TrainingDiverged):
+        raise TrainingDiverged(
+            f"seed={config.seed}, k={config.k}: {result}",
+            result.epoch, result.step, result.block, result.lr,
+        ) from result
+    last = result[1][-1]
+    return config.seed, SweepRow(
+        k=config.k,
+        final_kl=last.kl_truth,
+        final_ce=last.cross_entropy,
+        median_abs_log_z=last.median_abs_log_z,
+    )
+
+
 def _diverged(epoch: int, step: int, kind: str, name: str, lr) -> TrainingDiverged:
     return TrainingDiverged(
         f"training diverged at epoch {epoch}, step {step}: {kind} {name} (lr {lr:.9g})",
@@ -363,7 +365,7 @@ def _diverged(epoch: int, step: int, kind: str, name: str, lr) -> TrainingDiverg
     )
 
 
-def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals):
+def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel):
     """Yield (batch size, CellCounts) for each step of one epoch of R runs,
     run r's pairs in ``perms[r]`` order (``perms`` of (R, n)), and add every
     step's noise counts into ``totals``, (R, n_contexts, n_words).
@@ -373,9 +375,9 @@ def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals):
     grids. Each context c of a run's step then gets k * n_c noise words from
     its q, drawn as counts by one ``sample_array`` call per run and block,
     from the run's ``samplers`` entry (q, k, generator). The kernels get
-    float64 counts, (R, n_contexts, n_words) per step, cast once per block.
-    Without samplers (exact MLE) nothing is drawn and the noise counts are
-    None.
+    float64 counts, (R, n_contexts, n_words) per step, cast once per block,
+    indexed by ``sel`` (see ``_Stack``). Without samplers (exact MLE)
+    nothing is drawn and the noise counts are None.
     """
     n_runs = len(perms)
     grid = (n_words + 1) * n_words
@@ -396,7 +398,7 @@ def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals):
             counts[:, 1, r] = drawn
         for j, step in enumerate(counts):
             size = min(batch_size, idx.shape[1] - j * batch_size)
-            yield size, CellCounts(step[0], None if samplers is None else step[1])
+            yield size, CellCounts(step[0][sel], None if samplers is None else step[1][sel])
 
 
 def _metrics(params, stats, truth, loss_fn, noise_total, epoch, start) -> list[MetricsRow]:

@@ -1,6 +1,13 @@
-"""The package's export list: what ``from ncelm import *`` provides."""
+"""The package's export list: what ``from ncelm import *`` provides, and
+the names the demos import from it."""
+
+import ast
+import importlib
+from pathlib import Path
 
 import ncelm
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def test_star_import_resolves_every_exported_name():
@@ -15,3 +22,16 @@ def test_star_import_resolves_every_exported_name():
     assert "CellCounts" in names
     for gone in ("ProxyBatch", "ProxyExample"):
         assert not hasattr(ncelm, gone)
+
+
+def test_demo_imports_resolve():
+    # The demos are not run by the tests; a removed public name must still
+    # fail here rather than in the demo that imports it.
+    demos = sorted(DEMOS.glob("*.py"))
+    assert demos
+    for path in demos:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ncelm":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{path.name}: {node.module}.{alias.name}"

@@ -40,7 +40,6 @@ from ncelm.trainer import (
     cross_entropy,
     kl_truth_model,
     kl_truth_rows,
-    sweep_k,
     sweep_runs,
     train,
     train_lockstep,
@@ -342,13 +341,13 @@ def test_sweep_degenerate_equals_single_run():
     truth, pairs = fixture_data(1000)
     base = TrainConfig(objective="nce", k=999, epochs=3, eval_every=3, seed=4,
                        batch_size=32, dim=4)
-    rows = sweep_k(base, [7], pairs, 8, truth)
-    from dataclasses import replace
-    _, history = train(replace(base, k=7), pairs, 8, truth=truth)
+    rows = list(sweep_runs([base], [7], pairs, 8, truth))
+    _, history = train(dataclasses.replace(base, k=7), pairs, 8, truth=truth)
     assert len(rows) == 1
-    assert rows[0].k == 7
-    assert rows[0].final_kl == history[-1].kl_truth
-    assert rows[0].final_ce == history[-1].cross_entropy
+    seed, row = rows[0]
+    assert (seed, row.k) == (4, 7)
+    assert row.final_kl == history[-1].kl_truth
+    assert row.final_ce == history[-1].cross_entropy
 
 
 def test_sweep_trains_its_runs_in_chunks_of_bounded_size(monkeypatch):
@@ -371,12 +370,21 @@ def test_sweep_trains_its_runs_in_chunks_of_bounded_size(monkeypatch):
 
 
 def test_sweep_validates_ks():
+    # Each bad argument raises at the call, not when the first row is asked for.
     truth, pairs = fixture_data(400)
     base = TrainConfig(objective="nce", epochs=1, eval_every=1, seed=0, dim=3)
-    with pytest.raises(ValueError, match="nonempty"):
-        sweep_k(base, [], pairs, 8, truth)
-    with pytest.raises(ValueError, match="ascending"):
-        sweep_k(base, [5, 2], pairs, 8, truth)
+    for bases, ks, data, match in (
+        ([base], [], pairs, "nonempty"),
+        ([base], [5, 2], pairs, "ascending"),
+        ([base], [2, 2], pairs, "ascending"),
+        ([base], [0, 2], pairs, "k must be >= 1"),
+        ([], [1, 2], pairs, "at least one base"),
+        ([base], [1, 2], pairs[:0], "at least one pair"),
+        # Chunks of one run could train these, but a sweep's runs must share a shape.
+        ([base, dataclasses.replace(base, dim=4)], [1], pairs, "must share"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            sweep_runs(bases, ks, data, 8, truth)
 
 
 def test_kl_and_cross_entropy_hand_values():
