@@ -160,12 +160,18 @@ def _add_train_flags(p) -> None:
 # Command bodies
 # ---------------------------------------------------------------------------
 
+_DENSE = "the truth table and the count and score grids are dense (|V| + 1) x |V| arrays"
+
+
 def _check_vocab_size(size: int) -> None:
     if not 2 <= size <= MAX_VOCAB_SIZE:
-        raise ValueError(
-            f"--vocab-size must be in [2, {MAX_VOCAB_SIZE}]: the truth table and "
-            "the training grids are dense (|V| + 1) x |V| arrays"
-        )
+        raise ValueError(f"--vocab-size must be in [2, {MAX_VOCAB_SIZE}]: {_DENSE}")
+
+
+def _check_vocab(path, vocab) -> None:
+    """The cap of ``--vocab-size`` for the vocabulary read from ``path``."""
+    if len(vocab) > MAX_VOCAB_SIZE:
+        raise ValueError(f"{path}: {len(vocab)} words, more than {MAX_VOCAB_SIZE}: {_DENSE}")
 
 
 def _cmd_gen_data(args) -> int:
@@ -195,9 +201,11 @@ def _load_training_data(args):
     truth, vocab = _read(read_truth, args.truth) if args.truth else (None, None)
     try:
         vocab = build_vocab(tokens) if vocab is None else vocab
-        return pairs_from_tokens(tokens, vocab), len(vocab), truth, vocab
+        pairs = pairs_from_tokens(tokens, vocab)
     except ValueError as exc:
         raise ValueError(f"{args.corpus}: {exc}") from None
+    _check_vocab(args.truth or args.corpus, vocab)
+    return pairs, len(vocab), truth, vocab
 
 
 def _train_config(args, objective: str, seed: int) -> TrainConfig:
@@ -240,6 +248,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     params, vocab = _read(load_model, args.model)
+    _check_vocab(args.model, vocab)
     tokens = _read(read_corpus_tokens, args.corpus)
     try:
         pairs = pairs_from_tokens(tokens, vocab)

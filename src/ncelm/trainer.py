@@ -167,10 +167,11 @@ def train_lockstep(
     streams, and every kernel treats the models of a stack independently, so
     run r's result is bitwise what :func:`train` gives for ``configs[r]``
     alone: ``(params, history)``, or the :class:`TrainingDiverged` that
-    :func:`train` would raise. A run that diverges leaves the stack at the
-    end of that epoch and the others go on. ``checkpoint_prefixes`` holds
-    one prefix, or None, per run. An epoch holds R permutations of the
-    pairs: R * n int64 values.
+    :func:`train` would raise. The stack keeps its R rows until the call
+    returns: a run that diverges is parked, its row zeroed and its rate 0,
+    and the others go on; once every run has diverged the call returns.
+    ``checkpoint_prefixes`` holds one prefix, or None, per run. An epoch
+    holds R permutations of the pairs: R * n int64 values.
     """
     configs = list(configs)
     pairs = np.asarray(pairs, dtype=np.int64)
@@ -190,63 +191,64 @@ def train_lockstep(
     qs = None if first.objective == OBJ_MLE else [
         noise.parse_noise_spec(c.noise, stats, n_words) for c in configs
     ]
-    kernel_cfgs = []  # NCE's per-run kernel configs
-    if first.objective == OBJ_NCE:
-        kernel_cfgs = [nce.NceConfig(k=c.k, z_mode=c.z_mode, q=q) for c, q in zip(configs, qs)]
+    grad_fn, loss_fn = _kernels(first.objective, configs, qs)
     inits = [init_params(n_words, first.dim, c.seed, z_mode=z_mode) for c in configs]
     models = inits[0].with_vector(np.stack([p.vector for p in inits]))
-    stack = _Stack(first.objective, kernel_cfgs, models)
+    runs = [models.with_vector(v) for v in models.vector]  # views of each run's row
+    # A lone run steps its one model unstacked, (P,): its kernel calls cost
+    # less than a stack of one's (step_us 51.3 against 56.7 µs on
+    # train-small-k, 79.9 against 87.5 µs on train-large-k;
+    # BENCH_lockstep.json). The metrics always take the whole stack.
+    sel = 0 if len(configs) == 1 else slice(None)
+    model = models.with_vector(models.vector[sel])
+    grad = zero_gradient(model)
 
     results: list = [None] * len(configs)  # a run's entry is set when it finishes or diverges
     histories: list[list[MetricsRow]] = [[] for _ in configs]
-    live = np.arange(len(configs))  # the runs in the stack, in config order
     n = pairs.shape[0]
     start = time.perf_counter()
     for epoch in range(1, first.epochs + 1):
-        lr = np.array([configs[r].learning_rate * configs[r].lr_decay ** (epoch - 1) for r in live])
-        perms = np.empty((live.size, n), dtype=np.int64)  # one shuffle per run, filled in place
-        for i, r in enumerate(live):
-            perms[i] = derive_rng(configs[r].seed, STREAM_SHUFFLE, epoch).permutation(n)
+        # A diverged run is parked until the call returns: a zero row stepped
+        # at rate 0 stays finite and leaves the others' bits.
+        lr = np.array([c.learning_rate * c.lr_decay ** (epoch - 1) if res is None else 0.0
+                       for c, res in zip(configs, results)])
+        perms = np.empty((len(configs), n), dtype=np.int64)  # one shuffle per run, filled in place
+        for r, c in enumerate(configs):
+            perms[r] = derive_rng(c.seed, STREAM_SHUFFLE, epoch).permutation(n)
         samplers = None if qs is None else [
-            (qs[r], configs[r].k, derive_rng(configs[r].seed, STREAM_NOISE, epoch)) for r in live
+            (q, c.k, derive_rng(c.seed, STREAM_NOISE, epoch)) for c, q in zip(configs, qs)
         ]
-        totals = np.zeros((live.size, n_words + 1, n_words), dtype=np.int64)  # the epoch's noise counts
-        steps = _epoch_counts(pairs, perms, samplers, first.batch_size, n_words, totals, stack.sel)
+        totals = np.zeros((len(configs), n_words + 1, n_words), dtype=np.int64)  # the epoch's noise counts
+        steps = _epoch_counts(pairs, perms, samplers, first.batch_size, n_words, totals, sel)
         for step, (size, counts) in enumerate(steps, 1):
-            model = stack.model
-            apply_gradient(model, stack.grad_fn(model, counts, stack.grad), lr[stack.sel] / size)
+            apply_gradient(model, grad_fn(model, counts, grad), lr[sel] / size)
             if not params_finite(model):
-                # A diverged run is parked until the epoch ends: a zero row
-                # stepped at rate 0 stays finite and leaves the others' bits.
-                for i, r in enumerate(live):
-                    run = stack.run(i)
+                for r, run in enumerate(runs):
                     block = next((b for b in PARAM_BLOCKS if not np.isfinite(getattr(run, b)).all()), None)
                     if block is not None:
-                        results[r] = _diverged(epoch, step, "first non-finite block", block, lr[i])
-                        run.vector[:] = lr[i] = 0.0
-                if all(results[r] is not None for r in live):
+                        results[r] = _diverged(epoch, step, "first non-finite block", block, lr[r])
+                        run.vector[:] = lr[r] = 0.0
+                if all(res is not None for res in results):
                     return results
         if epoch % first.eval_every == 0 or epoch == first.epochs:
-            metrics = _metrics(stack.models, stats, truth, stack.loss_fn, totals, epoch, start)
-            for i, (r, row) in enumerate(zip(live, metrics)):
+            metrics = _metrics(models, stats, truth, loss_fn, totals, epoch, start)
+            for r, row in enumerate(metrics):
                 if results[r] is not None:
                     continue
                 metric = next((f for f, v in vars(row).items()
                                if v is not None and not np.isfinite(v)), None)
                 if metric is not None:
-                    results[r] = _diverged(epoch, step, "non-finite metric", metric, lr[i])
+                    results[r] = _diverged(epoch, step, "non-finite metric", metric, lr[r])
+                    runs[r].vector[:] = 0.0
                     continue
                 histories[r].append(row)
                 if prefixes[r] is not None:
-                    save_model(f"{prefixes[r]}.ep{epoch}.model", stack.run(i), vocab)
-        # The one place runs leave the stack: those that diverged this epoch.
-        kept = np.array([results[r] is None for r in live])
-        if not kept.all():
-            live, stack = live[kept], stack.keep(kept)
-            if not live.size:
+                    save_model(f"{prefixes[r]}.ep{epoch}.model", runs[r], vocab)
+            if all(res is not None for res in results):
                 return results
-    for i, r in enumerate(live):
-        results[r] = (stack.run(i).copy(), histories[r])
+    for r, run in enumerate(runs):
+        if results[r] is None:
+            results[r] = (run.copy(), histories[r])
     return results
 
 
@@ -290,51 +292,27 @@ def sweep_runs(
 # Internals
 # ---------------------------------------------------------------------------
 
-class _Stack:
-    """The runs still training in a lockstep loop: their models as one stack,
-    ``models`` of (R, P), the ``model`` that the kernels step, their kernels
-    and one gradient buffer that every step reuses.
-
-    ``sel`` picks the stepped models out of the stack, and each step's
-    counts and rates out of theirs: all of them, or for a lone run the one
-    model of (P,). A lone run's kernel calls cost less than a stack of
-    one's (step_us 51.3 against 56.7 µs on train-small-k, 79.9 against
-    87.5 µs on train-large-k; BENCH_lockstep.json); the metrics always take
-    ``models``.
+def _kernels(objective: str, configs: list[TrainConfig], qs):
+    """``(grad_fn, loss_fn)`` of a stack of runs, with one noise distribution
+    per run in ``qs`` (None for MLE).
 
     ``grad_fn(model, counts, out)`` writes the gradient of every model into
     ``out``; ``loss_fn(models, counts)`` gives each model's total loss. MLE
     has no loss: its objective is minus the cross-entropy. The lambdas look
     kernels up at call time, so rebinding a module attribute (as a tracer
-    does) also reaches the training loop. ``cfgs`` holds one ``NceConfig``
-    per run for NCE and is empty for the other objectives.
+    does) also reaches the training loop. NCE takes one ``NceConfig`` for a
+    lone run and an ``NceStack`` of them for a stack.
     """
-
-    def __init__(self, objective: str, cfgs: list, models: ModelParams):
-        self.objective, self.cfgs, self.models = objective, cfgs, models
-        self.sel = 0 if len(models.vector) == 1 else slice(None)
-        self.model = models.with_vector(models.vector[self.sel])
-        self.grad = zero_gradient(self.model)
-        if objective == OBJ_MLE:
-            self.grad_fn, self.loss_fn = lambda p, c, out: grad_log_likelihood(p, c.true, out), None
-        elif objective == OBJ_NS:
-            # Normalizer parameters have no meaning under negative sampling;
-            # freezing them keeps the NCE equivalence checks well-posed.
-            self.grad_fn = lambda p, c, out: negsampling.ns_grad(p, c, out)
-            self.loss_fn = lambda p, c: negsampling.ns_loss(p, c)
-        else:
-            cfg = cfgs[0] if len(cfgs) == 1 else nce.NceStack(tuple(cfgs))
-            self.grad_fn = lambda p, c, out: nce.mc_grad(p, c, cfg, out)
-            self.loss_fn = lambda p, c: nce.mc_loss(p, c, cfg)
-
-    def run(self, i: int) -> ModelParams:
-        """The model of the i-th run in the stack, a view of its parameters."""
-        return self.models.with_vector(self.models.vector[i])
-
-    def keep(self, mask: np.ndarray) -> "_Stack":
-        """The stack of the runs that ``mask`` selects."""
-        cfgs = [cfg for cfg, kept in zip(self.cfgs, mask) if kept]
-        return _Stack(self.objective, cfgs, self.models.with_vector(self.models.vector[mask]))
+    if objective == OBJ_MLE:
+        return lambda p, c, out: grad_log_likelihood(p, c.true, out), None
+    if objective == OBJ_NS:
+        # Normalizer parameters have no meaning under negative sampling;
+        # freezing them keeps the NCE equivalence checks well-posed.
+        return (lambda p, c, out: negsampling.ns_grad(p, c, out),
+                lambda p, c: negsampling.ns_loss(p, c))
+    cfgs = [nce.NceConfig(k=c.k, z_mode=c.z_mode, q=q) for c, q in zip(configs, qs)]
+    cfg = cfgs[0] if len(cfgs) == 1 else nce.NceStack(tuple(cfgs))
+    return lambda p, c, out: nce.mc_grad(p, c, cfg, out), lambda p, c: nce.mc_loss(p, c, cfg)
 
 
 def _check_lockstep(configs: list[TrainConfig]) -> None:
@@ -376,8 +354,9 @@ def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel):
     its q, drawn as counts by one ``sample_array`` call per run and block,
     from the run's ``samplers`` entry (q, k, generator). The kernels get
     float64 counts, (R, n_contexts, n_words) per step, cast once per block,
-    indexed by ``sel`` (see ``_Stack``). Without samplers (exact MLE)
-    nothing is drawn and the noise counts are None.
+    indexed by ``sel``: all runs, or 0 for a lone run stepped unstacked.
+    Without samplers (exact MLE) nothing is drawn and the noise counts are
+    None.
     """
     n_runs = len(perms)
     grid = (n_words + 1) * n_words

@@ -88,6 +88,45 @@ def test_gen_data_usage_errors(tmp_path):
     assert str(MAX_VOCAB_SIZE) in r.stderr
 
 
+def _wide_lab(root, n_words):
+    """A corpus of ``n_words`` distinct words, each once, and a truth over
+    them: each word is followed by the next, with probability 1."""
+    root.mkdir()
+    words = [f"w{i}" for i in range(n_words)]
+    (root / "c.txt").write_text(" ".join(words) + "\n")
+    rows = [" ".join("1" if j == (i + 1) % n_words else "0" for j in range(n_words))
+            for i in range(n_words)]
+    (root / "t.truth").write_text("\n".join([f"gt v1 {n_words}", " ".join(words),
+                                             f"marginal {rows[-1]}", *rows]) + "\n")
+    return root
+
+
+def test_train_sweep_and_eval_cap_the_vocabulary(tmp_path):
+    # Every SGD step and eval takes dense (|V| + 1) x |V| grids: an over-size
+    # vocabulary is a usage error before anything is trained or written.
+    lab = _wide_lab(tmp_path / "wide", MAX_VOCAB_SIZE + 1)
+    corpus, truth, out = lab / "c.txt", lab / "t.truth", lab / "out"
+    for args, source in ((["train", "--objective", "mle"], corpus),
+                         (["train", "--objective", "mle", "--truth", truth], truth),
+                         (["sweep", "--truth", truth, "--ks", 1], truth)):
+        code, stdout, err = _main(*args, "--corpus", corpus, "--epochs", 1, "--out", out)
+        _assert_usage_error(code, stdout, err, source)
+        assert f"{MAX_VOCAB_SIZE + 1} words, more than {MAX_VOCAB_SIZE}" in err
+        assert sorted(p.name for p in lab.iterdir()) == ["c.txt", "t.truth"]
+    model = tmp_path / "wide.model"
+    vocab = build_vocab(f"w{i}" for i in range(MAX_VOCAB_SIZE + 1))
+    save_model(model, init_params(len(vocab), 2, seed=0), vocab)
+    _assert_usage_error(*_main("eval", "--model", model, "--corpus", corpus), model)
+
+
+def test_train_accepts_a_vocabulary_at_the_cap(tmp_path):
+    lab = _wide_lab(tmp_path / "lab", MAX_VOCAB_SIZE)
+    code, _, err = _main("train", "--corpus", lab / "c.txt", "--objective", "mle", "--epochs", 1,
+                         "--batch-size", 2 * MAX_VOCAB_SIZE, "--dim", 2, "--out", lab / "m.model")
+    assert code == 0, err
+    assert len(load_model(lab / "m.model")[1]) == MAX_VOCAB_SIZE
+
+
 def train_args(prefix, out, *extra):
     return ["train", "--corpus", f"{prefix}.txt", "--truth", f"{prefix}.truth",
             "--epochs", 4, "--eval-every", 2, "--batch-size", 32, "--dim", 4,

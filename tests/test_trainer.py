@@ -290,6 +290,66 @@ def test_lockstep_divergence_matches_solo_runs(objective, lrs):
     assert kinds == ({"ok", True, False} if objective == "mle_exact" else {"ok", False})
 
 
+def _diverging_stack(objective, lrs):
+    """The configs of test_lockstep_divergence_matches_solo_runs."""
+    return [TrainConfig(objective=objective, k=1 + r, noise="unigram", seed=r, learning_rate=lr,
+                        epochs=3, eval_every=1, batch_size=32, dim=2)
+            for r, lr in enumerate(lrs)]
+
+
+def _float_errors(fn):
+    """What ``fn()`` returns or raises, and how many numpy floating-point
+    errors it met."""
+    errors = []
+    with np.errstate(all="call", call=lambda kind, flag: errors.append(kind)):
+        try:
+            result = fn()
+        except TrainingDiverged as exc:
+            result = exc
+    return result, len(errors)
+
+
+@pytest.mark.parametrize(
+    "objective,lrs",
+    # The stacks of test_lockstep_divergence_matches_solo_runs, and one in
+    # which every run diverges.
+    [("mle_exact", [0.4, 1e12, 1e13, 3e11]), ("nce", [2e6, 0.4, 5e6]), ("ns", [2e6, 0.4, 5e6]),
+     ("mle_exact", [1e12, 3e11])],
+)
+def test_lockstep_parked_runs_stay_finite_and_raise_no_float_errors(objective, lrs, monkeypatch):
+    # A parked run's zero row goes through every kernel until the call
+    # returns. A NaN row would pass them quietly, but the stack would then
+    # fail the finiteness check at every later step.
+    truth, pairs = fixture_data(400)
+    configs = _diverging_stack(objective, lrs)
+    solo = sum(_float_errors(lambda: train(c, pairs, 8, truth=truth))[1] for c in configs)
+    checks = []
+    check = trainer.params_finite
+    monkeypatch.setattr(trainer, "params_finite", lambda p: checks.append(check(p)) or checks[-1])
+    results, stacked = _float_errors(lambda: train_lockstep(configs, pairs, 8, truth=truth))
+    assert 0 < stacked <= solo
+    diverged = {(r.epoch, r.step) for r in results
+                if isinstance(r, TrainingDiverged) and r.block in PARAM_BLOCKS}
+    assert checks.count(False) == len(diverged)
+
+
+def test_lockstep_returns_once_every_run_has_diverged(monkeypatch):
+    # lr 1e12 and 3e11 overflow the parameters at steps 2 and 3 of epoch 2.
+    truth, pairs = fixture_data(400)
+    configs = _diverging_stack("mle_exact", [1e12, 3e11])
+    solo = [_float_errors(lambda: train(c, pairs, 8, truth=truth))[0] for c in configs]
+    steps = []
+    step = trainer.apply_gradient
+    monkeypatch.setattr(trainer, "apply_gradient", lambda *a: steps.append(a) or step(*a))
+    results, _ = _float_errors(lambda: train_lockstep(configs, pairs, 8, truth=truth))
+    for got, want in zip(results, solo):
+        assert isinstance(got, TrainingDiverged) and want.block in PARAM_BLOCKS
+        assert (str(got), got.epoch, got.step, got.block, got.lr) == (
+            str(want), want.epoch, want.step, want.block, want.lr)
+    last = max(solo, key=lambda exc: (exc.epoch, exc.step))
+    assert len(steps) == (last.epoch - 1) * -(-len(pairs) // 32) + last.step
+
+
 def test_lockstep_validates_its_runs():
     truth, pairs = fixture_data(200)
     cfg = TrainConfig(objective="nce", epochs=1, eval_every=1, seed=0, dim=3)
