@@ -13,7 +13,6 @@ from .corpus import (
     GroundTruthTable,
     Vocabulary,
     build_vocab,
-    extract_stats,
     generate_synthetic_corpus,
     generate_synthetic_stream,
     make_zipf_truth,
@@ -38,7 +37,6 @@ from .nce import NceConfig
 from .noise import NoiseDistribution, parse_noise_spec
 from .trainer import (
     MetricsRow,
-    SweepRow,
     TrainConfig,
     TrainingDiverged,
     kl_truth_model,
@@ -57,7 +55,6 @@ __all__ = [
     "ModelParams",
     "NceConfig",
     "NoiseDistribution",
-    "SweepRow",
     "TrainConfig",
     "TrainingDiverged",
     "Vocabulary",
@@ -65,7 +62,6 @@ __all__ = [
     "Z_FIXED_ONE",
     "Z_LEARNED_ZC",
     "build_vocab",
-    "extract_stats",
     "generate_synthetic_corpus",
     "generate_synthetic_stream",
     "grad_log_likelihood",

@@ -162,7 +162,7 @@ def _one_gradcheck(label, z_mode, seed, i, step):
         )
     if label == "nce-exact":
         # The analysis-form gradient against the full-expectation loss.
-        cfg = nce.NceConfig(k=_GC_K, z_mode=z_mode, q=uniform(_GC_VOCAB))
+        cfg = nce.NceConfig(k=_GC_K, q=uniform(_GC_VOCAB))
         return nce.exact_grad_analysis(params, counts.true, cfg), finite_diff_gradient(
             lambda p: nce.exact_loss(p, counts.true, cfg), params, step
         )
@@ -170,7 +170,7 @@ def _one_gradcheck(label, z_mode, seed, i, step):
         return negsampling.ns_grad(params, counts), finite_diff_gradient(
             lambda p: negsampling.ns_loss(p, counts), params, step
         )
-    cfg = nce.NceConfig(k=_GC_K, z_mode=z_mode, q=uniform(_GC_VOCAB))
+    cfg = nce.NceConfig(k=_GC_K, q=uniform(_GC_VOCAB))
     return nce.mc_grad(params, counts, cfg), finite_diff_gradient(
         lambda p: nce.mc_loss(p, counts, cfg), params, step
     )
@@ -196,7 +196,7 @@ def run_equiv_check(
         raise ValueError("n_draws must be >= 1")
     k = vocab_size if force_k is None else force_k
     q = uniform(vocab_size)
-    cfg = nce.NceConfig(k=k, z_mode=Z_FIXED_ONE, q=q)
+    cfg = nce.NceConfig(k=k, q=q)
     dloss, dgrad = np.empty((2, n_draws))
     for i in range(n_draws):
         rng = derive_rng(seed, STREAM_DATA, i)
@@ -205,8 +205,8 @@ def run_equiv_check(
         dloss[i] = abs(nce.mc_loss(params, counts, cfg) - negsampling.ns_loss(params, counts))
         dgrad[i] = np.max(
             np.abs(
-                nce.mc_grad(params, counts, cfg).to_vector()
-                - negsampling.ns_grad(params, counts).to_vector()
+                nce.mc_grad(params, counts, cfg).vector
+                - negsampling.ns_grad(params, counts).vector
             )
         )
     max_dloss, max_dgrad = dloss.max(), dgrad.max()  # unlike max(), these keep a NaN

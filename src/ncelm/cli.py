@@ -21,7 +21,10 @@ import numpy as np
 from . import __version__
 from .checks import GRADCHECK_SUITES, run_equiv_check, run_gradcheck
 from .corpus import (
+    DENSE_GRIDS,
+    MAX_VOCAB_SIZE,
     build_vocab,
+    check_vocab_cap,
     generate_synthetic_stream,
     make_zipf_truth,
     pairs_from_tokens,
@@ -59,10 +62,6 @@ _Z_MODES = {
 }
 
 SWEEP_HEADER = "k,seed,final_kl,final_ce,median_abs_log_z"
-
-# The truth table and every SGD step's count and score grids are dense
-# (|V| + 1) x |V| arrays, and the exact oracle sums over all of them.
-MAX_VOCAB_SIZE = 1024
 
 
 def main(argv=None) -> int:
@@ -160,18 +159,9 @@ def _add_train_flags(p) -> None:
 # Command bodies
 # ---------------------------------------------------------------------------
 
-_DENSE = "the truth table and the count and score grids are dense (|V| + 1) x |V| arrays"
-
-
 def _check_vocab_size(size: int) -> None:
     if not 2 <= size <= MAX_VOCAB_SIZE:
-        raise ValueError(f"--vocab-size must be in [2, {MAX_VOCAB_SIZE}]: {_DENSE}")
-
-
-def _check_vocab(path, vocab) -> None:
-    """The cap of ``--vocab-size`` for the vocabulary read from ``path``."""
-    if len(vocab) > MAX_VOCAB_SIZE:
-        raise ValueError(f"{path}: {len(vocab)} words, more than {MAX_VOCAB_SIZE}: {_DENSE}")
+        raise ValueError(f"--vocab-size must be in [2, {MAX_VOCAB_SIZE}]: {DENSE_GRIDS}")
 
 
 def _cmd_gen_data(args) -> int:
@@ -200,11 +190,12 @@ def _load_training_data(args):
     tokens = _read(read_corpus_tokens, args.corpus)
     truth, vocab = _read(read_truth, args.truth) if args.truth else (None, None)
     try:
-        vocab = build_vocab(tokens) if vocab is None else vocab
+        if vocab is None:
+            vocab = build_vocab(tokens)
+            check_vocab_cap(len(vocab))
         pairs = pairs_from_tokens(tokens, vocab)
     except ValueError as exc:
         raise ValueError(f"{args.corpus}: {exc}") from None
-    _check_vocab(args.truth or args.corpus, vocab)
     return pairs, len(vocab), truth, vocab
 
 
@@ -248,7 +239,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     params, vocab = _read(load_model, args.model)
-    _check_vocab(args.model, vocab)
     tokens = _read(read_corpus_tokens, args.corpus)
     try:
         pairs = pairs_from_tokens(tokens, vocab)
@@ -301,10 +291,10 @@ def _cmd_sweep(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(SWEEP_HEADER + "\n")
         fh.flush()
-        for seed, row in rows:
+        for config, row in rows:
             fh.write(
-                f"{row.k},{seed},{row.final_kl:.9g},"
-                f"{row.final_ce:.9g},{row.median_abs_log_z:.9g}\n"
+                f"{config.k},{config.seed},{row.kl_truth:.9g},"
+                f"{row.cross_entropy:.9g},{row.median_abs_log_z:.9g}\n"
             )
             fh.flush()
     print(f"wrote {args.out}")

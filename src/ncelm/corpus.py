@@ -6,7 +6,8 @@ as the context of the first token in a stream; it is a valid context but never
 a predicted word, and occupies context id ``|V|`` (one past the last word id).
 
 Empirical distributions are exact ratios of integer counts, which keeps them
-usable as oracles for the estimators built on top of them.
+usable as oracles for the estimators built on top of them. File readers
+refuse a vocabulary over ``MAX_VOCAB_SIZE`` from the header, reading no row.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from .seeding import STREAM_DATA, derive_rng
 
 BOS_TOKEN = "<s>"
 
+MAX_VOCAB_SIZE = 1024
+DENSE_GRIDS = "the truth table and the count and score grids are dense (|V| + 1) x |V| arrays"
+
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -30,9 +34,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def id_of(self, word: str) -> int:
-        return self.index[word]
 
     def word_of(self, word_id: int) -> str:
         return self.words[word_id]
@@ -144,11 +145,6 @@ def stats_from_pairs(pairs: np.ndarray, n_words: int) -> CorpusStats:
         unigram_counts=bigram.sum(axis=0),
         total_tokens=int(pairs.shape[0]),
     )
-
-
-def extract_stats(tokens, vocab: Vocabulary) -> CorpusStats:
-    """Count consecutive-pair bigrams and unigrams over a token stream."""
-    return stats_from_pairs(pairs_from_tokens(tokens, vocab), len(vocab))
 
 
 def generate_synthetic_corpus(truth: GroundTruthTable, n_tokens: int, seed: int) -> np.ndarray:
@@ -265,16 +261,10 @@ def write_truth(path, truth: GroundTruthTable, vocab: Vocabulary) -> None:
 
 def read_truth(path) -> tuple[GroundTruthTable, Vocabulary]:
     """Read a ground truth written by :func:`write_truth`. ValueError for a bad
-    header, a line count other than 3 + N, a vocabulary other than N distinct
-    words, a row other than N finite numbers, or tables not distributions."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError("ground-truth file is empty")
-    header = lines[0].split()
-    n = int(header[2]) if len(header) == 3 and header[2].isdecimal() else 0
-    if header[:2] != ["gt", "v1"] or n < 1:
-        raise ValueError(f"bad ground-truth header: {lines[0]!r}")
+    header or one of over ``MAX_VOCAB_SIZE`` words, a line count other than
+    3 + N, a vocabulary other than N distinct words, a row other than N
+    finite numbers, or tables not distributions."""
+    n, lines = read_lines(path, "ground-truth file", _truth_size)
     check_line_count(lines, 3 + n, "ground-truth file")
     words = lines[1].split()
     vocab = build_vocab(words)
@@ -289,6 +279,33 @@ def read_truth(path) -> tuple[GroundTruthTable, Vocabulary]:
     )
     truth.validate()
     return truth, vocab
+
+
+def _truth_size(line: str) -> int:
+    """N of a ground-truth header line ``gt v1 N``."""
+    header = line.split()
+    n = int(header[2]) if len(header) == 3 and header[2].isdecimal() else 0
+    if header[:2] != ["gt", "v1"] or n < 1:
+        raise ValueError(f"bad ground-truth header: {line!r}")
+    check_vocab_cap(n)
+    return n
+
+
+def check_vocab_cap(n_words: int) -> None:
+    """ValueError for a vocabulary of more than ``MAX_VOCAB_SIZE`` words."""
+    if n_words > MAX_VOCAB_SIZE:
+        raise ValueError(f"{n_words} words, more than {MAX_VOCAB_SIZE}: {DENSE_GRIDS}")
+
+
+def read_lines(path, what: str, parse_header):
+    """``(parse_header(first line), str.splitlines lines)`` of the UTF-8 file ``path``, the
+    header parsed before the rest is read; ValueError naming ``what`` if empty."""
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        if not head:
+            raise ValueError(f"{what} is empty")
+        header = parse_header(head.decode("utf-8").splitlines()[0])
+        return header, (head + fh.read()).decode("utf-8").splitlines()
 
 
 def format_row(values) -> str:

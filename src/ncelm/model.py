@@ -8,9 +8,9 @@ function ``Z(c)`` yields the normalized model. Everything here is computed
 exactly (full-vocabulary sums with max-shifted reductions), which is what
 makes this module usable as the oracle the estimators are judged against.
 
-A model optionally carries one free log-normalizer per context (``log_zc``):
-either unused (exact softmax), learned as a stand-in for ``log Z(c)``, or
-pinned to zero so the classifier must self-normalize.
+Each model carries one log-normalizer per context (``log_zc``), and its
+``z_mode``, which every objective reads from it: unused (exact softmax), learned
+for ``log Z(c)``, or pinned to zero so the classifier must self-normalize.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Vocabulary, build_vocab, check_line_count, format_row, parse_rows
+from .corpus import (Vocabulary, build_vocab, check_line_count, check_vocab_cap, format_row,
+                     parse_rows, read_lines)
 from .seeding import STREAM_INIT, derive_rng
 
 Z_EXACT = "exact"
@@ -84,9 +85,6 @@ class ModelParams(_FlatBlocks):
 
 class Gradient(_FlatBlocks):
     """Partial derivatives, shape-matched to a ModelParams."""
-
-    def to_vector(self) -> np.ndarray:
-        return self.vector.copy()
 
 
 def zero_gradient(params: ModelParams) -> Gradient:
@@ -192,7 +190,9 @@ def grid_dot(counts: np.ndarray, grid: np.ndarray) -> float | np.ndarray:
 def log_likelihood(params: ModelParams, counts: np.ndarray) -> float | np.ndarray:
     """Total log probability under the exact softmax model of the pairs
     counted in ``counts``, (n_contexts, n_words): ``corpus.pair_count_matrix``
-    of a pair array, or ``CorpusStats.bigram_counts``."""
+    of a pair array, or ``CorpusStats.bigram_counts``; one for all models of a stack."""
+    if counts.ndim != 2:
+        raise ValueError(f"log_likelihood takes one count grid for all models, got shape {counts.shape}")
     active = np.flatnonzero(context_totals(counts, "log_likelihood"))
     log_p = log_softmax_matrix(params).take(active, axis=-2)
     return per_model((counts[active] * log_p).sum(axis=(-2, -1)))
@@ -263,21 +263,11 @@ def save_model(path, params: ModelParams, vocab: Vocabulary) -> None:
 
 
 def load_model(path) -> tuple[ModelParams, Vocabulary]:
-    """Read a model written by :func:`save_model`. ValueError for a bad header,
-    a line count other than the header's, a vocabulary other than N distinct
-    words one per line, a misplaced block label, or a row that is not its
-    block's number of finite values."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError("model file is empty")
-    header = lines[0].split()
-    sizes = [int(f) if f.isdecimal() else 0 for f in header[2:4]]
-    if len(header) != 5 or header[:2] != ["lblm", "v1"] or min(sizes) < 1:
-        raise ValueError(f"bad model header: {lines[0]!r}")
-    (n_words, dim), z_mode = sizes, header[4]
-    if z_mode not in Z_MODES:
-        raise ValueError(f"unknown z_mode {z_mode!r} in model file")
+    """Read a model written by :func:`save_model`. ValueError for a bad header
+    or one of over ``MAX_VOCAB_SIZE`` words, a line count other than the
+    header's, a vocabulary other than N distinct words one per line, a
+    misplaced block label, or a row not its block's number of finite values."""
+    (n_words, dim, z_mode), lines = read_lines(path, "model file", _model_header)
     rows, cols = (n_words, n_words + 1, 1, 1), (dim, dim, n_words, n_words + 1)
     check_line_count(lines, 1 + n_words + len(PARAM_BLOCKS) + sum(rows), "model file")
     words = lines[1 : 1 + n_words]
@@ -291,3 +281,15 @@ def load_model(path) -> tuple[ModelParams, Vocabulary]:
         blocks.append(parse_rows(lines[pos + 1 : pos + 1 + n_rows], n_cols, f"block {name!r}"))
         pos += 1 + n_rows
     return ModelParams(*blocks, z_mode=z_mode), vocab
+
+
+def _model_header(line: str) -> tuple[int, int, str]:
+    """(N, dim, z_mode) of a model header line ``lblm v1 N dim z_mode``."""
+    header = line.split()
+    sizes = [int(f) if f.isdecimal() else 0 for f in header[2:4]]
+    if len(header) != 5 or header[:2] != ["lblm", "v1"] or min(sizes) < 1:
+        raise ValueError(f"bad model header: {line!r}")
+    if header[4] not in Z_MODES:
+        raise ValueError(f"unknown z_mode {header[4]!r} in model file")
+    check_vocab_cap(sizes[0])
+    return sizes[0], sizes[1], header[4]

@@ -10,8 +10,8 @@ drawn from a distribution q, and the two-class data follows the mixture
 
 so by conditioning on (c, w) the classifier posterior of a true sample is
 p(w|c) / (p(w|c) + k q(w)). Substituting the model's unnormalized weight u
-(optionally divided by a learned per-context normalizer z_c, or left as-is
-with z_c pinned to 1) gives the trainable posterior
+(divided by its per-context normalizer z_c, a parameter of a ``learned_zc``
+model; any other model has z_c pinned to 1) gives the trainable posterior
 
     sigma(Delta)  with  Delta = log u - log z_c - log(k q(w)).
 
@@ -41,7 +41,6 @@ from .model import (
     CellCounts,
     Gradient,
     ModelParams,
-    Z_FIXED_ONE,
     Z_LEARNED_ZC,
     context_totals,
     grid_dot,
@@ -53,15 +52,14 @@ from .noise import NoiseDistribution
 
 @dataclass(frozen=True)
 class NceConfig:
+    """k noise words per true word, drawn from q; the normalizer mode is the model's."""
+
     k: int
-    z_mode: str  # learned_zc or fixed_one
     q: NoiseDistribution
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.z_mode not in (Z_LEARNED_ZC, Z_FIXED_ONE):
-            raise ValueError(f"NCE z_mode must be learned_zc or fixed_one, got {self.z_mode!r}")
 
     @cached_property
     def log_kq(self) -> np.ndarray:
@@ -72,17 +70,9 @@ class NceConfig:
 @dataclass(frozen=True)
 class NceStack:
     """The configs of a stack of models, model r under ``cfgs[r]``, for the
-    Monte Carlo kernels: one z_mode, one k and one q per model."""
+    Monte Carlo kernels: one k and one q per model."""
 
     cfgs: tuple[NceConfig, ...]
-
-    def __post_init__(self):
-        if len({cfg.z_mode for cfg in self.cfgs}) > 1:
-            raise ValueError("a stack of NCE configs needs one z_mode")
-
-    @property
-    def z_mode(self) -> str:
-        return self.cfgs[0].z_mode
 
     @cached_property
     def k(self) -> np.ndarray:
@@ -144,7 +134,7 @@ def _grad(
 ) -> Gradient:
     """Gradient of :func:`_loss`: a true sample pushes with weight sigma(-Delta),
     a noise sample pulls with weight sigma(Delta), through d(log u_adjusted)/d(theta)."""
-    return residual_gradient(params, _residual(_logit_rows(params, cfg), counts), cfg.z_mode, out)
+    return residual_gradient(params, _residual(_logit_rows(params, cfg), counts), params.z_mode, out)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +215,10 @@ def exact_grad_analysis(params: ModelParams, counts: np.ndarray, cfg: NceConfig)
 
 
 def _logit_rows(params: ModelParams, cfg: NceConfig | NceStack) -> np.ndarray:
-    """Delta over the whole vocabulary for every context, (..., n_contexts, n_words)."""
+    """Delta over the whole vocabulary for every context, (..., n_contexts, n_words).
+    log z_c is subtracted for a learned_zc model only; for the others z_c is 1."""
     s = score_matrix(params)
-    if cfg.z_mode == Z_LEARNED_ZC:
+    if params.z_mode == Z_LEARNED_ZC:
         s -= params.log_zc[..., :, None]
     s -= cfg.log_kq[..., None, :]
     return s

@@ -124,14 +124,6 @@ class MetricsRow:
     seconds: float  # wall-clock since training started
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    k: int
-    final_kl: float
-    final_ce: float
-    median_abs_log_z: float
-
-
 def train(
     config: TrainConfig,
     pairs: np.ndarray,
@@ -258,12 +250,12 @@ def sweep_runs(
     pairs: np.ndarray,
     n_words: int,
     truth: GroundTruthTable,
-) -> Iterator[tuple[int, SweepRow]]:
+) -> Iterator[tuple[TrainConfig, MetricsRow]]:
     """One run per (base, k), trained in lockstep a chunk of runs at a time
-    (see ``LOCKSTEP_PAIRS``); yields (seed, row) in (base, k) order, a
-    chunk's rows once the chunk is trained. At the first run that diverged
-    it raises TrainingDiverged naming that run's seed and k, after the rows
-    before it, as training the runs one after another would.
+    (see ``LOCKSTEP_PAIRS``); yields (config, the run's last MetricsRow) in
+    (base, k) order, a chunk's runs once the chunk is trained. At the first
+    run that diverged it raises TrainingDiverged naming its seed and k, after
+    the rows before it, as training the runs one after another would.
 
     The arguments are checked when it is called: ValueError unless ``ks`` is
     nonempty and strictly ascending, ``bases`` and ``pairs`` are nonempty,
@@ -285,7 +277,7 @@ def sweep_runs(
         for lo in range(0, len(configs), chunk)
         for result in train_lockstep(configs[lo : lo + chunk], pairs, n_words, truth=truth)
     )
-    return (_sweep_row(config, result) for config, result in zip(configs, results))
+    return (_last_row(config, result) for config, result in zip(configs, results))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +302,7 @@ def _kernels(objective: str, configs: list[TrainConfig], qs):
         # freezing them keeps the NCE equivalence checks well-posed.
         return (lambda p, c, out: negsampling.ns_grad(p, c, out),
                 lambda p, c: negsampling.ns_loss(p, c))
-    cfgs = [nce.NceConfig(k=c.k, z_mode=c.z_mode, q=q) for c, q in zip(configs, qs)]
+    cfgs = [nce.NceConfig(k=c.k, q=q) for c, q in zip(configs, qs)]
     cfg = cfgs[0] if len(cfgs) == 1 else nce.NceStack(tuple(cfgs))
     return lambda p, c, out: nce.mc_grad(p, c, cfg, out), lambda p, c: nce.mc_loss(p, c, cfg)
 
@@ -320,20 +312,14 @@ def _check_lockstep(configs: list[TrainConfig]) -> None:
         raise ValueError(f"runs trained in lockstep must share {', '.join(LOCKSTEP_FIELDS)}")
 
 
-def _sweep_row(config: TrainConfig, result) -> tuple[int, SweepRow]:
-    """(seed, row) of a finished sweep run; a diverged one raises, naming its seed and k."""
+def _last_row(config: TrainConfig, result) -> tuple[TrainConfig, MetricsRow]:
+    """(config, last row) of a finished sweep run; a diverged one raises, naming its seed and k."""
     if isinstance(result, TrainingDiverged):
         raise TrainingDiverged(
             f"seed={config.seed}, k={config.k}: {result}",
             result.epoch, result.step, result.block, result.lr,
         ) from result
-    last = result[1][-1]
-    return config.seed, SweepRow(
-        k=config.k,
-        final_kl=last.kl_truth,
-        final_ce=last.cross_entropy,
-        median_abs_log_z=last.median_abs_log_z,
-    )
+    return config, result[1][-1]
 
 
 def _diverged(epoch: int, step: int, kind: str, name: str, lr) -> TrainingDiverged:

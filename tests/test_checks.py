@@ -66,7 +66,7 @@ def test_finite_diff_equals_the_coordinate_loop_across_chunks(monkeypatch):
     params = init_params(64, 4, seed=8, z_mode=Z_LEARNED_ZC)
     params.log_zc[:] = derive_rng(8, STREAM_DATA).normal(0.0, 0.5, params.n_contexts)
     counts = checks._sampled_counts(derive_rng(9, STREAM_DATA), 300, 64, 2)
-    cfg = nce.NceConfig(k=2, z_mode=Z_LEARNED_ZC, q=uniform(64))
+    cfg = nce.NceConfig(k=2, q=uniform(64))
     calls = []
 
     def loss(p):

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncelm import cli
+from ncelm import corpus as corpus_module
+from ncelm import model as model_module
 from ncelm.cli import MAX_VOCAB_SIZE
 from ncelm.corpus import (
     GroundTruthTable,
@@ -63,7 +65,7 @@ def test_gen_data_unigram_tracks_marginal(tmp_path):
     toks = read_corpus_tokens(str(prefix) + ".txt")
     counts = np.zeros(16)
     for t in toks:
-        counts[vocab.id_of(t)] += 1
+        counts[vocab.index[t]] += 1
     # Spearman's rho, the correlation of the ranks; neither side has ties.
     ranks = np.argsort(np.argsort([counts, truth.context_marginal], axis=1), axis=1)
     rho = np.corrcoef(ranks)[0, 1]
@@ -125,6 +127,43 @@ def test_train_accepts_a_vocabulary_at_the_cap(tmp_path):
                          "--batch-size", 2 * MAX_VOCAB_SIZE, "--dim", 2, "--out", lab / "m.model")
     assert code == 0, err
     assert len(load_model(lab / "m.model")[1]) == MAX_VOCAB_SIZE
+
+
+def test_over_cap_files_are_refused_from_their_header(tmp_path, monkeypatch):
+    # A truth or model file over the cap is refused from its header line:
+    # no row is parsed, and a header that claims more words than the file
+    # holds gets the cap's message, not "truncated".
+    lab = _wide_lab(tmp_path / "wide", MAX_VOCAB_SIZE + 1)
+    corpus, wide_truth = lab / "c.txt", lab / "t.truth"
+    wide_model = tmp_path / "wide.model"
+    save_model(wide_model, init_params(MAX_VOCAB_SIZE + 1, 2, seed=0),
+               build_vocab(f"w{i}" for i in range(MAX_VOCAB_SIZE + 1)))
+    small = build_vocab(["a", "b"])
+    lying_truth, lying_model = tmp_path / "lying.truth", tmp_path / "lying.model"
+    write_truth(lying_truth, GroundTruthTable(np.full((2, 2), 0.5), np.full(2, 0.5)), small)
+    save_model(lying_model, init_params(2, 2, seed=0), small)
+    for path, header in ((lying_truth, "gt v1 20000"), (lying_model, "lblm v1 20000 2 exact")):
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([header, *lines[1:]]) + "\n")
+    parsed = []
+    parse_rows = corpus_module.parse_rows
+    counting = lambda lines, cols, what: parsed.append(what) or parse_rows(lines, cols, what)
+    monkeypatch.setattr(corpus_module, "parse_rows", counting)
+    monkeypatch.setattr(model_module, "parse_rows", counting)
+    train = ["train", "--objective", "mle", "--corpus", corpus, "--epochs", 1, "--out", lab / "out"]
+    for args, source, n in ((train + ["--truth", wide_truth], wide_truth, MAX_VOCAB_SIZE + 1),
+                            (train + ["--truth", lying_truth], lying_truth, 20000),
+                            (["eval", "--model", wide_model, "--corpus", corpus], wide_model,
+                             MAX_VOCAB_SIZE + 1),
+                            (["eval", "--model", lying_model, "--corpus", corpus], lying_model, 20000)):
+        code, stdout, err = _main(*args)
+        _assert_usage_error(code, stdout, err, source)
+        assert f"{source}: {n} words, more than {MAX_VOCAB_SIZE}: " in err
+    assert parsed == []
+    # The counter sees the rows of a file under the cap.
+    save_model(tmp_path / "ok.model", init_params(2, 2, seed=0), small)
+    load_model(tmp_path / "ok.model")
+    assert parsed == ["block 'target_emb'", "block 'context_emb'", "block 'bias'", "block 'log_zc'"]
 
 
 def train_args(prefix, out, *extra):
@@ -318,7 +357,7 @@ def test_eval_overflowing_unseen_context_is_usage_error(tmp_path):
     vocab = build_vocab(["a", "b", "c"])
     params = init_params(3, 2, seed=0)
     params.target_emb[:] = 1e200
-    params.context_emb[vocab.id_of("c")] = 1e200
+    params.context_emb[vocab.index["c"]] = 1e200
     save_model(tmp_path / "m.model", params, vocab)
     (tmp_path / "c.txt").write_text("a b a b c\n")
     truth = GroundTruthTable(cond=np.full((3, 3), 1 / 3), context_marginal=np.full(3, 1 / 3))

@@ -5,7 +5,6 @@ from ncelm import corpus
 from ncelm.corpus import (
     BOS_TOKEN,
     build_vocab,
-    extract_stats,
     generate_synthetic_corpus,
     generate_synthetic_stream,
     make_zipf_truth,
@@ -23,7 +22,7 @@ from ncelm.seeding import STREAM_DATA, derive_rng
 def test_build_vocab_first_occurrence_order():
     v = build_vocab(["b", "a", "b", "c", "a"])
     assert v.words == ("b", "a", "c")
-    assert v.id_of("a") == 1
+    assert v.index["a"] == 1
     assert v.word_of(2) == "c"
     assert v.bos_context == 3
 
@@ -53,7 +52,7 @@ def test_pairs_from_tokens_errors():
 
 def test_stats_hand_counts():
     v = build_vocab(["a", "b"])
-    stats = extract_stats(["a", "a", "b", "a"], v)
+    stats = stats_from_pairs(pairs_from_tokens(["a", "a", "b", "a"], v), len(v))
     # bigrams: (<s>,a) (a,a) (a,b) (b,a); contexts: a twice, b once, <s> once
     assert np.array_equal(stats.bigram_counts, [[1, 1], [1, 0], [1, 0]])
     assert np.array_equal(stats.context_counts, [2, 1, 1])

@@ -52,7 +52,7 @@ def _log_sigmoid(x):
 
 def _delta(params, c, w, cfg):
     d = score(params, c, w) - math.log(cfg.k * cfg.q.probs[w])
-    if cfg.z_mode == Z_LEARNED_ZC:
+    if params.z_mode == Z_LEARNED_ZC:
         d -= params.log_zc[c]
     return d
 
@@ -126,7 +126,7 @@ def _assert_close(got, want):
 @pytest.mark.parametrize("z_mode", [Z_LEARNED_ZC, Z_FIXED_ONE])
 def test_nce_kernels_match_per_pair_reference(k, z_mode, extreme):
     params, batch, q = _setup(k, z_mode, seed=k, extreme=extreme)
-    cfg = NceConfig(k=k, z_mode=z_mode, q=q)
+    cfg = NceConfig(k=k, q=q)
     loss, grad = _reference(
         params, batch, lambda c, w: _delta(params, c, w, cfg), z_mode == Z_LEARNED_ZC
     )
@@ -156,7 +156,7 @@ def test_ns_kernels_match_per_pair_reference(k, extreme):
 @pytest.mark.parametrize("z_mode", [Z_LEARNED_ZC, Z_FIXED_ONE])
 def test_classifier_logits_match_scalar_delta(z_mode):
     params, batch, q = _setup(5, z_mode, seed=20, extreme=True)
-    cfg = NceConfig(k=5, z_mode=z_mode, q=q)
+    cfg = NceConfig(k=5, q=q)
     flat = classifier_logits(params, batch.contexts, batch.true_words, cfg)
     grid = classifier_logits(params, batch.contexts, batch.noise_words, cfg)
     assert flat.shape == (batch.n_examples,)
@@ -175,7 +175,7 @@ def test_kernels_on_cell_counts_equal_the_batch_bitwise(k, z_mode):
     # integer counts and float copies of corpus.pair_count_matrix of the
     # batch's true pairs and (context, noise word) pairs give the same bits.
     params, batch, q = _setup(k, z_mode, seed=30 + k, extreme=True)
-    cfg = NceConfig(k=k, z_mode=z_mode, q=q)
+    cfg = NceConfig(k=k, q=q)
     counts = cell_counts(batch, params.n_contexts, params.n_words)
     pairs = np.stack([batch.contexts, batch.true_words], axis=1)
     noise_pairs = np.stack(np.broadcast_arrays(batch.contexts[:, None], batch.noise_words), axis=-1)
@@ -194,10 +194,33 @@ def test_kernels_on_cell_counts_equal_the_batch_bitwise(k, z_mode):
         assert got.vector.tobytes() == want.vector.tobytes()
 
 
+@pytest.mark.parametrize("k", [1, 5])
+def test_nce_kernels_read_an_exact_model_as_fixed_one_bitwise(k):
+    # z_c is a parameter of learned_zc models only: on an exact model the NCE
+    # kernels neither subtract log_zc nor write its gradient, and give the
+    # bits of the same vector as a fixed_one model.
+    exact, batch, q = _setup(k, Z_EXACT, seed=60 + k, extreme=True)
+    exact.log_zc[:] = derive_rng(60 + k, STREAM_DATA, 1).normal(0.0, 0.5, V + 1)
+    fixed = exact.copy()
+    fixed.z_mode = Z_FIXED_ONE
+    cfg = NceConfig(k=k, q=q)
+    counts = cell_counts(batch, V + 1, V)
+    true = counts.true
+    for kernel in (
+        lambda p: classifier_logits(p, batch.contexts, batch.noise_words, cfg),
+        lambda p: np.float64(mc_loss(p, counts, cfg)),
+        lambda p: mc_grad(p, counts, cfg).vector,
+        lambda p: np.float64(exact_loss(p, true, cfg)),
+        lambda p: exact_grad_analysis(p, true, cfg).vector,
+    ):
+        assert kernel(exact).tobytes() == kernel(fixed).tobytes()
+    assert not mc_grad(exact, counts, cfg).log_zc.any()
+
+
 def test_cell_counts_with_wrong_noise_total_raise():
     params, batch, q = _setup(5, Z_FIXED_ONE, seed=40)
     counts = cell_counts(batch, params.n_contexts, params.n_words)
-    cfg = NceConfig(k=4, z_mode=Z_FIXED_ONE, q=q)
+    cfg = NceConfig(k=4, q=q)
     for kernel in (mc_loss, mc_grad):
         with pytest.raises(ValueError, match="k mismatch"):
             kernel(params, counts, cfg)
@@ -220,7 +243,7 @@ def test_exact_oracle_takes_any_count_grid(name):
     # bits, and a grid without a pair is rejected.
     fn = _EXACT_ORACLE[name]
     params, batch, q = _setup(5, Z_LEARNED_ZC, seed=50, extreme=True)
-    cfg = NceConfig(k=5, z_mode=Z_LEARNED_ZC, q=q)
+    cfg = NceConfig(k=5, q=q)
     counts = stats_from_pairs(np.stack([batch.contexts, batch.true_words], axis=1), V).bigram_counts
     assert counts.dtype == np.int64
     assert fn(params, counts.astype(np.float64), cfg) == fn(params, counts, cfg)
@@ -254,7 +277,7 @@ def test_stacked_losses_equal_single_model_calls_bitwise(name, z_mode, n_models)
     # values of R single-model calls, to the bit.
     loss = _LOSSES[name]
     params, batch, q = _setup(5, z_mode, seed=60, extreme=True)
-    cfg = NceConfig(k=5, z_mode=z_mode if z_mode != Z_EXACT else Z_FIXED_ONE, q=q)
+    cfg = NceConfig(k=5, q=q)
     counts = cell_counts(batch, params.n_contexts, params.n_words)
     rng = derive_rng(n_models, STREAM_DATA)
     stack = params.vector + rng.normal(0.0, 0.1, (n_models, params.vector.size))
@@ -288,7 +311,7 @@ def test_stacked_gradient_and_step_equal_single_model_calls_bitwise(name, z_mode
         params, batch, q = _setup(k, z_mode, seed=80 + r, extreme=True)
         counts = cell_counts(batch, params.n_contexts, params.n_words)
         counts = CellCounts(*(c.astype(np.float64) for c in counts))
-        cfg = NceConfig(k=k, z_mode=z_mode if z_mode != Z_EXACT else Z_FIXED_ONE, q=q)
+        cfg = NceConfig(k=k, q=q)
         runs.append((params, counts, cfg))
     stack = runs[0][0].with_vector(np.stack([params.vector for params, _, _ in runs]))
     counts = CellCounts(*(np.stack(c) for c in zip(*(counts for _, counts, _ in runs))))
@@ -313,13 +336,11 @@ def test_stacked_k_check_names_the_model():
     counts = cell_counts(batch, params.n_contexts, params.n_words)
     stack = params.with_vector(np.stack([params.vector] * 3))
     stacked = CellCounts(*(np.stack([c] * 3) for c in counts))
-    ks = [NceConfig(k=k, z_mode=Z_FIXED_ONE, q=q) for k in (3, 3, 4)]
+    ks = [NceConfig(k=k, q=q) for k in (3, 3, 4)]
     want = "k mismatch: model 2: counts hold 90 noise samples for 30 true samples, config says k=4"
     with pytest.raises(ValueError, match=want):
         mc_grad(stack, stacked, NceStack(tuple(ks)))
     mc_grad(stack, stacked, NceStack((ks[0],) * 3))
-    with pytest.raises(ValueError, match="one z_mode"):
-        NceStack((ks[0], NceConfig(k=3, z_mode=Z_LEARNED_ZC, q=q)))
     # Float64 counts of seven and more digits are named exactly.
     big = CellCounts(counts.true * 41_153, counts.noise * 41_153)
     big.noise[0, 0] += 1
@@ -388,7 +409,7 @@ def test_nan_delta_gives_nan_residual_and_gradient(module):
     params, batch, q = _setup(5, Z_FIXED_ONE, seed=72)
     params.bias[2] = np.nan
     counts = cell_counts(batch, params.n_contexts, params.n_words)
-    cfg = NceConfig(k=5, z_mode=Z_FIXED_ONE, q=q)
+    cfg = NceConfig(k=5, q=q)
     if module == "nce":
         grads = [mc_grad(params, counts, cfg), exact_grad_analysis(params, counts.true, cfg)]
     else:

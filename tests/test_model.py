@@ -101,6 +101,18 @@ def test_log_likelihood_hand_value():
         log_likelihood(p, np.zeros((4, 3), dtype=np.int64))
 
 
+def test_log_likelihood_takes_one_grid_for_a_stack():
+    # One count grid serves every model of a stack; a grid per model is
+    # refused with its shape named, not with an IndexError.
+    p = tiny_params()
+    stack = p.with_vector(np.stack([p.vector, 2.0 * p.vector]))
+    counts = pair_count_matrix(np.array([[0, 1], [3, 2]]), 3)
+    solo = [log_likelihood(stack.with_vector(v), counts) for v in stack.vector]
+    assert log_likelihood(stack, counts).tobytes() == np.array(solo).tobytes()
+    with pytest.raises(ValueError, match=r"got shape \(2, 4, 3\)"):
+        log_likelihood(stack, np.stack([counts, counts]))
+
+
 def test_grad_log_likelihood_matches_finite_differences():
     p = init_params(5, 3, seed=2, z_mode=Z_EXACT)
     rng = np.random.default_rng(0)
@@ -123,7 +135,7 @@ def test_saturated_model_has_zero_gradient():
     p.context_emb[:] = 0.0
     p.bias[:] = np.log(counts / counts.sum())
     g = grad_log_likelihood(p, pair_count_matrix(pairs, 3))
-    assert np.max(np.abs(g.to_vector())) < 1e-12
+    assert np.max(np.abs(g.vector)) < 1e-12
 
 
 def test_init_params_is_seeded_and_validated():
@@ -185,11 +197,10 @@ def test_flat_vector_invariants():
     assert c.z_mode == p.z_mode and np.array_equal(c.vector, p.vector)
     c.bias[1] = 7.0
     assert p.bias[1] != 7.0
-    # to_vector() keeps the old concatenation order.
+    # A gradient's vector holds its blocks in PARAM_BLOCKS order.
     g = grad_log_likelihood(p, counts)
     want = np.concatenate([g.target_emb.ravel(), g.context_emb.ravel(), g.bias, g.log_zc])
-    assert np.array_equal(g.to_vector(), want)
-    assert not np.shares_memory(g.to_vector(), g.vector)
+    assert np.array_equal(g.vector, want)
 
 
 @pytest.mark.parametrize("z_mode", [Z_EXACT, Z_FIXED_ONE])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from batch_reference import ProxyBatch, cell_counts, score, sigmoid
 from ncelm.checks import finite_diff_gradient
 from ncelm.corpus import pair_count_matrix, stats_from_pairs
-from ncelm.model import Z_FIXED_ONE, Z_LEARNED_ZC, init_params
+from ncelm.model import Z_FIXED_ONE, Z_LEARNED_ZC, ModelParams, init_params
 from ncelm.nce import (
     NceConfig,
     classifier_logits,
@@ -30,20 +31,19 @@ def small_setup(z_mode=Z_LEARNED_ZC, seed=0):
     return params
 
 
-def test_config_rejects_exact_z_mode():
+def test_config_holds_k_and_q_only():
+    # The normalizer mode is the model's, not the estimator's.
     q = uniform(4)
-    NceConfig(k=2, z_mode=Z_LEARNED_ZC, q=q)
-    NceConfig(k=2, z_mode=Z_FIXED_ONE, q=q)
+    assert [f.name for f in dataclasses.fields(NceConfig)] == ["k", "q"]
+    NceConfig(k=2, q=q)
     with pytest.raises(ValueError):
-        NceConfig(k=2, z_mode="exact", q=q)
-    with pytest.raises(ValueError):
-        NceConfig(k=0, z_mode=Z_FIXED_ONE, q=q)
+        NceConfig(k=0, q=q)
 
 
 def test_model_posteriors_match_sigmoid_formula():
     params = small_setup()
     q = unigram(stats_from_pairs(np.array([[4, 0], [0, 1], [1, 2], [2, 3], [3, 0]]), 4))
-    cfg = NceConfig(k=2, z_mode=Z_LEARNED_ZC, q=q)
+    cfg = NceConfig(k=2, q=q)
     delta = classifier_logits(params, np.arange(5), np.arange(4)[None, :], cfg)
     for c in range(5):
         for w in range(4):
@@ -54,22 +54,22 @@ def test_model_posteriors_match_sigmoid_formula():
 
 
 def test_classifier_logits_z_mode_difference():
-    params = small_setup()
-    q = uniform(4)
+    learned = small_setup()
+    fixed = ModelParams(learned.target_emb, learned.context_emb, learned.bias, learned.log_zc,
+                        Z_FIXED_ONE)
+    cfg = NceConfig(k=2, q=uniform(4))
     contexts = np.array([0, 2, 4])
     words = np.array([1, 3, 0])
-    cfg_l = NceConfig(k=2, z_mode=Z_LEARNED_ZC, q=q)
-    cfg_f = NceConfig(k=2, z_mode=Z_FIXED_ONE, q=q)
-    diff = classifier_logits(params, contexts, words, cfg_f) - classifier_logits(
-        params, contexts, words, cfg_l
+    diff = classifier_logits(fixed, contexts, words, cfg) - classifier_logits(
+        learned, contexts, words, cfg
     )
-    assert np.allclose(diff, params.log_zc[contexts])
+    assert np.allclose(diff, learned.log_zc[contexts])
 
 
 def test_mc_loss_hand_computed_single_example():
     params = small_setup(z_mode=Z_FIXED_ONE)
     q = uniform(4)
-    cfg = NceConfig(k=1, z_mode=Z_FIXED_ONE, q=q)
+    cfg = NceConfig(k=1, q=q)
     batch = ProxyBatch(
         contexts=np.array([2]), true_words=np.array([1]), noise_words=np.array([[3]])
     )
@@ -82,7 +82,7 @@ def test_mc_loss_hand_computed_single_example():
 def test_mc_grad_matches_finite_differences():
     params = small_setup()
     q = uniform(4)
-    cfg = NceConfig(k=3, z_mode=Z_LEARNED_ZC, q=q)
+    cfg = NceConfig(k=3, q=q)
     rng = derive_rng(2, STREAM_DATA)
     batch = ProxyBatch(
         contexts=rng.integers(0, 5, 25),
@@ -90,8 +90,8 @@ def test_mc_grad_matches_finite_differences():
         noise_words=rng.integers(0, 4, (25, 3)),
     )
     counts = cell_counts(batch, 5, 4)
-    analytic = mc_grad(params, counts, cfg).to_vector()
-    fd = finite_diff_gradient(lambda p: mc_loss(p, counts, cfg), params).to_vector()
+    analytic = mc_grad(params, counts, cfg).vector
+    fd = finite_diff_gradient(lambda p: mc_loss(p, counts, cfg), params).vector
     assert np.max(np.abs(analytic - fd)) < 1e-7
 
 
@@ -120,7 +120,7 @@ def test_exact_loss_is_expectation_of_mc_loss():
     # must equal exact_loss.
     params = small_setup()
     q, batches, counts = _constant_noise_batches(3, 12)
-    cfg = NceConfig(k=1, z_mode=Z_LEARNED_ZC, q=q)
+    cfg = NceConfig(k=1, q=q)
     # weights sum to 1, so the shared true-sample part is counted once
     expectation = sum(weight * mc_loss(params, batch, cfg) for weight, batch in batches)
     assert exact_loss(params, counts, cfg) == pytest.approx(expectation, rel=1e-12)
@@ -130,9 +130,9 @@ def test_exact_loss_is_expectation_of_mc_loss():
 def test_exact_grad_is_expectation_of_mc_grad(z_mode):
     params = small_setup(z_mode=z_mode)
     q, batches, counts = _constant_noise_batches(6, 20)
-    cfg = NceConfig(k=1, z_mode=z_mode, q=q)
-    expectation = sum(weight * mc_grad(params, batch, cfg).to_vector() for weight, batch in batches)
-    exact = exact_grad_analysis(params, counts, cfg).to_vector()
+    cfg = NceConfig(k=1, q=q)
+    expectation = sum(weight * mc_grad(params, batch, cfg).vector for weight, batch in batches)
+    exact = exact_grad_analysis(params, counts, cfg).vector
     assert np.max(np.abs(exact - expectation)) <= 1e-12 * np.max(np.abs(exact))
 
 
@@ -141,19 +141,19 @@ def test_exact_grad_analysis_matches_exact_loss_derivative():
     rng = derive_rng(4, STREAM_DATA)
     pairs = np.stack([rng.integers(0, 5, 30), rng.integers(0, 4, 30)], axis=1)
     counts = pair_count_matrix(pairs, 4)
-    cfg = NceConfig(k=5, z_mode=Z_LEARNED_ZC, q=uniform(4))
-    analytic = exact_grad_analysis(params, counts, cfg).to_vector()
-    fd = finite_diff_gradient(lambda p: exact_loss(p, counts, cfg), params).to_vector()
+    cfg = NceConfig(k=5, q=uniform(4))
+    analytic = exact_grad_analysis(params, counts, cfg).vector
+    fd = finite_diff_gradient(lambda p: exact_loss(p, counts, cfg), params).vector
     assert np.max(np.abs(analytic - fd)) < 1e-7
 
 
 def test_exact_loss_handles_extreme_scores_finitely():
-    params = small_setup()
+    params = small_setup(z_mode=Z_FIXED_ONE)
     params.target_emb *= 60.0  # pushes some logits past +-300
     rng = derive_rng(5, STREAM_DATA)
     pairs = np.stack([rng.integers(0, 5, 10), rng.integers(0, 4, 10)], axis=1)
-    cfg = NceConfig(k=2, z_mode=Z_FIXED_ONE, q=uniform(4))
+    cfg = NceConfig(k=2, q=uniform(4))
     counts = pair_count_matrix(pairs, 4)
     assert np.isfinite(exact_loss(params, counts, cfg))
     g = exact_grad_analysis(params, counts, cfg)
-    assert np.all(np.isfinite(g.to_vector()))
+    assert np.all(np.isfinite(g.vector))

@@ -41,8 +41,8 @@ def test_grad_matches_finite_differences():
         noise_words=rng.integers(0, 4, (25, 2)),
     )
     counts = cell_counts(batch, 5, 4)
-    analytic = ns_grad(params, counts).to_vector()
-    fd = finite_diff_gradient(lambda p: ns_loss(p, counts), params).to_vector()
+    analytic = ns_grad(params, counts).vector
+    fd = finite_diff_gradient(lambda p: ns_loss(p, counts), params).vector
     assert np.max(np.abs(analytic - fd)) < 1e-7
     assert np.all(ns_grad(params, counts).log_zc == 0)
 
@@ -57,9 +57,9 @@ def test_matches_nce_exactly_when_k_equals_vocab_uniform():
         noise_words=rng.integers(0, V, (40, V)),
     )
     counts = cell_counts(batch, V + 1, V)
-    cfg = NceConfig(k=V, z_mode=Z_FIXED_ONE, q=uniform(V))
+    cfg = NceConfig(k=V, q=uniform(V))
     assert ns_loss(params, counts) == pytest.approx(mc_loss(params, counts, cfg), abs=1e-12)
-    dg = ns_grad(params, counts).to_vector() - mc_grad(params, counts, cfg).to_vector()
+    dg = ns_grad(params, counts).vector - mc_grad(params, counts, cfg).vector
     assert np.max(np.abs(dg)) < 1e-12
 
 
@@ -72,14 +72,14 @@ def test_differs_from_nce_when_q_not_uniform_or_k_wrong():
         noise_words=rng.integers(0, V, (40, V)),
     )
     skew = np.arange(1.0, V + 1.0)
-    cfg_skew = NceConfig(k=V, z_mode=Z_FIXED_ONE, q=_build(skew / skew.sum(), "unigram"))
+    cfg_skew = NceConfig(k=V, q=_build(skew / skew.sum(), "unigram"))
     counts = cell_counts(batch, V + 1, V)
     assert abs(ns_loss(params, counts) - mc_loss(params, counts, cfg_skew)) > 1e-3
     batch5 = ProxyBatch(
         contexts=batch.contexts, true_words=batch.true_words, noise_words=batch.noise_words[:, : V - 1]
     )
     counts5 = cell_counts(batch5, V + 1, V)
-    cfg_short = NceConfig(k=V - 1, z_mode=Z_FIXED_ONE, q=uniform(V))
+    cfg_short = NceConfig(k=V - 1, q=uniform(V))
     assert abs(ns_loss(params, counts5) - mc_loss(params, counts5, cfg_short)) > 1e-3
 
 
@@ -93,4 +93,4 @@ def test_loss_stays_finite_at_extreme_scores():
     )
     counts = cell_counts(batch, 5, 4)
     assert np.isfinite(ns_loss(params, counts))
-    assert np.all(np.isfinite(ns_grad(params, counts).to_vector()))
+    assert np.all(np.isfinite(ns_grad(params, counts).vector))

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from ncelm.corpus import build_vocab, extract_stats
+from ncelm.corpus import build_vocab, pairs_from_tokens, stats_from_pairs
 from ncelm.noise import flattened, parse_noise_spec, sample_array, uniform, unigram
 from ncelm.seeding import STREAM_NOISE, derive_rng
+
+
+def extract_stats(tokens, vocab):
+    """Bigram and unigram counts of a token stream."""
+    return stats_from_pairs(pairs_from_tokens(tokens, vocab), len(vocab))
 
 
 def small_stats():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from batch_reference import ProxyBatch, cell_counts
 from ncelm import noise, trainer
@@ -34,7 +36,6 @@ from ncelm.trainer import (
     COUNT_BLOCK_CELLS,
     METRICS_HEADER,
     MetricsRow,
-    SweepRow,
     TrainConfig,
     TrainingDiverged,
     cross_entropy,
@@ -160,7 +161,7 @@ def _reference_train(config, pairs, n_words, truth):
     q = cfg = None
     if config.objective != "mle_exact":
         q = noise.parse_noise_spec(config.noise, stats, n_words)
-        cfg = NceConfig(k=config.k, z_mode=config.z_mode, q=q)
+        cfg = NceConfig(k=config.k, q=q)
     n = pairs.shape[0]
     history = []
     for epoch in range(1, config.epochs + 1):
@@ -350,6 +351,40 @@ def test_lockstep_returns_once_every_run_has_diverged(monkeypatch):
     assert len(steps) == (last.epoch - 1) * -(-len(pairs) // 32) + last.step
 
 
+_OBJECTIVE_Z = [("mle_exact", Z_EXACT), ("nce", Z_LEARNED_ZC), ("nce", Z_FIXED_ONE), ("ns", Z_FIXED_ONE),
+                ("ns", Z_LEARNED_ZC)]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lockstep_random_stacks_equal_solo_runs_bitwise(data):
+    # Random stacks of 2-4 runs, each with its own k, q, lr and seed, over
+    # |V| down to 2, batches that do not divide n or exceed it, and count
+    # blocks of any size, so that blocks end anywhere in an epoch, down to
+    # one step each. Every run is bitwise what training it alone gives.
+    n_words = data.draw(st.sampled_from([2, 3, 8, 24]), label="n_words")
+    n_pairs = data.draw(st.integers(n_words, n_words + 120), label="n_pairs")
+    batch_size = data.draw(st.integers(1, n_pairs + 20), label="batch_size")
+    block_cells = data.draw(st.integers(1, 2**13), label="block_cells")
+    objective, z_mode = data.draw(st.sampled_from(_OBJECTIVE_Z), label="objective")
+    runs = data.draw(st.lists(st.tuples(
+        st.integers(1, 6), st.sampled_from(["uniform", "unigram", "flattened:0.5"]),
+        st.floats(0.05, 1.0), st.integers(0, 5)), min_size=2, max_size=4), label="runs")
+    truth = make_zipf_truth(n_words, 1.3, seed=3)
+    pairs = generate_synthetic_corpus(truth, n_pairs, seed=n_pairs)
+    pairs[:n_words, 1] = np.arange(n_words)  # every word occurs: unigram q needs it
+    configs = [TrainConfig(objective=objective, k=k, z_mode=z_mode, noise=noise, learning_rate=lr,
+                           seed=seed, epochs=2, eval_every=1, batch_size=batch_size, dim=2)
+               for k, noise, lr, seed in runs]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "COUNT_BLOCK_CELLS", block_cells)
+        results = train_lockstep(configs, pairs, n_words, truth=truth)
+        for config, (params, history) in zip(configs, results, strict=True):
+            want_params, want_history = train(config, pairs, n_words, truth=truth)
+            assert params.vector.tobytes() == want_params.vector.tobytes()
+            assert _exact(history) == _exact(want_history)
+
+
 def test_lockstep_validates_its_runs():
     truth, pairs = fixture_data(200)
     cfg = TrainConfig(objective="nce", epochs=1, eval_every=1, seed=0, dim=3)
@@ -404,10 +439,10 @@ def test_sweep_degenerate_equals_single_run():
     rows = list(sweep_runs([base], [7], pairs, 8, truth))
     _, history = train(dataclasses.replace(base, k=7), pairs, 8, truth=truth)
     assert len(rows) == 1
-    seed, row = rows[0]
-    assert (seed, row.k) == (4, 7)
-    assert row.final_kl == history[-1].kl_truth
-    assert row.final_ce == history[-1].cross_entropy
+    config, row = rows[0]
+    assert (config.seed, config.k) == (4, 7)
+    assert row.kl_truth == history[-1].kl_truth
+    assert row.cross_entropy == history[-1].cross_entropy
 
 
 def test_sweep_trains_its_runs_in_chunks_of_bounded_size(monkeypatch):
@@ -423,10 +458,10 @@ def test_sweep_trains_its_runs_in_chunks_of_bounded_size(monkeypatch):
                          batch_size=32, dim=3) for seed in (0, 1)]
     rows = list(sweep_runs(bases, [1, 2, 5], pairs, 8, truth))
     assert sizes == [4, 2]
-    for (seed, row), (base, k) in zip(rows, [(b, k) for b in bases for k in (1, 2, 5)], strict=True):
+    for (config, row), (base, k) in zip(rows, [(b, k) for b in bases for k in (1, 2, 5)], strict=True):
         last = train(dataclasses.replace(base, k=k), pairs, 8, truth=truth)[1][-1]
-        assert (seed, row) == (base.seed, SweepRow(k, last.kl_truth, last.cross_entropy,
-                                                   last.median_abs_log_z))
+        assert config == dataclasses.replace(base, k=k)
+        assert dataclasses.replace(row, seconds=0.0) == dataclasses.replace(last, seconds=0.0)
 
 
 def test_sweep_validates_ks():
