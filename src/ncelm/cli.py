@@ -12,6 +12,7 @@ CSV files, never to parsed stdout text.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -75,12 +76,17 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation: "Unable to allocate ...".
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each command's ``func``
+    default is bound here, so patching a ``_cmd_*`` function later has no
+    effect on :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="ncelm",
         description="Bigram log-bilinear language model: exact MLE, "

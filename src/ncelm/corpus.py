@@ -190,12 +190,28 @@ def generate_synthetic_stream(truth: GroundTruthTable, n_tokens: int, seed: int)
 
 
 def _sample_rows(table: np.ndarray, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized inverse-CDF sampling, one draw per entry of ``rows``."""
+    """Inverse-CDF sampling, one draw per entry of ``rows`` from that row of
+    ``table``, with one uniform per entry drawn in entry order.
+
+    A draw is the number of CDF entries below its uniform u, counted by one
+    ``searchsorted(side="left")`` per table row over the draws of that row.
+    The count is exact: a cumsum of non-negative numbers never decreases, and
+    an entry that rounding leaves above the forced final 1.0 is above every
+    u < 1 as well. So memory is O(n + table), never one CDF row per draw.
+    """
     cdf = np.cumsum(table, axis=1)
     cdf[:, -1] = 1.0
     u = rng.random(rows.shape[0])
-    picked = cdf[rows]
-    return (u[:, None] > picked).sum(axis=1).astype(np.int64)
+    if cdf.shape[0] == 1:
+        return np.searchsorted(cdf[0], u, side="left").astype(np.int64, copy=False)
+    out = np.empty(rows.shape[0], dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    start = 0
+    for r, end in enumerate(np.bincount(rows, minlength=cdf.shape[0]).cumsum().tolist()):
+        sel = order[start:end]
+        out[sel] = np.searchsorted(cdf[r], u[sel], side="left")
+        start = end
+    return out
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:

@@ -347,7 +347,9 @@ def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel):
     n_runs = len(perms)
     grid = (n_words + 1) * n_words
     cells = pairs[:, 0] * n_words + pairs[:, 1]
-    rows = max(1, COUNT_BLOCK_CELLS // grid) * batch_size
+    # A block never holds more rows than the epoch, so a batch larger than
+    # the data allocates by the data.
+    rows = min(max(1, COUNT_BLOCK_CELLS // grid) * batch_size, perms.shape[1])
     offsets = (np.arange(rows) // batch_size * n_runs + np.arange(n_runs)[:, None]) * grid
     for lo in range(0, perms.shape[1], rows):
         idx = perms[:, lo : lo + rows]

@@ -90,6 +90,22 @@ def test_gen_data_usage_errors(tmp_path):
     assert str(MAX_VOCAB_SIZE) in r.stderr
 
 
+def test_gen_data_out_of_memory_is_a_usage_error(tmp_path, monkeypatch):
+    # The stream is replaced: a real allocation of this size could succeed
+    # on a host that overcommits memory, and then be filled.
+    message = ("Unable to allocate 7.28 TiB for an array with shape (999999999999,) "
+               "and data type float64")
+
+    def out_of_memory(truth, n_tokens, seed):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "generate_synthetic_stream", out_of_memory)
+    code, out, err = _main("gen-data", "--vocab-size", 4, "--tokens", 10**12,
+                           "--out-prefix", tmp_path / "x")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _wide_lab(root, n_words):
     """A corpus of ``n_words`` distinct words, each once, and a truth over
     them: each word is followed by the next, with probability 1."""
@@ -198,6 +214,25 @@ def test_train_is_byte_identical_across_runs(tmp_path):
     a = (tmp_path / "r1.model.metrics.csv").read_bytes()
     b = (tmp_path / "r2.model.metrics.csv").read_bytes()
     assert a == b
+
+
+def test_in_process_calls_after_a_usage_error_give_the_same_bytes(tmp_path):
+    # main builds its parser once per process; neither a parse error nor a
+    # usage error from a command leaves state that changes the next call.
+    prefix = gen_fixture(tmp_path)
+    runs = []
+    for name in ("r1.model", "r2.model"):
+        out = tmp_path / name
+        code, stdout, _ = _main(*train_args(prefix, out, "--objective", "nce", "--k", 3))
+        assert code == 0
+        files = [out, tmp_path / f"{name}.metrics.csv", tmp_path / f"{name}.config"]
+        runs.append((stdout, [f.read_bytes().replace(name.encode(), b"") for f in files]))
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            cli.main(["train", "--objective", "nce", "--k", "not-a-number"])
+        assert exc.value.code == 2
+        code, _, err = _main(*train_args(prefix, out, "--objective", "nce", "--k", 0))
+        assert code == 2 and err.startswith("error:")
+    assert runs[0] == runs[1]
 
 
 def test_train_missing_corpus_is_io_error(tmp_path):

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncelm import corpus
 from ncelm.corpus import (
@@ -140,6 +144,54 @@ def test_synthetic_stream_matches_per_token_searchsorted(n_words):
         got = generate_synthetic_stream(truth, 3000, seed)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
+
+
+def _dense_sample_rows(table, rows, rng):
+    """Reference for ``corpus._sample_rows``: gather each draw's whole CDF row,
+    (n, |V|), and count the entries below its uniform."""
+    cdf = np.cumsum(table, axis=1)
+    cdf[:, -1] = 1.0
+    u = rng.random(rows.shape[0])
+    return (u[:, None] > cdf[rows]).sum(axis=1).astype(np.int64)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    n_rows=st.one_of(st.just(1), st.integers(2, 40)),
+    n_cols=st.integers(1, 300),
+    n_draws=st.integers(0, 3000),
+    zero_share=st.sampled_from([0.0, 0.5, 0.9]),
+    tilt=st.sampled_from([0.0, 1e-12, -1e-12]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_rows_equals_the_dense_gather_bitwise(n_rows, n_cols, n_draws, zero_share, tilt,
+                                                     seed):
+    # Tables with zero-probability cells, the last cell included, whose rows
+    # sum to 1 up to the 1e-12 GroundTruthTable.validate allows, so that a
+    # cumsum can pass 1.0 before the forced final entry.
+    data = np.random.default_rng(seed)
+    table = data.random((n_rows, n_cols)) * (data.random((n_rows, n_cols)) >= zero_share)
+    table[np.arange(n_rows), data.integers(0, n_cols, n_rows)] += 0.5
+    table *= (1.0 + tilt) / table.sum(axis=1, keepdims=True)
+    rows = data.integers(0, n_rows, n_draws)
+    got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = corpus._sample_rows(table, rows, got_rng)
+    want = _dense_sample_rows(table, rows, want_rng)
+    assert got.dtype == np.int64 and got.shape == (n_draws,)
+    assert np.array_equal(got, want)
+    assert got_rng.random() == want_rng.random()  # both drew n_draws uniforms
+
+
+def test_synthetic_corpus_memory_is_linear_in_its_pairs():
+    # The dense gather held one CDF row per draw: 47.2 MB here.
+    truth = make_zipf_truth(256, 1.2, 3)
+    tracemalloc.start()
+    try:
+        generate_synthetic_corpus(truth, 20_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_generation_is_seed_deterministic():

@@ -224,6 +224,21 @@ def test_train_matches_per_step_batch_reference(objective, z_mode, n_words, n_pa
     assert [dataclasses.replace(r, seconds=0.0) for r in history] == want_history
 
 
+@pytest.mark.parametrize("objective", ["mle_exact", "nce", "ns"])
+def test_a_batch_larger_than_the_data_trains_as_one_full_batch(objective):
+    # A count block holds at most the epoch's pairs, so a batch size far past
+    # the data allocates by the data, and trains exactly as a batch of n.
+    truth = make_zipf_truth(6, 1.3, seed=3)
+    pairs = generate_synthetic_corpus(truth, 500, seed=4)
+    results = []
+    for batch_size in (500, 10**12):
+        cfg = TrainConfig(objective=objective, k=3, noise="unigram", epochs=3, eval_every=1,
+                          seed=6, batch_size=batch_size, dim=3, learning_rate=0.4)
+        params, history = train(cfg, pairs, 6, truth=truth)
+        results.append((params.vector.tobytes(), _exact(history)))
+    assert results[0] == results[1]
+
+
 def _exact(history):
     """MetricsRows without their wall-clock seconds, as a string that tells
     floats apart to the bit (repr round-trips)."""
