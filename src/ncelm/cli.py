@@ -177,7 +177,7 @@ def _cmd_gen_data(args) -> int:
     truth = make_zipf_truth(args.vocab_size, args.zipf_s, args.seed)
     vocab = build_vocab(f"w{i}" for i in range(args.vocab_size))
     ids = generate_synthetic_stream(truth, args.tokens, args.seed)
-    write_corpus_tokens(args.out_prefix + ".txt", (vocab.word_of(i) for i in ids))
+    write_corpus_tokens(args.out_prefix + ".txt", (vocab.words[i] for i in ids))
     write_truth(args.out_prefix + ".truth", truth, vocab)
     _write_config(args.out_prefix, args)
     print(f"wrote {args.out_prefix}.txt and {args.out_prefix}.truth")
@@ -231,10 +231,12 @@ def _train_config(args, objective: str, seed: int) -> TrainConfig:
 def _cmd_train(args) -> int:
     pairs, n_words, truth, vocab = _load_training_data(args)
     config = _train_config(args, _OBJECTIVES[args.objective], args.seed)
-    prefix = args.out if args.checkpoint_every else None
-    params, history = train(
-        config, pairs, n_words, truth=truth, vocab=vocab, checkpoint_prefix=prefix
-    )
+
+    def checkpoint(run, epoch, params, row) -> None:
+        save_model(f"{args.out}.ep{epoch}.model", params, vocab)
+
+    params, history = train(config, pairs, n_words, truth=truth,
+                            on_eval=checkpoint if args.checkpoint_every else None)
     save_model(args.out, params, vocab)
     write_metrics_csv(history, args.out + ".metrics.csv")
     _write_config(args.out, args)
@@ -261,7 +263,7 @@ def _cmd_eval(args) -> int:
         if tvocab.words != vocab.words:
             raise ValueError(f"{args.truth}: ground-truth vocabulary does not match {args.model}")
         rows = kl_truth_rows(truth, params)
-        values.update((f"KL of context {vocab.word_of(c)}", kl) for c, kl in enumerate(rows))
+        values.update((f"KL of context {vocab.words[c]}", kl) for c, kl in enumerate(rows))
         values["mean KL"] = rows.mean()
     # Every value is checked before any is printed: a failed eval prints nothing.
     for name, v in values.items():
@@ -271,7 +273,7 @@ def _cmd_eval(args) -> int:
     print(f"log_z min {zstats['min']:.9g} median {zstats['median']:.9g} max {zstats['max']:.9g}")
     if args.truth:
         for c, kl in enumerate(rows):
-            print(f"kl {vocab.word_of(c)} {kl:.9g}")
+            print(f"kl {vocab.words[c]} {kl:.9g}")
         print(f"kl_mean {values['mean KL']:.9g}")
     return EXIT_OK
 

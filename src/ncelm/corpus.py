@@ -12,6 +12,7 @@ refuse a vocabulary over ``MAX_VOCAB_SIZE`` from the header, reading no row.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -24,6 +25,10 @@ BOS_TOKEN = "<s>"
 MAX_VOCAB_SIZE = 1024
 DENSE_GRIDS = "the truth table and the count and score grids are dense (|V| + 1) x |V| arrays"
 
+# Tokens a synthetic stream is drawn, and a corpus written, at a time, so the
+# Python objects held at once do not grow with the stream.
+STREAM_CHUNK = 2**16
+
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -34,9 +39,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def word_of(self, word_id: int) -> str:
-        return self.words[word_id]
 
     @property
     def bos_context(self) -> int:
@@ -177,16 +179,20 @@ def generate_synthetic_stream(truth: GroundTruthTable, n_tokens: int, seed: int)
         raise ValueError("n_tokens must be >= 1")
     rng = derive_rng(seed, STREAM_DATA)
     # Inverse-CDF draws, one token at a time: the chain is inherently serial,
-    # so each draw bisects a Python list (searchsorted's side="right").
+    # so each draw bisects a Python list (searchsorted's side="right"). The
+    # uniforms come a chunk at a time, the same stream as one call for all.
     cdf = np.cumsum(truth.cond, axis=1)
     cdf[:, -1] = 1.0
     rows = cdf.tolist()
-    token = int(np.searchsorted(np.cumsum(truth.context_marginal), rng.random(), side="right"))
-    out = [token]
-    for u in rng.random(n_tokens - 1).tolist():
-        token = bisect_right(rows[token], u)
-        out.append(token)
-    return np.array(out, dtype=np.int64)
+    out = np.empty(n_tokens, dtype=np.int64)
+    out[0] = token = int(np.searchsorted(np.cumsum(truth.context_marginal), rng.random(), side="right"))
+    for lo in range(1, n_tokens, STREAM_CHUNK):
+        chunk = []
+        for u in rng.random(min(STREAM_CHUNK, n_tokens - lo)).tolist():
+            token = bisect_right(rows[token], u)
+            chunk.append(token)
+        out[lo : lo + len(chunk)] = chunk
+    return out
 
 
 def _sample_rows(table: np.ndarray, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -257,8 +263,12 @@ def read_corpus_tokens(path) -> list[str]:
 
 
 def write_corpus_tokens(path, tokens) -> None:
+    """Space-separated tokens and a newline, joined ``STREAM_CHUNK`` at a time."""
+    tokens = iter(tokens)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(" ".join(tokens))
+        fh.write(" ".join(itertools.islice(tokens, STREAM_CHUNK)))
+        while chunk := list(itertools.islice(tokens, STREAM_CHUNK)):
+            fh.write(" " + " ".join(chunk))
         fh.write("\n")
 
 

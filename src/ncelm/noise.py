@@ -17,34 +17,27 @@ import numpy as np
 
 from .corpus import CorpusStats
 
-KIND_UNIFORM = "uniform"
-KIND_UNIGRAM = "unigram"
-KIND_FLATTENED = "flattened"
-
-
 @dataclass(frozen=True)
 class NoiseDistribution:
     """Categorical distribution over the vocabulary."""
 
     probs: np.ndarray  # (n_words,), sums to 1, strictly positive
-    kind: str
-    alpha: float | None = None
 
     @property
     def n_words(self) -> int:
         return self.probs.shape[0]
 
 
-def _build(probs: np.ndarray, kind: str, alpha: float | None = None) -> NoiseDistribution:
+def _build(probs: np.ndarray) -> NoiseDistribution:
     if np.any(probs <= 0):
         raise ValueError("unsupported word in noise distribution: zero probability")
-    return NoiseDistribution(probs=probs, kind=kind, alpha=alpha)
+    return NoiseDistribution(probs=probs)
 
 
 def uniform(n_words: int) -> NoiseDistribution:
     if n_words < 2:
         raise ValueError("noise distribution needs >= 2 words")
-    return _build(np.full(n_words, 1.0 / n_words), KIND_UNIFORM)
+    return _build(np.full(n_words, 1.0 / n_words))
 
 
 def unigram(stats: CorpusStats) -> NoiseDistribution:
@@ -53,7 +46,7 @@ def unigram(stats: CorpusStats) -> NoiseDistribution:
     if np.any(counts == 0):
         missing = int(np.flatnonzero(counts == 0)[0])
         raise ValueError(f"unsupported word in noise distribution: word id {missing} has count 0")
-    return _build(counts / counts.sum(), KIND_UNIGRAM)
+    return _build(counts / counts.sum())
 
 
 def flattened(stats: CorpusStats, alpha: float) -> NoiseDistribution:
@@ -66,7 +59,7 @@ def flattened(stats: CorpusStats, alpha: float) -> NoiseDistribution:
         raise ValueError(f"flattening exponent out of range (0, 1): {alpha}")
     base = unigram(stats).probs
     p = base**alpha
-    return _build(p / p.sum(), KIND_FLATTENED, alpha=alpha)
+    return _build(p / p.sum())
 
 
 def sample_array(q: NoiseDistribution, totals, rng: np.random.Generator) -> np.ndarray:
@@ -85,9 +78,9 @@ def parse_noise_spec(spec: str, stats: CorpusStats | None, n_words: int) -> Nois
     frequency-based forms.
     """
     spec = spec.strip()
-    if spec == KIND_UNIFORM:
+    if spec == "uniform":
         return uniform(n_words)
-    if spec == KIND_UNIGRAM:
+    if spec == "unigram":
         if stats is None:
             raise ValueError("unigram noise needs corpus statistics")
         return unigram(stats)

@@ -19,14 +19,13 @@ when trained alone. ``train`` is the one-run case of that loop.
 
 from __future__ import annotations
 
-import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import nce, negsampling, noise
-from .corpus import GroundTruthTable, Vocabulary, stats_from_pairs
+from .corpus import GroundTruthTable, stats_from_pairs
 from .model import (
     PARAM_BLOCKS,
     CellCounts,
@@ -43,7 +42,6 @@ from .model import (
     log_softmax_matrix,
     params_finite,
     per_model,
-    save_model,
     zero_gradient,
 )
 from .seeding import STREAM_NOISE, STREAM_SHUFFLE, derive_rng
@@ -121,7 +119,6 @@ class MetricsRow:
     kl_truth: float | None  # mean over contexts; None without a ground truth
     median_abs_log_z: float  # over contexts seen in the training data
     objective: float  # mean per-example value of the configured objective
-    seconds: float  # wall-clock since training started
 
 
 def train(
@@ -129,16 +126,15 @@ def train(
     pairs: np.ndarray,
     n_words: int,
     truth: GroundTruthTable | None = None,
-    vocab: Vocabulary | None = None,
-    checkpoint_prefix: str | None = None,
+    on_eval: Callable[[int, int, ModelParams, MetricsRow], None] | None = None,
 ) -> tuple[ModelParams, list[MetricsRow]]:
     """Run gradient ascent and return final parameters plus metric history.
 
-    Metrics are recorded every ``eval_every`` epochs and at the final epoch;
-    checkpoints (needing ``vocab``) are written at the same epochs. Fully
+    Metrics are recorded every ``eval_every`` epochs and at the final epoch,
+    and ``on_eval`` sees each row as it is recorded, with run index 0. Fully
     deterministic given the config. The one-run case of :func:`train_lockstep`.
     """
-    (result,) = train_lockstep([config], pairs, n_words, truth, vocab, [checkpoint_prefix])
+    (result,) = train_lockstep([config], pairs, n_words, truth, on_eval)
     if isinstance(result, TrainingDiverged):
         raise result
     return result
@@ -149,8 +145,7 @@ def train_lockstep(
     pairs: np.ndarray,
     n_words: int,
     truth: GroundTruthTable | None = None,
-    vocab: Vocabulary | None = None,
-    checkpoint_prefixes: Sequence[str | None] | None = None,
+    on_eval: Callable[[int, int, ModelParams, MetricsRow], None] | None = None,
 ) -> list[tuple[ModelParams, list[MetricsRow]] | TrainingDiverged]:
     """Train R runs on the same pairs in lockstep: each SGD step is one call
     per kernel on the stack of their R models.
@@ -162,8 +157,11 @@ def train_lockstep(
     :func:`train` would raise. The stack keeps its R rows until the call
     returns: a run that diverges is parked, its row zeroed and its rate 0,
     and the others go on; once every run has diverged the call returns.
-    ``checkpoint_prefixes`` holds one prefix, or None, per run. An epoch
-    holds R permutations of the pairs: R * n int64 values.
+    ``on_eval(r, epoch, params, row)`` is called right after run r's row is
+    appended to its history, never for a diverged run or the epoch it
+    diverges in; ``params``, run r's view into the stack, is valid only
+    during the call, and an exception it raises propagates. An epoch holds
+    R permutations of the pairs: R * n int64 values.
     """
     configs = list(configs)
     pairs = np.asarray(pairs, dtype=np.int64)
@@ -173,11 +171,6 @@ def train_lockstep(
         raise ValueError("training needs at least one pair")
     first = configs[0]
     _check_lockstep(configs)
-    prefixes = list(checkpoint_prefixes or [None] * len(configs))
-    if len(prefixes) != len(configs):
-        raise ValueError("checkpoint_prefixes needs one entry per config")
-    if any(p is not None for p in prefixes) and vocab is None:
-        raise ValueError("checkpoints need a vocabulary")
     stats = stats_from_pairs(pairs, n_words)
     z_mode = {OBJ_MLE: Z_EXACT, OBJ_NS: Z_FIXED_ONE}.get(first.objective, first.z_mode)
     qs = None if first.objective == OBJ_MLE else [
@@ -198,7 +191,6 @@ def train_lockstep(
     results: list = [None] * len(configs)  # a run's entry is set when it finishes or diverges
     histories: list[list[MetricsRow]] = [[] for _ in configs]
     n = pairs.shape[0]
-    start = time.perf_counter()
     for epoch in range(1, first.epochs + 1):
         # A diverged run is parked until the call returns: a zero row stepped
         # at rate 0 stays finite and leaves the others' bits.
@@ -223,7 +215,7 @@ def train_lockstep(
                 if all(res is not None for res in results):
                     return results
         if epoch % first.eval_every == 0 or epoch == first.epochs:
-            metrics = _metrics(models, stats, truth, loss_fn, totals, epoch, start)
+            metrics = _metrics(models, stats, truth, loss_fn, totals, epoch)
             for r, row in enumerate(metrics):
                 if results[r] is not None:
                     continue
@@ -234,8 +226,8 @@ def train_lockstep(
                     runs[r].vector[:] = 0.0
                     continue
                 histories[r].append(row)
-                if prefixes[r] is not None:
-                    save_model(f"{prefixes[r]}.ep{epoch}.model", runs[r], vocab)
+                if on_eval is not None:
+                    on_eval(r, epoch, runs[r], row)
             if all(res is not None for res in results):
                 return results
     for r, run in enumerate(runs):
@@ -368,7 +360,7 @@ def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel):
             yield size, CellCounts(step[0][sel], None if samplers is None else step[1][sel])
 
 
-def _metrics(params, stats, truth, loss_fn, noise_total, epoch, start) -> list[MetricsRow]:
+def _metrics(params, stats, truth, loss_fn, noise_total, epoch) -> list[MetricsRow]:
     """One row per model of the stack ``params``, its noise counts ``noise_total[r]``."""
     n = stats.total_tokens
     ce = cross_entropy(params, stats.bigram_counts)
@@ -376,10 +368,9 @@ def _metrics(params, stats, truth, loss_fn, noise_total, epoch, start) -> list[M
     med_z = np.median(np.abs(log_partitions(params)[..., stats.seen_contexts()]), axis=-1)
     counts = CellCounts(stats.bigram_counts, noise_total)
     obj = -ce if loss_fn is None else loss_fn(params, counts) / n
-    seconds = time.perf_counter() - start
     return [
         MetricsRow(epoch=epoch, cross_entropy=float(c), kl_truth=None if k is None else float(k),
-                   median_abs_log_z=float(m), objective=float(o), seconds=seconds)
+                   median_abs_log_z=float(m), objective=float(o))
         for c, k, m, o in zip(ce, kl, med_z, obj)
     ]
 
@@ -415,10 +406,10 @@ METRICS_HEADER = "epoch,cross_entropy,kl_truth,median_abs_log_z,objective,second
 def write_metrics_csv(rows: list[MetricsRow], path) -> None:
     """Stable CSV of the metric history, 9 significant digits.
 
-    ``kl_truth`` is left empty when no ground truth was supplied. The
-    ``seconds`` column is written as 0: output files are part of the
-    deterministic byte-for-byte reproducibility contract, and wall-clock
-    time is not reproducible. Measured timings live on the in-memory rows.
+    ``kl_truth`` is left empty when no ground truth was supplied. The last
+    column, ``seconds``, is always 0: the trainer reads no clock, since
+    wall-clock time would break same-seed byte identity, and the column
+    stays so that files keep the layout earlier versions wrote.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(METRICS_HEADER + "\n")

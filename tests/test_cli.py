@@ -235,6 +235,32 @@ def test_in_process_calls_after_a_usage_error_give_the_same_bytes(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_checkpoints_written_at_eval_epochs(tmp_path):
+    # --checkpoint-every writes <out>.ep<N>.model at each metrics epoch N:
+    # the model file that training for N epochs writes. A checkpoint that
+    # cannot be written is an I/O error, exit 2, and leaves no model file.
+    prefix = gen_fixture(tmp_path, tokens=600)
+
+    def run(out, epochs, *extra):
+        return _main("train", "--corpus", f"{prefix}.txt", "--truth", f"{prefix}.truth",
+                     "--objective", "nce", "--k", 2, "--epochs", epochs, "--eval-every", 2,
+                     "--dim", 3, "--out", tmp_path / out, *extra)
+
+    assert run("run.model", 5, "--checkpoint-every")[0] == 0
+    assert sorted(p.name for p in tmp_path.glob("*.ep*")) == [
+        "run.model.ep2.model", "run.model.ep4.model", "run.model.ep5.model"]
+    assert (tmp_path / "run.model.ep5.model").read_bytes() == (tmp_path / "run.model").read_bytes()
+    for epoch in (2, 4):
+        assert run(f"e{epoch}.model", epoch)[0] == 0
+        want = (tmp_path / f"e{epoch}.model").read_bytes()
+        assert (tmp_path / f"run.model.ep{epoch}.model").read_bytes() == want
+    assert len(list(tmp_path.glob("*.ep*"))) == 3  # none without the flag
+    (tmp_path / "bad.model.ep2.model").mkdir()
+    code, _, err = run("bad.model", 3, "--checkpoint-every")
+    assert code == 2 and err.startswith("error: ") and "bad.model.ep2.model" in err
+    assert not (tmp_path / "bad.model").exists()
+
+
 def test_train_missing_corpus_is_io_error(tmp_path):
     r = run_cli("train", "--corpus", tmp_path / "nope.txt", "--objective", "mle",
                 "--out", tmp_path / "m.model")
@@ -433,7 +459,7 @@ def eval_lab(tmp_path_factory):
     save_model(root / "m.model", params, vocab)
     write_truth(root / "t.truth", truth, vocab)
     ids = generate_synthetic_stream(truth, 200, seed=2)
-    write_corpus_tokens(root / "c.txt", (vocab.word_of(i) for i in ids))
+    write_corpus_tokens(root / "c.txt", (vocab.words[i] for i in ids))
     return root
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,7 @@ def test_build_vocab_first_occurrence_order():
     v = build_vocab(["b", "a", "b", "c", "a"])
     assert v.words == ("b", "a", "c")
     assert v.index["a"] == 1
-    assert v.word_of(2) == "c"
+    assert v.words[2] == "c"
     assert v.bos_context == 3
 
 
@@ -192,6 +193,36 @@ def test_synthetic_corpus_memory_is_linear_in_its_pairs():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_synthetic_stream_and_writer_memory_does_not_grow_as_python_objects(tmp_path):
+    # Holding every uniform as a Python float and joining every token into
+    # one string peaked at 40.5 MB here; the int64 ids alone take 8 MB.
+    truth = make_zipf_truth(16, 1.2, 0)
+    words = tuple(f"w{i}" for i in range(16))
+    tracemalloc.start()
+    try:
+        ids = generate_synthetic_stream(truth, 10**6, 0)
+        write_corpus_tokens(tmp_path / "c.txt", (words[i] for i in ids))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2**16])
+def test_written_synthetic_stream_bytes_are_pinned(chunk, tmp_path, monkeypatch):
+    # 2 * 2**16 + 3 tokens cross two chunk boundaries at the default chunk.
+    # The digest is that of the file the unchunked generator and writer
+    # wrote for this seed; any chunk size gives the same bytes.
+    monkeypatch.setattr(corpus, "STREAM_CHUNK", chunk)
+    truth = make_zipf_truth(5, 1.2, 4)
+    path = tmp_path / "c.txt"
+    write_corpus_tokens(path, (f"w{i}" for i in generate_synthetic_stream(truth, 20, 4)))
+    assert path.read_bytes() == b"w3 w1 w2 w2 w2 w2 w4 w1 w2 w4 w4 w1 w4 w4 w4 w1 w3 w1 w3 w1\n"
+    write_corpus_tokens(path, (f"w{i}" for i in generate_synthetic_stream(truth, 2 * 2**16 + 3, 4)))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "51dcc75540ef7fe107a1fedd76b1f8f15c244d85ef785b532a3fc0c77a4a40f9"
 
 
 def test_generation_is_seed_deterministic():

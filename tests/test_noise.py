@@ -42,7 +42,6 @@ def test_flattened_hand_values_and_bounds():
     q = flattened(stats, 0.75)
     raw = np.array([4.0, 2.0, 2.0]) ** 0.75
     assert np.allclose(q.probs, raw / raw.sum())
-    assert q.alpha == 0.75
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError, match="exponent"):
             flattened(stats, bad)
@@ -107,10 +106,10 @@ def test_one_call_equals_per_row_calls_bitwise():
 
 def test_parse_noise_spec():
     stats = small_stats()
-    assert parse_noise_spec("uniform", None, 3).kind == "uniform"
-    assert parse_noise_spec("unigram", stats, 3).kind == "unigram"
-    q = parse_noise_spec("flattened:0.75", stats, 3)
-    assert q.kind == "flattened" and q.alpha == 0.75
+    for spec, want in (("uniform", uniform(3)), (" unigram ", unigram(stats)),
+                       ("flattened:0.75", flattened(stats, 0.75))):
+        assert parse_noise_spec(spec, stats, 3).probs.tobytes() == want.probs.tobytes()
+    assert parse_noise_spec("uniform", None, 3).probs.tobytes() == uniform(3).probs.tobytes()
     with pytest.raises(ValueError, match="needs corpus statistics"):
         parse_noise_spec("unigram", None, 3)
     with pytest.raises(ValueError, match="unknown noise spec"):

@@ -24,7 +24,6 @@ from ncelm.model import (
     apply_gradient,
     grad_log_likelihood,
     init_params,
-    load_model,
     log_likelihood,
     log_partitions,
     save_model,
@@ -99,9 +98,7 @@ def test_train_is_bit_deterministic():
     p2, h2 = train(cfg, pairs, 8, truth=truth)
     assert np.array_equal(p1.target_emb, p2.target_emb)
     assert np.array_equal(p1.log_zc, p2.log_zc)
-    # seconds is wall-clock and excluded from the reproducibility contract
-    strip = [dataclasses.replace(r, seconds=0.0) for r in h1]
-    assert strip == [dataclasses.replace(r, seconds=0.0) for r in h2]
+    assert h1 == h2
 
 
 def test_training_reduces_cross_entropy_for_all_objectives():
@@ -196,7 +193,6 @@ def _reference_train(config, pairs, n_words, truth):
                 kl_truth=kl_truth_model(truth, params),
                 median_abs_log_z=float(np.median(np.abs(log_partitions(params)[stats.seen_contexts()]))),
                 objective=float(obj),
-                seconds=0.0,
             ))
     return params, history
 
@@ -221,7 +217,7 @@ def test_train_matches_per_step_batch_reference(objective, z_mode, n_words, n_pa
     params, history = train(cfg, pairs, n_words, truth=truth)
     want_params, want_history = _reference_train(cfg, pairs, n_words, truth)
     assert params.vector.tobytes() == want_params.vector.tobytes()
-    assert [dataclasses.replace(r, seconds=0.0) for r in history] == want_history
+    assert history == want_history
 
 
 @pytest.mark.parametrize("objective", ["mle_exact", "nce", "ns"])
@@ -240,9 +236,16 @@ def test_a_batch_larger_than_the_data_trains_as_one_full_batch(objective):
 
 
 def _exact(history):
-    """MetricsRows without their wall-clock seconds, as a string that tells
-    floats apart to the bit (repr round-trips)."""
-    return repr([dataclasses.replace(r, seconds=0.0) for r in history])
+    """MetricsRows as a string that tells floats apart to the bit (repr
+    round-trips)."""
+    return repr(history)
+
+
+def _recorder(calls):
+    """An on_eval hook that appends (run, epoch, parameter bytes, z_mode,
+    exact row) to ``calls``; the parameters are copied during the call."""
+    return lambda run, epoch, params, row: calls.append(
+        (run, epoch, params.vector.tobytes(), params.z_mode, _exact([row])))
 
 
 # (k, seed, noise, learning rate) of the runs trained in lockstep.
@@ -254,25 +257,30 @@ _MIXED = [(1, 0, "unigram", 0.4), (5, 1, "uniform", 0.3), (3, 2, "flattened:0.5"
 @pytest.mark.parametrize("objective,z_mode", _RUNS[:4])
 def test_lockstep_runs_equal_solo_runs_bitwise(objective, z_mode, batch_size, tmp_path):
     # 1003 pairs: each epoch ends on a short step; in batches of 8 an epoch
-    # takes two count blocks. Each run's parameters, metric rows, checkpoints
-    # and written model and metrics files are those of training it alone.
+    # takes two count blocks. Each run's parameters, metric rows, on_eval
+    # calls and written model and metrics files are those of training it alone.
     truth, pairs = fixture_data(1003)
     vocab = build_vocab(f"w{i}" for i in range(8))
     configs = [TrainConfig(objective=objective, k=k, z_mode=z_mode, noise=noise, seed=seed,
                            learning_rate=lr, epochs=3, eval_every=2, batch_size=batch_size, dim=4)
                for k, seed, noise, lr in _MIXED]
-    prefixes = [str(tmp_path / f"stack{r}") for r in range(len(configs))]
-    results = train_lockstep(configs, pairs, 8, truth=truth, vocab=vocab, checkpoint_prefixes=prefixes)
+    calls = []
+    results = train_lockstep(configs, pairs, 8, truth=truth, on_eval=_recorder(calls))
+    # One call per run at each eval epoch, epoch by epoch and in run order.
+    assert [c[:2] for c in calls] == [(r, e) for e in (2, 3) for r in range(len(configs))]
     for r, (config, (params, history)) in enumerate(zip(configs, results)):
-        want_params, want_history = train(config, pairs, 8, truth=truth, vocab=vocab,
-                                          checkpoint_prefix=str(tmp_path / f"solo{r}"))
+        solo_calls = []
+        want_params, want_history = train(config, pairs, 8, truth=truth, on_eval=_recorder(solo_calls))
         assert params.vector.tobytes() == want_params.vector.tobytes()
         assert params.vector.shape == want_params.vector.shape and params.z_mode == want_params.z_mode
         assert _exact(history) == _exact(want_history)
+        assert [c[1:] for c in calls if c[0] == r] == [c[1:] for c in solo_calls]
+        assert {c[0] for c in solo_calls} == {0}
+        assert solo_calls[-1][1:] == (3, params.vector.tobytes(), params.z_mode, _exact(history[-1:]))
         for tag, p, h in (("stack", params, history), ("solo", want_params, want_history)):
             save_model(tmp_path / f"{tag}{r}.model", p, vocab)
             write_metrics_csv(h, tmp_path / f"{tag}{r}.csv")
-        for suffix in (".model", ".csv", ".ep2.model", ".ep3.model"):
+        for suffix in (".model", ".csv"):
             assert (tmp_path / f"stack{r}{suffix}").read_bytes() == (tmp_path / f"solo{r}{suffix}").read_bytes()
 
 
@@ -288,20 +296,29 @@ def test_lockstep_divergence_matches_solo_runs(objective, lrs):
     configs = [TrainConfig(objective=objective, k=1 + r, noise="unigram", seed=r, learning_rate=lr,
                            epochs=3, eval_every=1, batch_size=32, dim=2)
                for r, lr in enumerate(lrs)]
+    # on_eval fires at every eval epoch of a run until it diverges, and
+    # neither for the epoch it diverges in nor after, alone or stacked.
+    calls = []
     with np.errstate(over="ignore", invalid="ignore"):
-        results = train_lockstep(configs, pairs, 8, truth=truth)
-        for config, result in zip(configs, results):
+        results = train_lockstep(configs, pairs, 8, truth=truth, on_eval=_recorder(calls))
+        for r, (config, result) in enumerate(zip(configs, results)):
+            solo_calls = []
             try:
-                params, history = train(config, pairs, 8, truth=truth)
+                params, history = train(config, pairs, 8, truth=truth, on_eval=_recorder(solo_calls))
             except TrainingDiverged as exc:
                 assert isinstance(result, TrainingDiverged)
                 assert (str(result), result.epoch, result.step, result.block, result.lr) == (
                     str(exc), exc.epoch, exc.step, exc.block, exc.lr)
                 assert exc.lr == config.learning_rate * config.lr_decay ** (exc.epoch - 1)
                 assert str(exc).endswith(f"(lr {exc.lr:.9g})")
+                epochs = list(range(1, exc.epoch))
             else:
                 assert result[0].vector.tobytes() == params.vector.tobytes()
                 assert _exact(result[1]) == _exact(history)
+                epochs = [1, 2, 3]
+            assert [c[1] for c in solo_calls] == epochs
+            assert [c[1:] for c in calls if c[0] == r] == [c[1:] for c in solo_calls]
+    assert calls == sorted(calls, key=lambda c: (c[1], c[0]))
     kinds = {"ok" if isinstance(r, tuple) else r.block in PARAM_BLOCKS for r in results}
     assert kinds == ({"ok", True, False} if objective == "mle_exact" else {"ok", False})
 
@@ -410,10 +427,6 @@ def test_lockstep_validates_its_runs():
                  "epochs": 2, "eval_every": 2}[field]
         with pytest.raises(ValueError, match="must share"):
             train_lockstep([cfg, dataclasses.replace(cfg, **{field: other})], pairs, 8)
-    with pytest.raises(ValueError, match="vocabulary"):
-        train_lockstep([cfg, cfg], pairs, 8, checkpoint_prefixes=[None, "x"])
-    with pytest.raises(ValueError, match="one entry per config"):
-        train_lockstep([cfg, cfg], pairs, 8, checkpoint_prefixes=[None])
 
 
 def test_eval_helpers_on_a_stack_equal_solo_calls_bitwise():
@@ -431,20 +444,32 @@ def test_eval_helpers_on_a_stack_equal_solo_calls_bitwise():
         assert all(type(helper(p)) is float for p in solo)
 
 
-def test_checkpoints_written_at_eval_epochs(tmp_path):
+@pytest.mark.parametrize("objective,z_mode", _RUNS[:4])
+def test_on_eval_sees_each_eval_epochs_parameters(objective, z_mode):
+    # The parameters on_eval sees at epoch e are those of the same run
+    # trained for e epochs, and its row is the history's row of epoch e.
     truth, pairs = fixture_data(600)
-    vocab = build_vocab(f"w{i}" for i in range(8))
-    cfg = TrainConfig(objective="nce", k=2, epochs=4, eval_every=2, seed=0,
+    cfg = TrainConfig(objective=objective, k=2, z_mode=z_mode, epochs=5, eval_every=2, seed=0,
                       batch_size=32, dim=3)
-    prefix = str(tmp_path / "run")
-    params, _ = train(cfg, pairs, 8, truth=truth, vocab=vocab, checkpoint_prefix=prefix)
-    for epoch in (2, 4):
-        loaded, _ = load_model(f"{prefix}.ep{epoch}.model")
-        assert loaded.dim == 3
-    final, _ = load_model(f"{prefix}.ep4.model")
-    assert np.array_equal(final.target_emb, params.target_emb)
-    with pytest.raises(ValueError, match="vocabulary"):
-        train(cfg, pairs, 8, checkpoint_prefix=prefix)
+    calls = []
+    _, history = train(cfg, pairs, 8, truth=truth, on_eval=_recorder(calls))
+    assert [c[:2] for c in calls] == [(0, 2), (0, 4), (0, 5)]
+    for (_, epoch, vector, z, row), want_row in zip(calls, history, strict=True):
+        params, rows = train(dataclasses.replace(cfg, epochs=epoch), pairs, 8, truth=truth)
+        assert (vector, z) == (params.vector.tobytes(), params.z_mode)
+        assert row == _exact([want_row]) == _exact(rows[-1:])
+
+
+def test_an_exception_from_on_eval_propagates():
+    truth, pairs = fixture_data(200)
+    cfg = TrainConfig(objective="nce", epochs=3, eval_every=1, seed=0, dim=3)
+
+    def hook(run, epoch, params, row):
+        if (run, epoch) == (1, 2):
+            raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        train_lockstep([cfg, dataclasses.replace(cfg, seed=1)], pairs, 8, on_eval=hook)
 
 
 def test_sweep_degenerate_equals_single_run():
@@ -476,7 +501,7 @@ def test_sweep_trains_its_runs_in_chunks_of_bounded_size(monkeypatch):
     for (config, row), (base, k) in zip(rows, [(b, k) for b in bases for k in (1, 2, 5)], strict=True):
         last = train(dataclasses.replace(base, k=k), pairs, 8, truth=truth)[1][-1]
         assert config == dataclasses.replace(base, k=k)
-        assert dataclasses.replace(row, seconds=0.0) == dataclasses.replace(last, seconds=0.0)
+        assert row == last
 
 
 def test_sweep_validates_ks():
@@ -521,14 +546,15 @@ def test_kl_and_cross_entropy_hand_values():
 def test_metrics_csv_format(tmp_path):
     rows = [
         MetricsRow(epoch=2, cross_entropy=1.5, kl_truth=0.25, median_abs_log_z=0.125,
-                   objective=-1.5, seconds=3.7),
+                   objective=-1.5),
         MetricsRow(epoch=4, cross_entropy=1.25, kl_truth=None, median_abs_log_z=0.0625,
-                   objective=-1.25, seconds=7.4),
+                   objective=-1.25),
     ]
     path = tmp_path / "m.csv"
     write_metrics_csv(rows, path)
     lines = path.read_text().splitlines()
     assert lines[0] == METRICS_HEADER
-    # seconds is written as a constant so outputs stay byte-reproducible
+    # The trainer reads no clock: seconds is written as a constant 0, so
+    # outputs stay byte-reproducible and keep their earlier layout.
     assert lines[1] == "2,1.5,0.25,0.125,-1.5,0"
     assert lines[2] == "4,1.25,,0.0625,-1.25,0"
