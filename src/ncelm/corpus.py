@@ -111,19 +111,13 @@ def pairs_from_tokens(tokens, vocab: Vocabulary) -> np.ndarray:
 
     Raises on the first token missing from ``vocab``, naming its position.
     """
-    ids = np.empty(len(tokens), dtype=np.int64)
-    for pos, tok in enumerate(tokens):
-        wid = vocab.index.get(tok)
-        if wid is None:
-            raise ValueError(f"unknown token {tok!r} at position {pos}")
-        ids[pos] = wid
-    if ids.size == 0:
+    lookup = map(vocab.index.get, tokens, itertools.repeat(-1))  # -1 marks an unknown token
+    ids = np.fromiter(itertools.chain([vocab.bos_context], lookup), np.int64, len(tokens) + 1)
+    if (unknown := np.flatnonzero(ids[1:] < 0)).size:
+        raise ValueError(f"unknown token {tokens[unknown[0]]!r} at position {unknown[0]}")
+    if ids.size == 1:
         raise ValueError("empty token stream")
-    pairs = np.empty((ids.size, 2), dtype=np.int64)
-    pairs[0, 0] = vocab.bos_context
-    pairs[1:, 0] = ids[:-1]
-    pairs[:, 1] = ids
-    return pairs
+    return np.stack([ids[:-1], ids[1:]], axis=1)  # each (context, word): <s> then every token
 
 
 def pair_count_matrix(pairs: np.ndarray, n_words: int) -> np.ndarray:

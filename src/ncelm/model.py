@@ -142,7 +142,8 @@ def log_partitions(params: ModelParams) -> np.ndarray:
 def softmax_from_scores(scores: np.ndarray) -> np.ndarray:
     """Shift-invariant softmax over the last axis."""
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def log_softmax_matrix(params: ModelParams) -> np.ndarray:
@@ -210,8 +211,9 @@ def grad_log_likelihood(
     this reduces to the residual counts ``N(c, .) - n_c * p(. | c)``.
     """
     n_c = context_totals(counts, "grad_log_likelihood")
-    probs = softmax_from_scores(score_matrix(params))
-    return residual_gradient(params, counts - n_c * probs, Z_EXACT, out)
+    expected = softmax_from_scores(score_matrix(params))
+    expected *= n_c  # n_c p(w | c), in place
+    return residual_gradient(params, np.subtract(counts, expected, out=expected), Z_EXACT, out)
 
 
 def residual_gradient(
@@ -229,9 +231,9 @@ def residual_gradient(
     grad = zero_gradient(params) if out is None else out
     np.matmul(residual.mT, params.context_emb, out=grad.target_emb)
     np.matmul(residual, params.target_emb, out=grad.context_emb)
-    residual.sum(axis=-2, out=grad.bias)
+    np.add.reduce(residual, axis=-2, out=grad.bias)
     if z_mode == Z_LEARNED_ZC:
-        np.negative(residual.sum(axis=-1, out=grad.log_zc), out=grad.log_zc)
+        np.negative(np.add.reduce(residual, axis=-1, out=grad.log_zc), out=grad.log_zc)
     return grad
 
 

@@ -26,8 +26,8 @@ classifier-weighted moment mismatch between the empirical conditional and
 the model weight, the lens for the large-k behavior: as k grows its
 direction approaches the exact log-likelihood gradient.
 
-Log-posteriors and classifier weights are all computed from exp(-|Delta|),
-which is at most 1, so nothing overflows.
+Log-posteriors come from exp(-|Delta|) <= 1 and classifier weights from
+tanh(Delta/2) in [-1, 1], so nothing overflows.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .model import (
     context_totals,
     grid_dot,
     residual_gradient,
-    score_matrix,
 )
 from .noise import NoiseDistribution
 
@@ -120,13 +119,15 @@ def _loss(delta: np.ndarray, counts: CellCounts) -> float | np.ndarray:
 
 
 def _residual(delta: np.ndarray, counts: CellCounts) -> np.ndarray:
-    """``T sigma(-Delta) - N sigma(Delta)`` per cell from e = exp(-|Delta|):
-    (T e - N)/(1+e) where Delta >= 0, else (T - N e)/(1+e); NaN stays NaN."""
+    """``T sigma(-Delta) - N sigma(Delta) = T - (T+N) sigma(Delta)`` per cell,
+    with sigma(Delta) = 1/2 + tanh(Delta/2)/2: one tanh, no branch; NaN stays NaN."""
     true, noise = counts
-    e = np.exp(-np.abs(delta))
-    residual = np.where(delta >= 0.0, true * e - noise, true - noise * e)
-    residual /= 1.0 + e
-    return residual
+    sigma = np.tanh(delta * 0.5)
+    sigma *= 0.5
+    sigma += 0.5
+    residual = np.add(true, noise, dtype=np.float64)
+    residual *= sigma
+    return np.subtract(true, residual, out=residual)
 
 
 def _grad(
@@ -143,10 +144,10 @@ def _grad(
 
 def _check_k(counts: CellCounts, k) -> None:
     """Raise unless each count grid holds k noise samples per true sample;
-    for a stack, grid r its own ``k[r]``."""
-    true, noise = counts.true.sum(axis=(-2, -1)), counts.noise.sum(axis=(-2, -1))
+    for a stack, grid r its own ``k[r]``. One grid gives two scalar sums."""
+    true, noise = np.add.reduce(counts.true, (-2, -1)), np.add.reduce(counts.noise, (-2, -1))
     bad = noise != k * true
-    if bad.any() if bad.ndim else bad:  # one grid gives a numpy bool
+    if bad.any() if bad.ndim else bad:  # one grid and one k give a numpy bool
         i = np.flatnonzero(bad)[0]
         where = "" if bad.ndim == 0 else f"model {i}: "
         true, noise, k = (np.broadcast_to(a, bad.shape).flat[i] for a in (true, noise, k))
@@ -217,8 +218,9 @@ def exact_grad_analysis(params: ModelParams, counts: np.ndarray, cfg: NceConfig)
 def _logit_rows(params: ModelParams, cfg: NceConfig | NceStack) -> np.ndarray:
     """Delta over the whole vocabulary for every context, (..., n_contexts, n_words).
     log z_c is subtracted for a learned_zc model only; for the others z_c is 1."""
-    s = score_matrix(params)
+    delta = params.context_emb @ params.target_emb.mT
+    delta += params.bias[..., None, :]
     if params.z_mode == Z_LEARNED_ZC:
-        s -= params.log_zc[..., :, None]
-    s -= cfg.log_kq[..., None, :]
-    return s
+        delta -= params.log_zc[..., :, None]
+    delta -= cfg.log_kq[..., None, :]
+    return delta

@@ -42,13 +42,15 @@ def _log_sigmoids(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _residual(s: np.ndarray, counts: CellCounts) -> np.ndarray:
-    """``T (1 - sigma(s)) - N sigma(s)`` per cell from one exp, e = exp(-|s|):
-    (T e - N)/(1+e) for s >= 0, else (T - N e)/(1+e); a NaN score stays NaN."""
+    """``T (1 - sigma(s)) - N sigma(s) = T - (T+N) sigma(s)`` per cell, from
+    one tanh: sigma(s) = 1/2 + tanh(s/2)/2, bounded for any s; a NaN score stays NaN."""
     true, noise = counts
-    e = np.exp(-np.abs(s))
-    residual = np.where(s >= 0.0, true * e - noise, true - noise * e)
-    residual /= 1.0 + e
-    return residual
+    sigma = np.tanh(s * 0.5)
+    sigma *= 0.5
+    sigma += 0.5
+    residual = np.add(true, noise, dtype=np.float64)
+    residual *= sigma
+    return np.subtract(true, residual, out=residual)
 
 
 def _score_grid(params: ModelParams) -> np.ndarray:

@@ -355,9 +355,9 @@ def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel):
             drawn = noise.sample_array(q, k * true[:, r].sum(axis=2), rng)
             totals[r] += drawn.sum(axis=0)
             counts[:, 1, r] = drawn
-        for j, step in enumerate(counts):
-            size = min(batch_size, idx.shape[1] - j * batch_size)
-            yield size, CellCounts(step[0][sel], None if samplers is None else step[1][sel])
+        noises = [None] * len(counts) if samplers is None else counts[:, 1, sel]
+        for j, step in enumerate(map(CellCounts, counts[:, 0, sel], noises)):
+            yield min(batch_size, idx.shape[1] - j * batch_size), step
 
 
 def _metrics(params, stats, truth, loss_fn, noise_total, epoch) -> list[MetricsRow]:

@@ -55,6 +55,46 @@ def test_pairs_from_tokens_errors():
         pairs_from_tokens([], v)
 
 
+def _loop_pairs_from_tokens(tokens, vocab):
+    """Reference for ``pairs_from_tokens``: one dict lookup per token, raising
+    at the first unknown one."""
+    ids = []
+    for pos, tok in enumerate(tokens):
+        if tok not in vocab.index:
+            raise ValueError(f"unknown token {tok!r} at position {pos}")
+        ids.append(vocab.index[tok])
+    if not ids:
+        raise ValueError("empty token stream")
+    return np.array([[vocab.bos_context] + ids[:-1], ids], dtype=np.int64).T
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    known=st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=60),
+    unknown=st.lists(
+        st.tuples(st.integers(0, 60), st.sampled_from(["e", "A", "", " ", "<s>", "ä", "b "])),
+        max_size=4,
+    ),
+)
+def test_pairs_from_tokens_equals_the_loop(known, unknown):
+    # Tokens of the vocabulary with unknown tokens inserted at random
+    # positions: the same pairs, or the same error naming the first unknown
+    # token and its position.
+    vocab = build_vocab(["a", "b", "c", "d"])
+    tokens = list(known)
+    for pos, tok in unknown:
+        tokens.insert(min(pos, len(tokens)), tok)
+    try:
+        want = _loop_pairs_from_tokens(tokens, vocab)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            pairs_from_tokens(tokens, vocab)
+        assert str(got.value) == str(exc)
+    else:
+        got = pairs_from_tokens(tokens, vocab)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 def test_stats_hand_counts():
     v = build_vocab(["a", "b"])
     stats = stats_from_pairs(pairs_from_tokens(["a", "a", "b", "a"], v), len(v))

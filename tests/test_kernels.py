@@ -26,6 +26,8 @@ from ncelm.model import (
     init_params,
     log_likelihood,
     params_finite,
+    residual_gradient,
+    score_matrix,
     zero_gradient,
 )
 from ncelm.nce import (
@@ -194,6 +196,26 @@ def test_kernels_on_cell_counts_equal_the_batch_bitwise(k, z_mode):
         assert got.vector.tobytes() == want.vector.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("n_models", [0, 3])
+def test_grad_log_likelihood_equals_softmax_then_residual_bitwise(n_models, dtype):
+    # The exact gradient forms n_c p(w | c) in place; it gives the bits of the
+    # max-shifted softmax of the score grid, divided by its row sums, then
+    # the residual counts - n_c * probs, for one model (n_models 0) and for a
+    # stack with one count grid per model.
+    params, batch, _ = _setup(5, Z_EXACT, seed=90)
+    counts = pair_count_matrix(np.stack([batch.contexts, batch.true_words], axis=1), V).astype(dtype)
+    if n_models:
+        noise = derive_rng(91, STREAM_DATA).normal(0.0, 0.1, (n_models, params.vector.size))
+        params = params.with_vector(params.vector + noise)
+        counts = np.stack([np.roll(counts, r, axis=-1) for r in range(n_models)])
+    scores = score_matrix(params)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    want = residual_gradient(params, counts - counts.sum(axis=-1, keepdims=True) * probs, Z_EXACT)
+    assert grad_log_likelihood(params, counts).vector.tobytes() == want.vector.tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 5])
 def test_nce_kernels_read_an_exact_model_as_fixed_one_bitwise(k):
     # z_c is a parameter of learned_zc models only: on an exact model the NCE
@@ -349,8 +371,10 @@ def test_stacked_k_check_names_the_model():
         mc_grad(params, big, ks[0])
 
 
-# The one-exp two-class pass of each module, differential-tested against the
-# logaddexp forms it replaced, kept here as the reference. Delta covers zero,
+# The two-class pass of each module: log-sigmoids from one exp(-|Delta|) and
+# the residual T - (T+N) sigma(Delta) from one tanh(Delta/2), differential-
+# tested against two references kept here, the logaddexp forms and the
+# branching one-exp residual the tanh form replaced. Delta covers zero,
 # +-1e-300, +-36.7 (exp(-|Delta|) below the float64 epsilon), +-745 (a
 # subnormal exp(-|Delta|)), +-800 (it underflows to 0), infinities and random
 # values. pytest turns any RuntimeWarning into an error.
@@ -358,6 +382,23 @@ _PASSES = {
     "nce": (nce._log_sigmoids, nce._residual),
     "ns": (negsampling._log_sigmoids, negsampling._residual),
 }
+
+
+def _one_exp_residual(delta, counts):
+    """``T sigma(-Delta) - N sigma(Delta)`` from e = exp(-|Delta|): (T e - N)/(1+e)
+    where Delta >= 0, else (T - N e)/(1+e)."""
+    true, noise = counts
+    e = np.exp(-np.abs(delta))
+    return np.where(delta >= 0.0, true * e - noise, true - noise * e) / (1.0 + e)
+
+
+def _residual_counts(delta, noise_scale):
+    """Integer true counts and noise counts for ``delta``: integers for
+    ``noise_scale`` 1, large fractional expected counts n_c k q(w) for 1e6."""
+    rng = derive_rng(71, STREAM_DATA)
+    true = rng.integers(0, 6, delta.shape).astype(np.float64)
+    noise = np.round(rng.uniform(0.0, 60.0, delta.shape) * noise_scale, 3)
+    return CellCounts(true, noise)
 
 
 def _edge_deltas():
@@ -387,13 +428,30 @@ def test_residual_matches_logaddexp_reference(module, noise_scale):
     # large fractional expected noise counts n_c k q(w).
     _, residual = _PASSES[module]
     delta = _edge_deltas()
-    rng = derive_rng(71, STREAM_DATA)
-    true = rng.integers(0, 6, delta.shape).astype(np.float64)
-    noise = np.round(rng.uniform(0.0, 60.0, delta.shape) * noise_scale, 3)
+    true, noise = _residual_counts(delta, noise_scale)
     want = true * np.exp(-np.logaddexp(0.0, delta)) - noise * np.exp(-np.logaddexp(0.0, -delta))
     got = residual(delta, CellCounts(true, noise))
     assert np.all(np.isfinite(got))
     assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, true + noise))
+
+
+@pytest.mark.parametrize("noise_scale", [1.0, 1e6])
+@pytest.mark.parametrize("module", sorted(_PASSES))
+def test_residual_matches_one_exp_reference(module, noise_scale):
+    # The same bound against the branching one-exp residual, on the edge
+    # deltas and on random deltas; the residual leaves its Delta argument
+    # and its counts as they were.
+    _, residual = _PASSES[module]
+    rng = derive_rng(73, STREAM_DATA)
+    for delta in (_edge_deltas(), rng.normal(0.0, 20.0, (40, 13))):
+        counts = _residual_counts(delta, noise_scale)
+        before = [a.copy() for a in (delta, *counts)]
+        got = residual(delta, counts)
+        assert all(np.array_equal(a, b) for a, b in zip((delta, *counts), before))
+        assert not any(np.shares_memory(got, a) for a in (delta, *counts))
+        assert np.all(np.isfinite(got))
+        want = _one_exp_residual(delta, counts)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, counts.true + counts.noise))
 
 
 @pytest.mark.parametrize("module", sorted(_PASSES))
