@@ -16,7 +16,8 @@ for ``log Z(c)``, or pinned to zero so the classifier must self-normalize.
 from __future__ import annotations
 
 import copy
-from typing import NamedTuple
+from collections.abc import Iterator
+from functools import cached_property
 
 import numpy as np
 
@@ -120,7 +121,7 @@ def apply_gradient(params: ModelParams, grad: Gradient, scale) -> None:
 
 def params_finite(params: ModelParams) -> bool:
     """Whether every parameter of a model, or of a whole stack, is finite."""
-    return bool(np.isfinite(params.vector).all())
+    return bool(np.logical_and.reduce(np.isfinite(params.vector), axis=None))
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +142,8 @@ def log_partitions(params: ModelParams) -> np.ndarray:
 
 def softmax_from_scores(scores: np.ndarray) -> np.ndarray:
     """Shift-invariant softmax over the last axis."""
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    e /= e.sum(axis=-1, keepdims=True)
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -157,22 +158,78 @@ def log_softmax_matrix(params: ModelParams) -> np.ndarray:
 # Exact maximum-likelihood oracle
 # ---------------------------------------------------------------------------
 
-class CellCounts(NamedTuple):
+class CellCounts:
     """A sampled batch as true and noise sample counts per (context, word)
-    cell, each (n_contexts, n_words), or (R, n_contexts, n_words) with one
-    grid per model of a stack: the one batch type of the sampled objectives
-    and their gradients, which depend on nothing else. Exact MLE reads only
-    ``true``; the trainer leaves its ``noise`` None."""
+    cell, T and N, each (n_contexts, n_words), or (..., n_contexts, n_words)
+    with one grid per leading index (per model of a stack, or per step and
+    model of a trainer's block): the one batch type of the sampled
+    objectives and their gradients, which depend on nothing else. Exact MLE
+    reads only ``true``; the trainer leaves its ``noise`` None. It unpacks
+    as ``(true, noise)``.
 
-    true: np.ndarray
-    noise: np.ndarray
+    Next to T and N it carries what the two-class kernels read of them,
+    each derived on first use for every leading index at once: the
+    per-grid totals ``true_total`` = sum T and ``noise_total`` = sum N, of
+    the leading shape, and the halves ``half_diff`` = (T - N)/2 and
+    ``half_sum`` = (T + N)/2, float64. T and N are held, not copied, so a
+    caller changes them only before the first use.
+    """
+
+    def __init__(self, true: np.ndarray, noise: np.ndarray | None):
+        self.true = true
+        self.noise = noise
+
+    def __iter__(self):
+        return iter((self.true, self.noise))
+
+    @cached_property
+    def true_total(self):
+        return _grid_sums(self.true)
+
+    @cached_property
+    def noise_total(self):
+        return _grid_sums(self.noise)
+
+    @cached_property
+    def half_diff(self) -> np.ndarray:
+        half = np.subtract(self.true, self.noise, dtype=np.float64)
+        half *= 0.5
+        return half
+
+    @cached_property
+    def half_sum(self) -> np.ndarray:
+        half = np.add(self.true, self.noise, dtype=np.float64)
+        half *= 0.5
+        return half
+
+    def unstack(self, sel) -> Iterator["CellCounts"]:
+        """One CellCounts per index of the first leading axis, ``sel`` then
+        indexing the next (0 picks one model's grids, ``slice(None)`` keeps
+        the stack): views of T, N and, when N is given, of every derived
+        field, computed once for the whole of this one, not per view."""
+        if self.noise is None:
+            for true in self.true[:, sel]:
+                yield CellCounts(true, None)
+            return
+        fields = (self.true, self.noise, self.true_total, self.noise_total, self.half_diff, self.half_sum)
+        for true, noise, true_total, noise_total, half_diff, half_sum in zip(*(a[:, sel] for a in fields)):
+            view = CellCounts(true, noise)
+            view.true_total, view.noise_total = true_total, noise_total
+            view.half_diff, view.half_sum = half_diff, half_sum
+            yield view
+
+
+def _grid_sums(counts: np.ndarray):
+    """Sum of each (n_contexts, n_words) grid, of the leading shape."""
+    return np.add.reduce(counts.reshape(*counts.shape[:-2], -1), axis=-1)
 
 
 def context_totals(counts: np.ndarray, caller: str) -> np.ndarray:
     """Row sums n_c of a count grid, (..., n_contexts, 1); ValueError if all
     of a grid's are 0."""
-    n_c = counts.sum(axis=-1, keepdims=True)
-    if not (n_c.any() if n_c.ndim == 2 else n_c.any(axis=-2).all()):
+    n_c = np.add.reduce(counts, axis=-1, keepdims=True)
+    seen = np.logical_or.reduce(n_c, axis=-2)  # per grid, (..., 1)
+    if not (seen if n_c.ndim == 2 else np.logical_and.reduce(seen, axis=None)):
         raise ValueError(f"{caller} needs at least one pair")
     return n_c
 

@@ -119,15 +119,13 @@ def _loss(delta: np.ndarray, counts: CellCounts) -> float | np.ndarray:
 
 
 def _residual(delta: np.ndarray, counts: CellCounts) -> np.ndarray:
-    """``T sigma(-Delta) - N sigma(Delta) = T - (T+N) sigma(Delta)`` per cell,
-    with sigma(Delta) = 1/2 + tanh(Delta/2)/2: one tanh, no branch; NaN stays NaN."""
-    true, noise = counts
-    sigma = np.tanh(delta * 0.5)
-    sigma *= 0.5
-    sigma += 0.5
-    residual = np.add(true, noise, dtype=np.float64)
-    residual *= sigma
-    return np.subtract(true, residual, out=residual)
+    """``T sigma(-Delta) - N sigma(Delta) = (T-N)/2 - (T+N)/2 tanh(Delta/2)`` per
+    cell, from the counts' halves: one tanh, no branch, into one new grid of
+    Delta's shape, so a stack of models may share one count grid; NaN stays NaN."""
+    residual = np.multiply(delta, 0.5)
+    np.tanh(residual, out=residual)
+    residual *= counts.half_sum
+    return np.subtract(counts.half_diff, residual, out=residual)
 
 
 def _grad(
@@ -144,10 +142,11 @@ def _grad(
 
 def _check_k(counts: CellCounts, k) -> None:
     """Raise unless each count grid holds k noise samples per true sample;
-    for a stack, grid r its own ``k[r]``. One grid gives two scalar sums."""
-    true, noise = np.add.reduce(counts.true, (-2, -1)), np.add.reduce(counts.noise, (-2, -1))
+    for a stack, grid r its own ``k[r]``. Compares the grids' totals: one
+    grid gives a scalar compare."""
+    true, noise = counts.true_total, counts.noise_total
     bad = noise != k * true
-    if bad.any() if bad.ndim else bad:  # one grid and one k give a numpy bool
+    if np.logical_or.reduce(bad) if bad.ndim else bad:  # one grid and one k give a numpy bool
         i = np.flatnonzero(bad)[0]
         where = "" if bad.ndim == 0 else f"model {i}: "
         true, noise, k = (np.broadcast_to(a, bad.shape).flat[i] for a in (true, noise, k))
@@ -219,8 +218,7 @@ def _logit_rows(params: ModelParams, cfg: NceConfig | NceStack) -> np.ndarray:
     """Delta over the whole vocabulary for every context, (..., n_contexts, n_words).
     log z_c is subtracted for a learned_zc model only; for the others z_c is 1."""
     delta = params.context_emb @ params.target_emb.mT
-    delta += params.bias[..., None, :]
+    delta += (params.bias - cfg.log_kq)[..., None, :]
     if params.z_mode == Z_LEARNED_ZC:
         delta -= params.log_zc[..., :, None]
-    delta -= cfg.log_kq[..., None, :]
     return delta

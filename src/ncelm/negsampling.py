@@ -42,15 +42,13 @@ def _log_sigmoids(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _residual(s: np.ndarray, counts: CellCounts) -> np.ndarray:
-    """``T (1 - sigma(s)) - N sigma(s) = T - (T+N) sigma(s)`` per cell, from
-    one tanh: sigma(s) = 1/2 + tanh(s/2)/2, bounded for any s; a NaN score stays NaN."""
-    true, noise = counts
-    sigma = np.tanh(s * 0.5)
-    sigma *= 0.5
-    sigma += 0.5
-    residual = np.add(true, noise, dtype=np.float64)
-    residual *= sigma
-    return np.subtract(true, residual, out=residual)
+    """``T (1 - sigma(s)) - N sigma(s) = (T-N)/2 - (T+N)/2 tanh(s/2)`` per cell,
+    from the counts' halves: one tanh, bounded for any s, into one new grid
+    of the scores' shape; a NaN score stays NaN."""
+    residual = np.multiply(s, 0.5)
+    np.tanh(residual, out=residual)
+    residual *= counts.half_sum
+    return np.subtract(counts.half_diff, residual, out=residual)
 
 
 def _score_grid(params: ModelParams) -> np.ndarray:

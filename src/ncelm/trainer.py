@@ -328,13 +328,15 @@ def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel):
 
     A block of consecutive steps is counted by one bincount over cell ids
     ``context * n_words + word``, run r's j-th step shifted by j * R + r
-    grids. Each context c of a run's step then gets k * n_c noise words from
-    its q, drawn as counts by one ``sample_array`` call per run and block,
-    from the run's ``samplers`` entry (q, k, generator). The kernels get
-    float64 counts, (R, n_contexts, n_words) per step, cast once per block,
-    indexed by ``sel``: all runs, or 0 for a lone run stepped unstacked.
-    Without samplers (exact MLE) nothing is drawn and the noise counts are
-    None.
+    grids, and its per-step context totals n_c by one bincount over those
+    ids' context rows. Each context c of a run's step then gets k * n_c
+    noise words from its q, drawn as counts by one ``sample_array`` call
+    per run and block, from the run's ``samplers`` entry (q, k, generator).
+    The block's counts are cast to float64 once and form one CellCounts, so
+    its totals and halves are computed once per block; each step gets views
+    of it, (R, n_contexts, n_words) grids indexed by ``sel``: all runs, or 0
+    for a lone run stepped unstacked. Without samplers (exact MLE) nothing
+    is drawn and the noise counts are None.
     """
     n_runs = len(perms)
     grid = (n_words + 1) * n_words
@@ -346,17 +348,21 @@ def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel):
     for lo in range(0, perms.shape[1], rows):
         idx = perms[:, lo : lo + rows]
         n_steps = -(-idx.shape[1] // batch_size)
-        true = np.bincount((cells[idx] + offsets[:, : idx.shape[1]]).ravel(),
-                           minlength=n_steps * n_runs * grid)
+        ids = (cells[idx] + offsets[:, : idx.shape[1]]).ravel()
+        true = np.bincount(ids, minlength=n_steps * n_runs * grid)
         true = true.reshape(n_steps, n_runs, n_words + 1, n_words)
         counts = np.empty((n_steps, 1 if samplers is None else 2, *true.shape[1:]))
         counts[:, 0] = true
-        for r, (q, k, rng) in enumerate(samplers or ()):
-            drawn = noise.sample_array(q, k * true[:, r].sum(axis=2), rng)
-            totals[r] += drawn.sum(axis=0)
-            counts[:, 1, r] = drawn
-        noises = [None] * len(counts) if samplers is None else counts[:, 1, sel]
-        for j, step in enumerate(map(CellCounts, counts[:, 0, sel], noises)):
+        if samplers is not None:
+            # id // n_words is the id of the (step, run, context) row.
+            n_c = np.bincount(ids // n_words, minlength=n_steps * n_runs * (n_words + 1))
+            n_c = n_c.reshape(n_steps, n_runs, n_words + 1)
+            for r, (q, k, rng) in enumerate(samplers):
+                drawn = noise.sample_array(q, k * n_c[:, r], rng)
+                totals[r] += drawn.sum(axis=0)
+                counts[:, 1, r] = drawn
+        block = CellCounts(counts[:, 0], None if samplers is None else counts[:, 1])
+        for j, step in enumerate(block.unstack(sel)):
             yield min(batch_size, idx.shape[1] - j * batch_size), step
 
 

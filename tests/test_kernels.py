@@ -353,6 +353,33 @@ def test_stacked_gradient_and_step_equal_single_model_calls_bitwise(name, z_mode
     assert params_finite(stack) is False
 
 
+# Each gradient on one batch; the exact ones read its true counts. The
+# losses on one shared grid are test_stacked_losses_equal_single_model_calls_bitwise.
+_SHARED_GRID_GRADS = {
+    "grad_log_likelihood": lambda p, counts, cfg: grad_log_likelihood(p, counts.true),
+    "mc_grad": lambda p, counts, cfg: mc_grad(p, counts, cfg),
+    "ns_grad": lambda p, counts, cfg: ns_grad(p, counts),
+    "exact_grad_analysis": lambda p, counts, cfg: exact_grad_analysis(p, counts.true, cfg),
+}
+
+
+@pytest.mark.parametrize("n_models", [1, 3])
+@pytest.mark.parametrize("z_mode", [Z_LEARNED_ZC, Z_FIXED_ONE])
+@pytest.mark.parametrize("name", sorted(_SHARED_GRID_GRADS))
+def test_stacked_gradients_on_one_shared_count_grid_equal_single_model_calls_bitwise(name, z_mode, n_models):
+    # A stack of R models, (R, P), over one (n_contexts, n_words) count grid
+    # for all of them gives the R single-model gradients, to the bit.
+    grad = _SHARED_GRID_GRADS[name]
+    params, batch, q = _setup(5, z_mode, seed=42, extreme=True)
+    cfg = NceConfig(k=5, q=q)
+    counts = cell_counts(batch, params.n_contexts, params.n_words)
+    rng = derive_rng(100 + n_models, STREAM_DATA)
+    stack = params.vector + rng.normal(0.0, 0.1, (n_models, params.vector.size))
+    got = grad(params.with_vector(stack), counts, cfg).vector
+    want = [grad(params.with_vector(row.copy()), counts, cfg).vector for row in stack]
+    assert got.tobytes() == np.stack(want).tobytes()
+
+
 def test_stacked_k_check_names_the_model():
     params, batch, q = _setup(3, Z_FIXED_ONE, seed=41)
     counts = cell_counts(batch, params.n_contexts, params.n_words)

@@ -220,6 +220,54 @@ def test_train_matches_per_step_batch_reference(objective, z_mode, n_words, n_pa
     assert history == want_history
 
 
+@pytest.mark.parametrize("n_runs", [1, 3])
+def test_block_counts_viewed_per_step_equal_counts_built_per_step_bitwise(n_runs):
+    # An epoch's steps are views into one CellCounts per count block, its
+    # totals and halves computed once for the block: each step's fields
+    # are the bits of a CellCounts built from that step's grids alone.
+    # 1003 pairs in batches of 8 at |V| = 8 are two blocks.
+    _, pairs = fixture_data(1003)
+    q = noise.unigram(stats_from_pairs(pairs, 8))
+    perms = np.stack([derive_rng(r, STREAM_SHUFFLE, 1).permutation(len(pairs)) for r in range(n_runs)])
+    samplers = [(q, 1 + 2 * r, derive_rng(r, STREAM_NOISE, 1)) for r in range(n_runs)]
+    totals = np.zeros((n_runs, 9, 8), dtype=np.int64)
+    sel = 0 if n_runs == 1 else slice(None)
+    steps = list(trainer._epoch_counts(pairs, perms, samplers, 8, 8, totals, sel))
+    assert [size for size, _ in steps] == [8] * 125 + [3]
+    fields = ("true", "noise", "true_total", "noise_total", "half_diff", "half_sum")
+    for _, got in steps:
+        want = CellCounts(got.true.copy(), got.noise.copy())
+        for field in fields:
+            g, w = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), field
+        assert np.array_equal(want.noise_total, np.array([1, 3, 5])[sel] * want.true_total)
+        assert np.array_equal(want.half_diff, (want.true - want.noise) / 2)
+        assert np.array_equal(want.half_sum, (want.true + want.noise) / 2)
+    # The steps of one block view the same halves.
+    for field in fields[4:]:
+        first, second = (getattr(counts, field).base for _, counts in steps[:2])
+        assert first is not None and first is second
+
+
+@pytest.mark.parametrize("n_runs", [1, 2])
+def test_a_short_noise_draw_fails_the_k_check_in_training(n_runs, monkeypatch):
+    # The k check reads the totals of the step's counts, computed per count
+    # block: a draw one noise word short stops training with "k mismatch".
+    _, pairs = fixture_data(400)
+    draw = noise.sample_array
+
+    def short(q, totals, rng):
+        drawn = draw(q, totals, rng)
+        drawn.flat[np.flatnonzero(drawn)[0]] -= 1
+        return drawn
+
+    monkeypatch.setattr(noise, "sample_array", short)
+    configs = [TrainConfig(objective="nce", k=3, noise="unigram", epochs=1, batch_size=32, dim=3, seed=s)
+               for s in range(n_runs)]
+    with pytest.raises(ValueError, match="k mismatch"):
+        train(configs[0], pairs, 8) if n_runs == 1 else train_lockstep(configs, pairs, 8)
+
+
 @pytest.mark.parametrize("objective", ["mle_exact", "nce", "ns"])
 def test_a_batch_larger_than_the_data_trains_as_one_full_batch(objective):
     # A count block holds at most the epoch's pairs, so a batch size far past
