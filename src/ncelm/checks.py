@@ -156,13 +156,13 @@ def _one_gradcheck(label, z_mode, seed, i, step):
     # One batch per model, counted outside the finite-difference closures;
     # the exact suites read only its true counts.
     counts = _sampled_counts(rng, _GC_PAIRS, _GC_VOCAB, _GC_K)
+    cfg = nce.NceConfig(k=_GC_K, q=uniform(_GC_VOCAB))
     if label == "mle":
         return grad_log_likelihood(params, counts.true), finite_diff_gradient(
             lambda p: log_likelihood(p, counts.true), params, step
         )
     if label == "nce-exact":
         # The analysis-form gradient against the full-expectation loss.
-        cfg = nce.NceConfig(k=_GC_K, q=uniform(_GC_VOCAB))
         return nce.exact_grad_analysis(params, counts.true, cfg), finite_diff_gradient(
             lambda p: nce.exact_loss(p, counts.true, cfg), params, step
         )
@@ -170,7 +170,6 @@ def _one_gradcheck(label, z_mode, seed, i, step):
         return negsampling.ns_grad(params, counts), finite_diff_gradient(
             lambda p: negsampling.ns_loss(p, counts), params, step
         )
-    cfg = nce.NceConfig(k=_GC_K, q=uniform(_GC_VOCAB))
     return nce.mc_grad(params, counts, cfg), finite_diff_gradient(
         lambda p: nce.mc_loss(p, counts, cfg), params, step
     )
@@ -195,8 +194,7 @@ def run_equiv_check(
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     k = vocab_size if force_k is None else force_k
-    q = uniform(vocab_size)
-    cfg = nce.NceConfig(k=k, q=q)
+    cfg = nce.NceConfig(k=k, q=uniform(vocab_size))
     dloss, dgrad = np.empty((2, n_draws))
     for i in range(n_draws):
         rng = derive_rng(seed, STREAM_DATA, i)

@@ -60,10 +60,6 @@ class CorpusStats:
     unigram_counts: np.ndarray  # (n_words,), int64
     total_tokens: int
 
-    @property
-    def n_words(self) -> int:
-        return self.bigram_counts.shape[1]
-
     def seen_contexts(self) -> np.ndarray:
         """Ids of contexts that occur at least once."""
         return np.flatnonzero(self.context_counts > 0)
@@ -234,6 +230,8 @@ def make_zipf_truth(n_words: int, zipf_s: float, seed: int) -> GroundTruthTable:
     """
     if n_words < 2:
         raise ValueError("n_words must be >= 2")
+    if not np.isfinite(zipf_s):
+        raise ValueError(f"zipf exponent must be finite, got {zipf_s}")
     rng = derive_rng(seed, STREAM_DATA, 1)
     ranks = np.arange(1, n_words + 1, dtype=np.float64)
     shape = ranks ** (-zipf_s)

@@ -32,6 +32,7 @@ tanh(Delta/2) in [-1, 1], so nothing overflows.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,36 +52,31 @@ from .noise import NoiseDistribution
 
 @dataclass(frozen=True)
 class NceConfig:
-    """k noise words per true word, drawn from q; the normalizer mode is the model's."""
+    """k noise words per true word, drawn from q; the normalizer mode is the
+    model's. Model r of a stack may take k[r] of (R,) and row r of q.probs."""
 
-    k: int
+    k: int | np.ndarray
     q: NoiseDistribution
 
     def __post_init__(self):
-        if self.k < 1:
+        if np.any(np.less(self.k, 1)):
             raise ValueError("k must be >= 1")
 
-    @cached_property
-    def log_kq(self) -> np.ndarray:
-        """log(k q(w)) per word: the noise term of every classifier logit."""
-        return np.log(self.k * self.q.probs)
+    @classmethod
+    def stack(cls, cfgs: Sequence[NceConfig]) -> NceConfig:
+        """One config for a stack of models, model r under ``cfgs[r]``."""
+        return cls(np.array([c.k for c in cfgs]), NoiseDistribution(np.stack([c.q.probs for c in cfgs])))
 
-
-@dataclass(frozen=True)
-class NceStack:
-    """The configs of a stack of models, model r under ``cfgs[r]``, for the
-    Monte Carlo kernels: one k and one q per model."""
-
-    cfgs: tuple[NceConfig, ...]
-
-    @cached_property
-    def k(self) -> np.ndarray:
-        return np.array([cfg.k for cfg in self.cfgs])
+    def __getitem__(self, sel) -> NceConfig:
+        """The config of the models of a stack that ``sel`` picks; an int picks one model's."""
+        return NceConfig(self.k[sel], NoiseDistribution(self.q.probs[sel]))
 
     @cached_property
     def log_kq(self) -> np.ndarray:
-        """log(k q(w)) per model and word, (R, n_words)."""
-        return np.stack([cfg.log_kq for cfg in self.cfgs])
+        """log(k q(w)) per word, or (R, n_words), a row at a time so that row r
+        has the bits of model r's own config: the noise term of every logit."""
+        kq = np.asarray(self.k, dtype=np.float64)[..., None] * self.q.probs
+        return np.array([np.log(row) for row in kq.reshape(-1, kq.shape[-1])]).reshape(kq.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +125,7 @@ def _residual(delta: np.ndarray, counts: CellCounts) -> np.ndarray:
 
 
 def _grad(
-    params: ModelParams, counts: CellCounts, cfg: NceConfig | NceStack, out: Gradient | None = None
+    params: ModelParams, counts: CellCounts, cfg: NceConfig, out: Gradient | None = None
 ) -> Gradient:
     """Gradient of :func:`_loss`: a true sample pushes with weight sigma(-Delta),
     a noise sample pulls with weight sigma(Delta), through d(log u_adjusted)/d(theta)."""
@@ -156,14 +152,14 @@ def _check_k(counts: CellCounts, k) -> None:
         )
 
 
-def mc_loss(params: ModelParams, counts: CellCounts, cfg: NceConfig | NceStack) -> float | np.ndarray:
+def mc_loss(params: ModelParams, counts: CellCounts, cfg: NceConfig) -> float | np.ndarray:
     """Sampled two-class log-likelihood of a batch given as cell counts.
 
     Per example: log-posterior of the true word plus the log noise-posterior
     of each of its k sampled noise words, summed here per cell. Raises
     ValueError unless the counts hold k noise samples per true sample. A
-    stack of models takes one config or an :class:`NceStack`, and one count
-    grid or one per model.
+    stack of models takes one config or a stacked one, and one count grid
+    or one per model.
     """
     _check_k(counts, cfg.k)
     delta = classifier_logits(
@@ -173,7 +169,7 @@ def mc_loss(params: ModelParams, counts: CellCounts, cfg: NceConfig | NceStack) 
 
 
 def mc_grad(
-    params: ModelParams, counts: CellCounts, cfg: NceConfig | NceStack, out: Gradient | None = None
+    params: ModelParams, counts: CellCounts, cfg: NceConfig, out: Gradient | None = None
 ) -> Gradient:
     """Exact gradient of :func:`mc_loss` in the active parameter blocks, per
     model of a stack; ``out`` as in ``model.residual_gradient``."""
@@ -186,8 +182,10 @@ def mc_grad(
 # ---------------------------------------------------------------------------
 
 def _expected_counts(counts: np.ndarray, cfg: NceConfig, caller: str) -> CellCounts:
-    """The pairs counted in ``counts`` and their expected noise counts ``n_c k q(w)``."""
-    return CellCounts(counts, context_totals(counts, caller) * cfg.k * cfg.q.probs)
+    """The pairs counted in ``counts`` and their expected noise counts ``n_c k q(w)``,
+    model r of a stacked config's ``n_c k[r] q_r(w)``."""
+    k = np.expand_dims(cfg.k, (-2, -1))
+    return CellCounts(counts, context_totals(counts, caller) * k * np.expand_dims(cfg.q.probs, -2))
 
 
 def exact_loss(params: ModelParams, counts: np.ndarray, cfg: NceConfig) -> float | np.ndarray:
@@ -214,7 +212,7 @@ def exact_grad_analysis(params: ModelParams, counts: np.ndarray, cfg: NceConfig)
     return _grad(params, _expected_counts(counts, cfg, "exact_grad_analysis"), cfg)
 
 
-def _logit_rows(params: ModelParams, cfg: NceConfig | NceStack) -> np.ndarray:
+def _logit_rows(params: ModelParams, cfg: NceConfig) -> np.ndarray:
     """Delta over the whole vocabulary for every context, (..., n_contexts, n_words).
     log z_c is subtracted for a learned_zc model only; for the others z_c is 1."""
     delta = params.context_emb @ params.target_emb.mT

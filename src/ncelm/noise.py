@@ -21,11 +21,7 @@ from .corpus import CorpusStats
 class NoiseDistribution:
     """Categorical distribution over the vocabulary."""
 
-    probs: np.ndarray  # (n_words,), sums to 1, strictly positive
-
-    @property
-    def n_words(self) -> int:
-        return self.probs.shape[0]
+    probs: np.ndarray  # (n_words,), or (R, n_words) for a stack of NCE configs; rows sum to 1, > 0
 
 
 def _build(probs: np.ndarray) -> NoiseDistribution:

@@ -161,22 +161,24 @@ def train_lockstep(
     appended to its history, never for a diverged run or the epoch it
     diverges in; ``params``, run r's view into the stack, is valid only
     during the call, and an exception it raises propagates. An epoch holds
-    R permutations of the pairs: R * n int64 values.
+    R permutations of the pairs: R * n int64 values. ValueError when a
+    run's k times min(batch_size, n) does not fit in int64.
     """
     configs = list(configs)
     pairs = np.asarray(pairs, dtype=np.int64)
+    n = pairs.shape[0]
     if not configs:
         raise ValueError("train_lockstep needs at least one config")
-    if pairs.shape[0] == 0:
+    if n == 0:
         raise ValueError("training needs at least one pair")
     first = configs[0]
-    _check_lockstep(configs)
+    _check_lockstep(configs, n)
+    batch_size = min(first.batch_size, n)  # a larger batch trains as one full batch
     stats = stats_from_pairs(pairs, n_words)
     z_mode = {OBJ_MLE: Z_EXACT, OBJ_NS: Z_FIXED_ONE}.get(first.objective, first.z_mode)
     qs = None if first.objective == OBJ_MLE else [
         noise.parse_noise_spec(c.noise, stats, n_words) for c in configs
     ]
-    grad_fn, loss_fn = _kernels(first.objective, configs, qs)
     inits = [init_params(n_words, first.dim, c.seed, z_mode=z_mode) for c in configs]
     models = inits[0].with_vector(np.stack([p.vector for p in inits]))
     runs = [models.with_vector(v) for v in models.vector]  # views of each run's row
@@ -185,12 +187,12 @@ def train_lockstep(
     # train-small-k, 79.9 against 87.5 µs on train-large-k;
     # BENCH_lockstep.json). The metrics always take the whole stack.
     sel = 0 if len(configs) == 1 else slice(None)
+    grad_fn, loss_fn = _kernels(first.objective, configs, qs, sel)
     model = models.with_vector(models.vector[sel])
     grad = zero_gradient(model)
 
     results: list = [None] * len(configs)  # a run's entry is set when it finishes or diverges
     histories: list[list[MetricsRow]] = [[] for _ in configs]
-    n = pairs.shape[0]
     for epoch in range(1, first.epochs + 1):
         # A diverged run is parked until the call returns: a zero row stepped
         # at rate 0 stays finite and leaves the others' bits.
@@ -203,7 +205,7 @@ def train_lockstep(
             (q, c.k, derive_rng(c.seed, STREAM_NOISE, epoch)) for c, q in zip(configs, qs)
         ]
         totals = np.zeros((len(configs), n_words + 1, n_words), dtype=np.int64)  # the epoch's noise counts
-        steps = _epoch_counts(pairs, perms, samplers, first.batch_size, n_words, totals, sel)
+        steps = _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel)
         for step, (size, counts) in enumerate(steps, 1):
             apply_gradient(model, grad_fn(model, counts, grad), lr[sel] / size)
             if not params_finite(model):
@@ -251,7 +253,8 @@ def sweep_runs(
 
     The arguments are checked when it is called: ValueError unless ``ks`` is
     nonempty and strictly ascending, ``bases`` and ``pairs`` are nonempty,
-    and every (base, k) is a valid config and shares ``LOCKSTEP_FIELDS``.
+    and every (base, k) is a valid config that shares ``LOCKSTEP_FIELDS``
+    and whose step's noise counts fit in int64.
     """
     if not ks:
         raise ValueError("ks must be nonempty")
@@ -262,7 +265,7 @@ def sweep_runs(
     if len(pairs) == 0:
         raise ValueError("training needs at least one pair")
     configs = [replace(base, k=k) for base in bases for k in ks]
-    _check_lockstep(configs)  # whichever chunks they fall in
+    _check_lockstep(configs, len(pairs))  # whichever chunks they fall in
     chunk = max(1, LOCKSTEP_PAIRS // len(pairs))
     results = (
         result
@@ -276,16 +279,16 @@ def sweep_runs(
 # Internals
 # ---------------------------------------------------------------------------
 
-def _kernels(objective: str, configs: list[TrainConfig], qs):
+def _kernels(objective: str, configs: list[TrainConfig], qs, sel):
     """``(grad_fn, loss_fn)`` of a stack of runs, with one noise distribution
-    per run in ``qs`` (None for MLE).
+    per run in ``qs`` (None for MLE), for models indexed by ``sel``.
 
     ``grad_fn(model, counts, out)`` writes the gradient of every model into
     ``out``; ``loss_fn(models, counts)`` gives each model's total loss. MLE
     has no loss: its objective is minus the cross-entropy. The lambdas look
     kernels up at call time, so rebinding a module attribute (as a tracer
-    does) also reaches the training loop. NCE takes one ``NceConfig`` for a
-    lone run and an ``NceStack`` of them for a stack.
+    does) also reaches the training loop. NCE takes the runs' stacked
+    ``NceConfig`` indexed by ``sel``: a lone run's k and q, or every run's.
     """
     if objective == OBJ_MLE:
         return lambda p, c, out: grad_log_likelihood(p, c.true, out), None
@@ -294,14 +297,19 @@ def _kernels(objective: str, configs: list[TrainConfig], qs):
         # freezing them keeps the NCE equivalence checks well-posed.
         return (lambda p, c, out: negsampling.ns_grad(p, c, out),
                 lambda p, c: negsampling.ns_loss(p, c))
-    cfgs = [nce.NceConfig(k=c.k, q=q) for c, q in zip(configs, qs)]
-    cfg = cfgs[0] if len(cfgs) == 1 else nce.NceStack(tuple(cfgs))
+    cfg = nce.NceConfig.stack([nce.NceConfig(k=c.k, q=q) for c, q in zip(configs, qs)])[sel]
     return lambda p, c, out: nce.mc_grad(p, c, cfg, out), lambda p, c: nce.mc_loss(p, c, cfg)
 
 
-def _check_lockstep(configs: list[TrainConfig]) -> None:
-    if any(getattr(c, f) != getattr(configs[0], f) for c in configs for f in LOCKSTEP_FIELDS):
+def _check_lockstep(configs: list[TrainConfig], n: int) -> None:
+    """Raise unless the runs share ``LOCKSTEP_FIELDS`` and, when sampled, a
+    step's k noise words for each of min(batch_size, n) pairs fit in int64."""
+    first, batch_size = configs[0], min(configs[0].batch_size, n)
+    if any(getattr(c, f) != getattr(first, f) for c in configs for f in LOCKSTEP_FIELDS):
         raise ValueError(f"runs trained in lockstep must share {', '.join(LOCKSTEP_FIELDS)}")
+    if first.objective != OBJ_MLE and (k := max(c.k for c in configs)) * batch_size >= 2**63:
+        raise ValueError(f"k={k} is too large: k noise words for each of a step's "
+                         f"{batch_size} pairs overflow int64 counts")
 
 
 def _last_row(config: TrainConfig, result) -> tuple[TrainConfig, MetricsRow]:
@@ -332,11 +340,12 @@ def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel):
     ids' context rows. Each context c of a run's step then gets k * n_c
     noise words from its q, drawn as counts by one ``sample_array`` call
     per run and block, from the run's ``samplers`` entry (q, k, generator).
-    The block's counts are cast to float64 once and form one CellCounts, so
-    its totals and halves are computed once per block; each step gets views
-    of it, (R, n_contexts, n_words) grids indexed by ``sel``: all runs, or 0
-    for a lone run stepped unstacked. Without samplers (exact MLE) nothing
-    is drawn and the noise counts are None.
+    The block's counts are cast to float64 once, T and N each contiguous,
+    and form one CellCounts, so its totals and halves are computed once per
+    block; each step gets views of it, (R, n_contexts, n_words) grids
+    indexed by ``sel``: all runs, or 0 for a lone run stepped unstacked.
+    Without samplers (exact MLE) nothing is drawn and the noise counts are
+    None.
     """
     n_runs = len(perms)
     grid = (n_words + 1) * n_words
@@ -351,8 +360,8 @@ def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel):
         ids = (cells[idx] + offsets[:, : idx.shape[1]]).ravel()
         true = np.bincount(ids, minlength=n_steps * n_runs * grid)
         true = true.reshape(n_steps, n_runs, n_words + 1, n_words)
-        counts = np.empty((n_steps, 1 if samplers is None else 2, *true.shape[1:]))
-        counts[:, 0] = true
+        counts = np.empty((1 if samplers is None else 2, *true.shape))
+        counts[0] = true
         if samplers is not None:
             # id // n_words is the id of the (step, run, context) row.
             n_c = np.bincount(ids // n_words, minlength=n_steps * n_runs * (n_words + 1))
@@ -360,8 +369,8 @@ def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel):
             for r, (q, k, rng) in enumerate(samplers):
                 drawn = noise.sample_array(q, k * n_c[:, r], rng)
                 totals[r] += drawn.sum(axis=0)
-                counts[:, 1, r] = drawn
-        block = CellCounts(counts[:, 0], None if samplers is None else counts[:, 1])
+                counts[1, :, r] = drawn
+        block = CellCounts(counts[0], None if samplers is None else counts[1])
         for j, step in enumerate(block.unstack(sel)):
             yield min(batch_size, idx.shape[1] - j * batch_size), step
 

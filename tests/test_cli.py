@@ -90,6 +90,15 @@ def test_gen_data_usage_errors(tmp_path):
     assert str(MAX_VOCAB_SIZE) in r.stderr
 
 
+
+@pytest.mark.parametrize("zipf_s", ["1e400", "nan"])
+def test_gen_data_rejects_an_exponent_that_is_not_finite(tmp_path, zipf_s):
+    code, out, err = _main("gen-data", "--vocab-size", 4, "--zipf-s", zipf_s, "--tokens", 10,
+                           "--out-prefix", tmp_path / "x")
+    assert (code, out) == (2, "")
+    assert err == f"error: zipf exponent must be finite, got {float(zipf_s)}\n"
+    assert list(tmp_path.iterdir()) == []
+
 def test_gen_data_out_of_memory_is_a_usage_error(tmp_path, monkeypatch):
     # The stream is replaced: a real allocation of this size could succeed
     # on a host that overcommits memory, and then be filled.
@@ -705,6 +714,37 @@ def test_sweep_rejects_bad_ks(tmp_path):
         assert not (tmp_path / "s.csv").exists()
         assert not (tmp_path / "s.csv.config").exists()
 
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train", ["--k", 10**21]),
+    ("train", ["--k", 2**62]),  # k * n_c wraps in int64 once n_c >= 2
+    ("sweep", ["--ks", f"1,{10**21}"]),
+])
+def test_k_whose_noise_counts_overflow_int64_is_a_usage_error(tmp_path, command, flags):
+    # Checked before any numpy arithmetic and before any file is written.
+    prefix = gen_fixture(tmp_path, tokens=300)
+    code, out, err = _main(command, "--corpus", f"{prefix}.txt", "--truth", f"{prefix}.truth",
+                           "--objective", "nce", "--epochs", 1, *flags, "--out", tmp_path / "o")
+    k = flags[1] if command == "train" else 10**21
+    assert (code, out) == (2, "")
+    assert err == (f"error: k={k} is too large: k noise words for each of a step's "
+                   f"32 pairs overflow int64 counts\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fix.config", "fix.truth", "fix.txt"]
+
+
+def test_batch_larger_than_the_data_trains_as_one_full_batch(tmp_path):
+    # A batch of 10**21 pairs, past int64, is clamped to the data before any
+    # numpy arithmetic: the files are those of a batch of exactly the 300
+    # pairs of 300 tokens.
+    prefix = gen_fixture(tmp_path, tokens=300)
+    files = []
+    for batch in (10**21, 300):
+        out = tmp_path / f"b{batch}.model"
+        code, _, err = _main(*train_args(prefix, out, "--objective", "nce", "--batch-size", batch))
+        assert (code, err) == (0, "")
+        files.append([out.read_bytes(), (tmp_path / f"b{batch}.model.metrics.csv").read_bytes()])
+    assert files[0] == files[1]
 
 def test_gradcheck_command_and_negative_control():
     r = run_cli("gradcheck", "--which", "mle")

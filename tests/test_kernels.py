@@ -32,7 +32,6 @@ from ncelm.model import (
 )
 from ncelm.nce import (
     NceConfig,
-    NceStack,
     classifier_logits,
     exact_grad_analysis,
     exact_loss,
@@ -40,7 +39,7 @@ from ncelm.nce import (
     mc_loss,
 )
 from ncelm.negsampling import ns_grad, ns_loss
-from ncelm.noise import unigram
+from ncelm.noise import flattened, uniform, unigram
 from ncelm.seeding import STREAM_DATA, derive_rng
 
 V = 6
@@ -337,7 +336,7 @@ def test_stacked_gradient_and_step_equal_single_model_calls_bitwise(name, z_mode
         runs.append((params, counts, cfg))
     stack = runs[0][0].with_vector(np.stack([params.vector for params, _, _ in runs]))
     counts = CellCounts(*(np.stack(c) for c in zip(*(counts for _, counts, _ in runs))))
-    cfg = NceStack(tuple(cfg for _, _, cfg in runs))
+    cfg = NceConfig.stack([cfg for _, _, cfg in runs])
     out = zero_gradient(stack)
     for _ in range(2):
         assert grad(stack, counts, cfg, out) is out
@@ -388,14 +387,53 @@ def test_stacked_k_check_names_the_model():
     ks = [NceConfig(k=k, q=q) for k in (3, 3, 4)]
     want = "k mismatch: model 2: counts hold 90 noise samples for 30 true samples, config says k=4"
     with pytest.raises(ValueError, match=want):
-        mc_grad(stack, stacked, NceStack(tuple(ks)))
-    mc_grad(stack, stacked, NceStack((ks[0],) * 3))
+        mc_grad(stack, stacked, NceConfig.stack(ks))
+    mc_grad(stack, stacked, NceConfig.stack([ks[0]] * 3))
     # Float64 counts of seven and more digits are named exactly.
     big = CellCounts(counts.true * 41_153, counts.noise * 41_153)
     big.noise[0, 0] += 1
     want = "counts hold 3703771 noise samples for 1234590 true samples, config says k=3"
     with pytest.raises(ValueError, match=f"^k mismatch: {want}$"):
         mc_grad(params, big, ks[0])
+
+
+
+_STACK_KERNELS = {
+    "exact_loss": lambda p, counts, cfg: exact_loss(p, counts.true, cfg),
+    "exact_grad_analysis": lambda p, counts, cfg: exact_grad_analysis(p, counts.true, cfg).vector,
+    "mc_loss": mc_loss,
+    "mc_grad": lambda p, counts, cfg: mc_grad(p, counts, cfg).vector,
+}
+
+
+@pytest.mark.parametrize("shared_grid", [False, True])
+@pytest.mark.parametrize("z_mode", [Z_LEARNED_ZC, Z_FIXED_ONE])
+@pytest.mark.parametrize("name", sorted(_STACK_KERNELS))
+def test_nce_on_a_stack_of_mixed_configs_equals_per_config_calls_bitwise(name, z_mode, shared_grid):
+    # Three models under one stacked NceConfig of mixed k and q (uniform,
+    # skewed and flattened) give each model's single-config bits, on one
+    # count grid per model and on one grid all of them share. A shared grid
+    # holds one k's noise samples, so there the Monte Carlo kernels take
+    # that k for every model; the exact ones keep each model's own.
+    kernel = _STACK_KERNELS[name]
+    runs = []
+    for r, k in enumerate((1, 4, 9)):
+        params, batch, _ = _setup(k, z_mode, seed=120 + r, extreme=True)
+        stats = stats_from_pairs(np.stack([batch.contexts, batch.true_words], axis=1), V)
+        q = (uniform(V), unigram(stats), flattened(stats, 0.5))[r]
+        runs.append([params, cell_counts(batch, params.n_contexts, params.n_words), NceConfig(k, q)])
+    if shared_grid:
+        counts = runs[0][1]
+        for run in runs:
+            run[1] = counts
+            if name.startswith("mc_"):
+                run[2] = NceConfig(runs[0][2].k, run[2].q)
+    else:
+        counts = CellCounts(*(np.stack(c) for c in zip(*(counts for _, counts, _ in runs))))
+    stack = runs[0][0].with_vector(np.stack([params.vector for params, _, _ in runs]))
+    got = kernel(stack, counts, NceConfig.stack([cfg for _, _, cfg in runs]))
+    want = [kernel(params, counts, cfg) for params, counts, cfg in runs]
+    assert got.tobytes() == np.stack(want).tobytes()
 
 
 # The two-class pass of each module: log-sigmoids from one exp(-|Delta|) and
