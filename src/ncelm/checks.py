@@ -184,10 +184,12 @@ def run_equiv_check(
 ) -> CheckResult:
     """Agreement of NS with NCE at k = |V| under uniform noise.
 
-    Draws random (model, batch) pairs and compares losses and full gradient
-    vectors computed by the two independent implementations. force_k
-    overrides k away from |V|, as a negative control: the identity needs
-    k * q(w) = 1 exactly.
+    NS is NCE's two-class objective on the raw score grid, so on random
+    (model, batch) draws this compares NCE's logit grid at k * q(w) = 1
+    against the score grid, through the losses and full gradient vectors of
+    both entry points; the shared sigmoid and residual math is checked
+    against references in the test suite. force_k overrides k away from |V|,
+    as a negative control: the identity needs k * q(w) = 1 exactly.
     """
     if vocab_size < 2:
         raise ValueError("vocab_size must be >= 2")

@@ -236,6 +236,8 @@ def make_zipf_truth(n_words: int, zipf_s: float, seed: int) -> GroundTruthTable:
     ranks = np.arange(1, n_words + 1, dtype=np.float64)
     shape = ranks ** (-zipf_s)
     shape /= shape.sum()
+    if not np.all(shape > 0):  # a weight underflowed to 0 or overflowed to inf
+        raise ValueError(f"zipf exponent {zipf_s} gives a rank weight of 0 or inf over {n_words} words")
     cond = np.empty((n_words, n_words))
     for c in range(n_words):
         cond[c, rng.permutation(n_words)] = shape

@@ -16,7 +16,8 @@ model; any other model has z_c pinned to 1) gives the trainable posterior
     sigma(Delta)  with  Delta = log u - log z_c - log(k q(w)).
 
 The objective is written once, over the Delta grid and per-cell true and
-noise counts. The Monte Carlo form passes a batch's sampled counts
+noise counts; negative sampling is the same objective on the raw score grid.
+The Monte Carlo form passes a batch's sampled counts
 (``model.CellCounts``); the exact form passes a corpus's true counts and
 their expected noise counts ``n_c k q(w)``, a full-vocabulary sum that is
 tractable here. The objective is linear in the noise counts, so the Monte
@@ -106,7 +107,7 @@ def _log_sigmoids(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(delta, 0.0) - soft, np.minimum(-delta, 0.0) - soft
 
 
-def _loss(delta: np.ndarray, counts: CellCounts) -> float | np.ndarray:
+def loss(delta: np.ndarray, counts: CellCounts) -> float | np.ndarray:
     """Two-class log-likelihood of per-cell counts: each true sample scores
     log sigma(Delta), each noise sample log sigma(-Delta)."""
     true, noise = counts
@@ -124,12 +125,14 @@ def _residual(delta: np.ndarray, counts: CellCounts) -> np.ndarray:
     return np.subtract(counts.half_diff, residual, out=residual)
 
 
-def _grad(
-    params: ModelParams, counts: CellCounts, cfg: NceConfig, out: Gradient | None = None
+def grad(
+    params: ModelParams, delta: np.ndarray, counts: CellCounts, z_mode: str,
+    out: Gradient | None = None,
 ) -> Gradient:
-    """Gradient of :func:`_loss`: a true sample pushes with weight sigma(-Delta),
-    a noise sample pulls with weight sigma(Delta), through d(log u_adjusted)/d(theta)."""
-    return residual_gradient(params, _residual(_logit_rows(params, cfg), counts), params.z_mode, out)
+    """Gradient of :func:`loss` at ``params``' logit grid ``delta``: a true sample
+    pushes with weight sigma(-Delta), a noise sample pulls with weight
+    sigma(Delta), through d(Delta)/d(theta) of ``z_mode``."""
+    return residual_gradient(params, _residual(delta, counts), z_mode, out)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +168,7 @@ def mc_loss(params: ModelParams, counts: CellCounts, cfg: NceConfig) -> float | 
     delta = classifier_logits(
         params, np.arange(params.n_contexts), np.arange(params.n_words)[None, :], cfg
     )
-    return _loss(delta, counts)
+    return loss(delta, counts)
 
 
 def mc_grad(
@@ -174,7 +177,7 @@ def mc_grad(
     """Exact gradient of :func:`mc_loss` in the active parameter blocks, per
     model of a stack; ``out`` as in ``model.residual_gradient``."""
     _check_k(counts, cfg.k)
-    return _grad(params, counts, cfg, out)
+    return grad(params, _logit_rows(params, cfg), counts, params.z_mode, out)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +197,7 @@ def exact_loss(params: ModelParams, counts: np.ndarray, cfg: NceConfig) -> float
     noise samples of word w, the q-expectation of its pairs' k noise words.
     The Monte Carlo objective is an unbiased estimate of this quantity.
     """
-    return _loss(_logit_rows(params, cfg), _expected_counts(counts, cfg, "exact_loss"))
+    return loss(_logit_rows(params, cfg), _expected_counts(counts, cfg, "exact_loss"))
 
 
 def exact_grad_analysis(params: ModelParams, counts: np.ndarray, cfg: NceConfig) -> Gradient:
@@ -209,7 +212,8 @@ def exact_grad_analysis(params: ModelParams, counts: np.ndarray, cfg: NceConfig)
     ``N(c, w) sigma(-Delta) - n_c k q(w) sigma(Delta)``, which is n_c times
     ``sigma(-Delta) * p_emp - k q(w) * sigma(Delta)`` per cell.
     """
-    return _grad(params, _expected_counts(counts, cfg, "exact_grad_analysis"), cfg)
+    counts = _expected_counts(counts, cfg, "exact_grad_analysis")
+    return grad(params, _logit_rows(params, cfg), counts, params.z_mode)
 
 
 def _logit_rows(params: ModelParams, cfg: NceConfig) -> np.ndarray:

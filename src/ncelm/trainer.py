@@ -162,7 +162,7 @@ def train_lockstep(
     diverges in; ``params``, run r's view into the stack, is valid only
     during the call, and an exception it raises propagates. An epoch holds
     R permutations of the pairs: R * n int64 values. ValueError when a
-    run's k times min(batch_size, n) does not fit in int64.
+    run's k times min(batch_size, n) exceeds 2**53, float64's exact integers.
     """
     configs = list(configs)
     pairs = np.asarray(pairs, dtype=np.int64)
@@ -254,7 +254,7 @@ def sweep_runs(
     The arguments are checked when it is called: ValueError unless ``ks`` is
     nonempty and strictly ascending, ``bases`` and ``pairs`` are nonempty,
     and every (base, k) is a valid config that shares ``LOCKSTEP_FIELDS``
-    and whose step's noise counts fit in int64.
+    and whose step's noise counts are exact in float64.
     """
     if not ks:
         raise ValueError("ks must be nonempty")
@@ -303,13 +303,14 @@ def _kernels(objective: str, configs: list[TrainConfig], qs, sel):
 
 def _check_lockstep(configs: list[TrainConfig], n: int) -> None:
     """Raise unless the runs share ``LOCKSTEP_FIELDS`` and, when sampled, a
-    step's k noise words for each of min(batch_size, n) pairs fit in int64."""
+    step's k noise words for each of min(batch_size, n) pairs stay exact in
+    the step's float64 counts, at most 2**53."""
     first, batch_size = configs[0], min(configs[0].batch_size, n)
     if any(getattr(c, f) != getattr(first, f) for c in configs for f in LOCKSTEP_FIELDS):
         raise ValueError(f"runs trained in lockstep must share {', '.join(LOCKSTEP_FIELDS)}")
-    if first.objective != OBJ_MLE and (k := max(c.k for c in configs)) * batch_size >= 2**63:
-        raise ValueError(f"k={k} is too large: k noise words for each of a step's "
-                         f"{batch_size} pairs overflow int64 counts")
+    if first.objective != OBJ_MLE and (k := max(c.k for c in configs)) * batch_size > 2**53:
+        raise ValueError(f"k={k} is too large: k noise words for each of a step's {batch_size} "
+                         "pairs exceed 2**53, past which float64 counts are inexact")
 
 
 def _last_row(config: TrainConfig, result) -> tuple[TrainConfig, MetricsRow]:

@@ -99,6 +99,18 @@ def test_gen_data_rejects_an_exponent_that_is_not_finite(tmp_path, zipf_s):
     assert err == f"error: zipf exponent must be finite, got {float(zipf_s)}\n"
     assert list(tmp_path.iterdir()) == []
 
+
+@pytest.mark.parametrize("zipf_s", ["1e4", "-1e4"])
+def test_gen_data_rejects_an_exponent_whose_rank_weights_underflow_or_overflow(tmp_path, zipf_s):
+    # 4**-1e4 underflows to 0 and 2**1e4 overflows to inf: a truth row with
+    # a zero (or NaN) weight is refused before any file is written.
+    code, out, err = _main("gen-data", "--vocab-size", 4, f"--zipf-s={zipf_s}", "--tokens", 50,
+                           "--out-prefix", tmp_path / "x")
+    assert (code, out) == (2, "")
+    assert err == f"error: zipf exponent {float(zipf_s)} gives a rank weight of 0 or inf over 4 words\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_data_out_of_memory_is_a_usage_error(tmp_path, monkeypatch):
     # The stream is replaced: a real allocation of this size could succeed
     # on a host that overcommits memory, and then be filled.
@@ -716,20 +728,23 @@ def test_sweep_rejects_bad_ks(tmp_path):
 
 
 
-@pytest.mark.parametrize("command,flags", [
-    ("train", ["--k", 10**21]),
-    ("train", ["--k", 2**62]),  # k * n_c wraps in int64 once n_c >= 2
-    ("sweep", ["--ks", f"1,{10**21}"]),
+@pytest.mark.parametrize("command,flags,batch", [
+    ("train", ["--k", 10**21], 32),
+    ("train", ["--k", 2**62], 32),  # k * n_c wraps in int64 once n_c >= 2
+    ("sweep", ["--ks", f"1,{10**21}"], 32),
+    ("train", ["--k", 2**53 + 1, "--batch-size", 1], 1),  # float64 rounds it to 2**53
+    ("train", ["--k", 2**62 - 1, "--batch-size", 2], 2),  # fits int64, rounds in float64
 ])
-def test_k_whose_noise_counts_overflow_int64_is_a_usage_error(tmp_path, command, flags):
-    # Checked before any numpy arithmetic and before any file is written.
+def test_k_whose_noise_counts_overflow_int64_is_a_usage_error(tmp_path, command, flags, batch):
+    # A step's counts are float64, exact up to 2**53. Checked before any
+    # numpy arithmetic and before any file is written.
     prefix = gen_fixture(tmp_path, tokens=300)
     code, out, err = _main(command, "--corpus", f"{prefix}.txt", "--truth", f"{prefix}.truth",
                            "--objective", "nce", "--epochs", 1, *flags, "--out", tmp_path / "o")
     k = flags[1] if command == "train" else 10**21
     assert (code, out) == (2, "")
-    assert err == (f"error: k={k} is too large: k noise words for each of a step's "
-                   f"32 pairs overflow int64 counts\n")
+    assert err == (f"error: k={k} is too large: k noise words for each of a step's {batch} "
+                   "pairs exceed 2**53, past which float64 counts are inexact\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fix.config", "fix.truth", "fix.txt"]
 
 

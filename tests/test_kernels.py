@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from batch_reference import ProxyBatch, cell_counts, score
-from ncelm import nce, negsampling
+from ncelm import nce
 from ncelm.corpus import pair_count_matrix, stats_from_pairs
 from ncelm.model import (
     PARAM_BLOCKS,
@@ -436,17 +436,13 @@ def test_nce_on_a_stack_of_mixed_configs_equals_per_config_calls_bitwise(name, z
     assert got.tobytes() == np.stack(want).tobytes()
 
 
-# The two-class pass of each module: log-sigmoids from one exp(-|Delta|) and
-# the residual T - (T+N) sigma(Delta) from one tanh(Delta/2), differential-
-# tested against two references kept here, the logaddexp forms and the
-# branching one-exp residual the tanh form replaced. Delta covers zero,
-# +-1e-300, +-36.7 (exp(-|Delta|) below the float64 epsilon), +-745 (a
-# subnormal exp(-|Delta|)), +-800 (it underflows to 0), infinities and random
-# values. pytest turns any RuntimeWarning into an error.
-_PASSES = {
-    "nce": (nce._log_sigmoids, nce._residual),
-    "ns": (negsampling._log_sigmoids, negsampling._residual),
-}
+# The two-class pass that NCE and NS share: log-sigmoids from one
+# exp(-|Delta|) and the residual T - (T+N) sigma(Delta) from one
+# tanh(Delta/2), differential-tested against two references kept here, the
+# logaddexp forms and the branching one-exp residual the tanh form replaced.
+# Delta covers zero, +-1e-300, +-36.7 (exp(-|Delta|) below the float64
+# epsilon), +-745 (a subnormal exp(-|Delta|)), +-800 (it underflows to 0),
+# infinities and random values. pytest turns any RuntimeWarning into an error.
 
 
 def _one_exp_residual(delta, counts):
@@ -475,43 +471,37 @@ def _edge_deltas():
     return values.reshape(8, 13)
 
 
-@pytest.mark.parametrize("module", sorted(_PASSES))
-def test_log_sigmoids_match_logaddexp_reference(module):
-    log_sigmoids, _ = _PASSES[module]
+def test_log_sigmoids_match_logaddexp_reference():
     delta = _edge_deltas()
     reference = (-np.logaddexp(0.0, -delta), -np.logaddexp(0.0, delta))
-    for got, want in zip(log_sigmoids(delta), reference):
+    for got, want in zip(nce._log_sigmoids(delta), reference):
         finite = np.isfinite(want)
         assert np.array_equal(got[~finite], want[~finite])  # -inf exactly where the reference has it
         assert np.all(np.abs(got[finite] - want[finite]) <= 1e-15 * np.abs(want[finite]))
 
 
 @pytest.mark.parametrize("noise_scale", [1.0, 1e6])
-@pytest.mark.parametrize("module", sorted(_PASSES))
-def test_residual_matches_logaddexp_reference(module, noise_scale):
+def test_residual_matches_logaddexp_reference(noise_scale):
     # Integer true counts against integer sampled noise counts and against
     # large fractional expected noise counts n_c k q(w).
-    _, residual = _PASSES[module]
     delta = _edge_deltas()
     true, noise = _residual_counts(delta, noise_scale)
     want = true * np.exp(-np.logaddexp(0.0, delta)) - noise * np.exp(-np.logaddexp(0.0, -delta))
-    got = residual(delta, CellCounts(true, noise))
+    got = nce._residual(delta, CellCounts(true, noise))
     assert np.all(np.isfinite(got))
     assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, true + noise))
 
 
 @pytest.mark.parametrize("noise_scale", [1.0, 1e6])
-@pytest.mark.parametrize("module", sorted(_PASSES))
-def test_residual_matches_one_exp_reference(module, noise_scale):
+def test_residual_matches_one_exp_reference(noise_scale):
     # The same bound against the branching one-exp residual, on the edge
     # deltas and on random deltas; the residual leaves its Delta argument
     # and its counts as they were.
-    _, residual = _PASSES[module]
     rng = derive_rng(73, STREAM_DATA)
     for delta in (_edge_deltas(), rng.normal(0.0, 20.0, (40, 13))):
         counts = _residual_counts(delta, noise_scale)
         before = [a.copy() for a in (delta, *counts)]
-        got = residual(delta, counts)
+        got = nce._residual(delta, counts)
         assert all(np.array_equal(a, b) for a, b in zip((delta, *counts), before))
         assert not any(np.shares_memory(got, a) for a in (delta, *counts))
         assert np.all(np.isfinite(got))
@@ -519,23 +509,19 @@ def test_residual_matches_one_exp_reference(module, noise_scale):
         assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, counts.true + counts.noise))
 
 
-@pytest.mark.parametrize("module", sorted(_PASSES))
-def test_nan_delta_gives_nan_residual_and_gradient(module):
-    # A NaN logit must reach the gradient, even in a cell with no samples.
-    _, residual = _PASSES[module]
+def test_nan_delta_gives_nan_residual_and_gradient():
+    # A NaN logit must reach every gradient, even in a cell with no samples.
     delta = np.array([[np.nan, np.nan, 0.5], [np.nan, 2.0, -3.0]])
     counts = CellCounts(
         np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
     )
-    got = residual(delta, counts)
+    got = nce._residual(delta, counts)
     assert np.all(np.isnan(got[np.isnan(delta)])) and np.all(np.isfinite(got[~np.isnan(delta)]))
     params, batch, q = _setup(5, Z_FIXED_ONE, seed=72)
     params.bias[2] = np.nan
     counts = cell_counts(batch, params.n_contexts, params.n_words)
     cfg = NceConfig(k=5, q=q)
-    if module == "nce":
-        grads = [mc_grad(params, counts, cfg), exact_grad_analysis(params, counts.true, cfg)]
-    else:
-        grads = [ns_grad(params, counts)]
+    grads = [mc_grad(params, counts, cfg), exact_grad_analysis(params, counts.true, cfg),
+             ns_grad(params, counts)]
     for grad in grads:
         assert not np.all(np.isfinite(grad.vector))
