@@ -5,7 +5,7 @@ distribution q. Three families are supported, all derived from corpus counts:
 
   uniform         every word equally likely
   unigram         proportional to corpus frequency
-  flattened:a     unigram raised to the power a (0 < a <= 1), which lifts
+  flattened:a     unigram raised to the power a (0 < a < 1), which lifts
                   the tail; a = 0.75 is the usual compromise
 
 The estimators see noise words only through how often each one was drawn,

@@ -152,7 +152,7 @@ def _add_train_flags(p) -> None:
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--z-mode", type=str.lower, choices=sorted(_Z_MODES), default="fixed_one")
     p.add_argument("--noise", default="uniform",
-                   help="uniform | unigram | flattened:<alpha>")
+                   help="uniform | unigram | flattened:<alpha>, alpha in (0, 1)")
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--lr-decay", type=float, default=0.98)
     p.add_argument("--epochs", type=int, default=200)

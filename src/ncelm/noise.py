@@ -66,23 +66,18 @@ def sample_array(q: NoiseDistribution, totals, rng: np.random.Generator) -> np.n
     return rng.multinomial(totals, q.probs)
 
 
-def parse_noise_spec(spec: str, stats: CorpusStats | None, n_words: int) -> NoiseDistribution:
-    """Build a distribution from a spec string.
+def parse_noise_spec(spec: str, stats: CorpusStats) -> NoiseDistribution:
+    """Build a distribution over the words of ``stats`` from a spec string.
 
     Accepted forms: ``uniform``, ``unigram``, ``flattened:<alpha>`` with alpha
-    a decimal in (0, 1). The corpus statistics are required for the two
-    frequency-based forms.
+    a decimal in (0, 1).
     """
     spec = spec.strip()
     if spec == "uniform":
-        return uniform(n_words)
+        return uniform(stats.unigram_counts.size)
     if spec == "unigram":
-        if stats is None:
-            raise ValueError("unigram noise needs corpus statistics")
         return unigram(stats)
     if spec.startswith("flattened:"):
-        if stats is None:
-            raise ValueError("flattened noise needs corpus statistics")
         try:
             alpha = float(spec.split(":", 1)[1])
         except ValueError as exc:

@@ -162,7 +162,7 @@ def train_lockstep(
     diverges in; ``params``, run r's view into the stack, is valid only
     during the call, and an exception it raises propagates. An epoch holds
     R permutations of the pairs: R * n int64 values. ValueError when a
-    run's k times min(batch_size, n) exceeds 2**53, float64's exact integers.
+    run's k * n noise words per epoch exceed 2**53, float64's exact integers.
     """
     configs = list(configs)
     pairs = np.asarray(pairs, dtype=np.int64)
@@ -177,7 +177,7 @@ def train_lockstep(
     stats = stats_from_pairs(pairs, n_words)
     z_mode = {OBJ_MLE: Z_EXACT, OBJ_NS: Z_FIXED_ONE}.get(first.objective, first.z_mode)
     qs = None if first.objective == OBJ_MLE else [
-        noise.parse_noise_spec(c.noise, stats, n_words) for c in configs
+        noise.parse_noise_spec(c.noise, stats) for c in configs
     ]
     inits = [init_params(n_words, first.dim, c.seed, z_mode=z_mode) for c in configs]
     models = inits[0].with_vector(np.stack([p.vector for p in inits]))
@@ -254,7 +254,7 @@ def sweep_runs(
     The arguments are checked when it is called: ValueError unless ``ks`` is
     nonempty and strictly ascending, ``bases`` and ``pairs`` are nonempty,
     and every (base, k) is a valid config that shares ``LOCKSTEP_FIELDS``
-    and whose step's noise counts are exact in float64.
+    and whose k * n noise words per epoch are at most 2**53.
     """
     if not ks:
         raise ValueError("ks must be nonempty")
@@ -302,14 +302,14 @@ def _kernels(objective: str, configs: list[TrainConfig], qs, sel):
 
 
 def _check_lockstep(configs: list[TrainConfig], n: int) -> None:
-    """Raise unless the runs share ``LOCKSTEP_FIELDS`` and, when sampled, a
-    step's k noise words for each of min(batch_size, n) pairs stay exact in
-    the step's float64 counts, at most 2**53."""
-    first, batch_size = configs[0], min(configs[0].batch_size, n)
+    """Raise unless the runs share ``LOCKSTEP_FIELDS`` and, when sampled, the
+    k noise words for each of an epoch's n pairs are at most 2**53: then
+    every count a run holds, a step's float64 or the epoch's int64, is exact."""
+    first = configs[0]
     if any(getattr(c, f) != getattr(first, f) for c in configs for f in LOCKSTEP_FIELDS):
         raise ValueError(f"runs trained in lockstep must share {', '.join(LOCKSTEP_FIELDS)}")
-    if first.objective != OBJ_MLE and (k := max(c.k for c in configs)) * batch_size > 2**53:
-        raise ValueError(f"k={k} is too large: k noise words for each of a step's {batch_size} "
+    if first.objective != OBJ_MLE and (k := max(c.k for c in configs)) * n > 2**53:
+        raise ValueError(f"k={k} is too large: k noise words for each of an epoch's {n} "
                          "pairs exceed 2**53, past which float64 counts are inexact")
 
 

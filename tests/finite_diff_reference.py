@@ -6,18 +6,19 @@ coordinate into ``params.vector`` in place, makes two single-model loss
 calls, and restores the coordinate.
 """
 
+from ncelm.checks import FD_STEP
 from ncelm.model import Gradient, ModelParams, zero_gradient
 
 
-def finite_diff_reference(loss_fn, params: ModelParams, step: float = 1e-5) -> Gradient:
+def finite_diff_reference(loss_fn, params: ModelParams) -> Gradient:
     grad = zero_gradient(params)
     vec = params.vector
     for i in range(vec.size):
         orig = vec[i]
-        vec[i] = orig + step
+        vec[i] = orig + FD_STEP
         hi = loss_fn(params)
-        vec[i] = orig - step
+        vec[i] = orig - FD_STEP
         lo = loss_fn(params)
         vec[i] = orig
-        grad.vector[i] = (hi - lo) / (2.0 * step)
+        grad.vector[i] = (hi - lo) / (2.0 * FD_STEP)
     return grad

@@ -47,7 +47,7 @@ def report(n, label, ok, detail):
 
 def test_acceptance_1_gradient_correctness():
     start = time.perf_counter()
-    result = run_gradcheck(which="all", seed=0, step=1e-5, tol=1e-5)
+    result = run_gradcheck(which="all", seed=0)
     elapsed = time.perf_counter() - start
     worst = max(
         float(line.split("worst_err")[1].split()[0])
@@ -60,8 +60,8 @@ def test_acceptance_1_gradient_correctness():
 
 def test_acceptance_2_ns_nce_equivalence():
     start = time.perf_counter()
-    good = run_equiv_check(vocab_size=8, seed=1, n_draws=20, tol=1e-10)
-    control = run_equiv_check(vocab_size=8, seed=1, n_draws=20, tol=1e-10, force_k=7)
+    good = run_equiv_check(vocab_size=8, seed=1)
+    control = run_equiv_check(vocab_size=8, seed=1, force_k=7)
     elapsed = time.perf_counter() - start
     ok = good.ok and not control.ok and elapsed < 1.0
     report(2, "NS==NCE at k=|V|", ok,

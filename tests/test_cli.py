@@ -734,16 +734,18 @@ def test_sweep_rejects_bad_ks(tmp_path):
     ("sweep", ["--ks", f"1,{10**21}"], 32),
     ("train", ["--k", 2**53 + 1, "--batch-size", 1], 1),  # float64 rounds it to 2**53
     ("train", ["--k", 2**62 - 1, "--batch-size", 2], 2),  # fits int64, rounds in float64
+    ("train", ["--k", 2**53, "--batch-size", 1], 1),  # each step fits; the epoch's totals wrap
 ])
 def test_k_whose_noise_counts_overflow_int64_is_a_usage_error(tmp_path, command, flags, batch):
-    # A step's counts are float64, exact up to 2**53. Checked before any
-    # numpy arithmetic and before any file is written.
+    # An epoch draws k noise words for each of its n pairs; its counts are
+    # exact up to 2**53, float64's integers. Checked before any numpy
+    # arithmetic and before any file is written, whatever the batch.
     prefix = gen_fixture(tmp_path, tokens=300)
     code, out, err = _main(command, "--corpus", f"{prefix}.txt", "--truth", f"{prefix}.truth",
                            "--objective", "nce", "--epochs", 1, *flags, "--out", tmp_path / "o")
     k = flags[1] if command == "train" else 10**21
     assert (code, out) == (2, "")
-    assert err == (f"error: k={k} is too large: k noise words for each of a step's {batch} "
+    assert err == (f"error: k={k} is too large: k noise words for each of an epoch's 300 "
                    "pairs exceed 2**53, past which float64 counts are inexact\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fix.config", "fix.truth", "fix.txt"]
 

@@ -108,11 +108,11 @@ def test_parse_noise_spec():
     stats = small_stats()
     for spec, want in (("uniform", uniform(3)), (" unigram ", unigram(stats)),
                        ("flattened:0.75", flattened(stats, 0.75))):
-        assert parse_noise_spec(spec, stats, 3).probs.tobytes() == want.probs.tobytes()
-    assert parse_noise_spec("uniform", None, 3).probs.tobytes() == uniform(3).probs.tobytes()
-    with pytest.raises(ValueError, match="needs corpus statistics"):
-        parse_noise_spec("unigram", None, 3)
+        assert parse_noise_spec(spec, stats).probs.tobytes() == want.probs.tobytes()
     with pytest.raises(ValueError, match="unknown noise spec"):
-        parse_noise_spec("gaussian", stats, 3)
+        parse_noise_spec("gaussian", stats)
     with pytest.raises(ValueError, match="exponent"):
-        parse_noise_spec("flattened:oops", stats, 3)
+        parse_noise_spec("flattened:oops", stats)
+    # The endpoints have their own specs: alpha 1 is unigram, not flattened.
+    with pytest.raises(ValueError, match=r"out of range \(0, 1\): 1.0"):
+        parse_noise_spec("flattened:1", stats)

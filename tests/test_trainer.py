@@ -157,7 +157,7 @@ def _reference_train(config, pairs, n_words, truth):
     params = init_params(n_words, config.dim, config.seed, z_mode=z_mode)
     q = cfg = None
     if config.objective != "mle_exact":
-        q = noise.parse_noise_spec(config.noise, stats, n_words)
+        q = noise.parse_noise_spec(config.noise, stats)
         cfg = NceConfig(k=config.k, q=q)
     n = pairs.shape[0]
     history = []
