@@ -763,6 +763,24 @@ def test_batch_larger_than_the_data_trains_as_one_full_batch(tmp_path):
         files.append([out.read_bytes(), (tmp_path / f"b{batch}.model.metrics.csv").read_bytes()])
     assert files[0] == files[1]
 
+
+@pytest.mark.parametrize("spec,message", [
+    ("flattened:0", "flattening exponent out of range (0, 1): 0.0"),  # that is uniform
+    ("flattened:1", "flattening exponent out of range (0, 1): 1.0"),  # that is unigram
+    ("flattened:nan", "flattening exponent out of range (0, 1): nan"),
+    ("flattened:oops", "bad flattening exponent in 'flattened:oops'"),
+    ("gaussian", "unknown noise spec 'gaussian' (expected uniform, unigram, or flattened:<alpha>)"),
+])
+def test_noise_spec_outside_its_range_is_a_usage_error(tmp_path, spec, message):
+    # The flattening exponent lies in the open interval (0, 1), as the
+    # --noise help says; anything else is refused before any file is written.
+    prefix = gen_fixture(tmp_path, tokens=300)
+    code, out, err = _main(*train_args(prefix, tmp_path / "o", "--objective", "nce",
+                                       "--noise", spec))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fix.config", "fix.truth", "fix.txt"]
+
+
 def test_gradcheck_command_and_negative_control():
     r = run_cli("gradcheck", "--which", "mle")
     assert r.returncode == 0, r.stdout
