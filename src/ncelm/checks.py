@@ -51,7 +51,7 @@ FD_BLOCK_CELLS = 2**14  # grid cells, n_contexts * n_words per model, in one sta
 # test does) reaches the checks. The exact suites read only the true counts:
 # nce-exact checks the analysis-form gradient against the full-expectation loss.
 _SUITES = {
-    "mle": ((None,), lambda p, c, cfg: grad_log_likelihood(p, c.true),
+    "mle": ((None,), lambda p, c, cfg: grad_log_likelihood(p, c),
             lambda p, c, cfg: log_likelihood(p, c.true)),
     "nce-mc": ((Z_LEARNED_ZC, Z_FIXED_ONE), lambda p, c, cfg: nce.mc_grad(p, c, cfg),
                lambda p, c, cfg: nce.mc_loss(p, c, cfg)),

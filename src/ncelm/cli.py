@@ -24,6 +24,7 @@ from .checks import GRADCHECK_SUITES, run_equiv_check, run_gradcheck
 from .corpus import (
     DENSE_GRIDS,
     MAX_VOCAB_SIZE,
+    GroundTruthTable,
     build_vocab,
     check_vocab_cap,
     generate_synthetic_stream,
@@ -170,8 +171,15 @@ def _check_vocab_size(size: int) -> None:
         raise ValueError(f"--vocab-size must be in [2, {MAX_VOCAB_SIZE}]: {DENSE_GRIDS}")
 
 
+def _check_seed(seed: int) -> None:
+    # train and sweep check theirs as TrainConfig.seed.
+    if seed < 0:
+        raise ValueError("--seed must be >= 0")
+
+
 def _cmd_gen_data(args) -> int:
     _check_vocab_size(args.vocab_size)
+    _check_seed(args.seed)
     if args.tokens < 1:
         raise ValueError("--tokens must be >= 1")
     truth = make_zipf_truth(args.vocab_size, args.zipf_s, args.seed)
@@ -260,8 +268,11 @@ def _cmd_eval(args) -> int:
     values = {"cross-entropy": ce, **{f"log Z {name}": v for name, v in zstats.items()}}
     if args.truth:
         truth, tvocab = _read(read_truth, args.truth)
-        if tvocab.words != vocab.words:
+        if set(tvocab.words) != set(vocab.words):
             raise ValueError(f"{args.truth}: ground-truth vocabulary does not match {args.model}")
+        # A model trained without --truth lists its words in corpus order.
+        order = [tvocab.index[w] for w in vocab.words]
+        truth = GroundTruthTable(truth.cond[np.ix_(order, order)], truth.context_marginal[order])
         rows = kl_truth_rows(truth, params)
         values.update((f"KL of context {vocab.words[c]}", kl) for c, kl in enumerate(rows))
         values["mean KL"] = rows.mean()
@@ -310,6 +321,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    _check_seed(args.seed)
     result = run_gradcheck(which=args.which, seed=args.seed, corrupt=args.corrupt)
     print(result.report())
     return EXIT_OK if result.ok else EXIT_CHECK_FAILED
@@ -317,6 +329,7 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_equiv_check(args) -> int:
     _check_vocab_size(args.vocab_size)
+    _check_seed(args.seed)
     result = run_equiv_check(
         vocab_size=args.vocab_size, seed=args.seed, force_k=args.force_k
     )

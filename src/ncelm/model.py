@@ -164,15 +164,18 @@ class CellCounts:
     with one grid per leading index (per model of a stack, or per step and
     model of a trainer's block): the one batch type of the sampled
     objectives and their gradients, which depend on nothing else. Exact MLE
-    reads only ``true``; the trainer leaves its ``noise`` None. It unpacks
-    as ``(true, noise)``.
+    has no noise: the trainer leaves its ``noise`` None, and a caller
+    holding one grid wraps it as ``CellCounts(grid, None)``. It unpacks as
+    ``(true, noise)``.
 
-    Next to T and N it carries what the two-class kernels read of them,
-    each derived on first use for every leading index at once: the
-    per-grid totals ``true_total`` = sum T and ``noise_total`` = sum N, of
-    the leading shape, and the halves ``half_diff`` = (T - N)/2 and
-    ``half_sum`` = (T + N)/2, float64. T and N are held, not copied, so a
-    caller changes them only before the first use.
+    Next to T and N it carries what the kernels read of them, each derived
+    on first use for every leading index at once. The two-class kernels
+    read the per-grid totals ``true_total`` = sum T and ``noise_total`` =
+    sum N, of the leading shape, and the halves ``half_diff`` = (T - N)/2
+    and ``half_sum`` = (T + N)/2, float64. The exact gradient reads the row
+    totals ``context_totals`` = n_c of T, float64 (..., n_contexts, 1),
+    checked once: ValueError if a grid holds no pair. T and N are held, not
+    copied, so a caller changes them only before the first use.
     """
 
     def __init__(self, true: np.ndarray, noise: np.ndarray | None):
@@ -202,14 +205,21 @@ class CellCounts:
         half *= 0.5
         return half
 
+    @cached_property
+    def context_totals(self) -> np.ndarray:
+        return context_totals(self.true, "grad_log_likelihood").astype(np.float64, copy=False)
+
     def unstack(self, sel) -> Iterator["CellCounts"]:
         """One CellCounts per index of the first leading axis, ``sel`` then
         indexing the next (0 picks one model's grids, ``slice(None)`` keeps
-        the stack): views of T, N and, when N is given, of every derived
-        field, computed once for the whole of this one, not per view."""
+        the stack): views of T, N and of the derived fields its objective
+        reads, computed once for the whole of this one, not per view: the
+        two-class fields when N is given, else the context totals."""
         if self.noise is None:
-            for true in self.true[:, sel]:
-                yield CellCounts(true, None)
+            for true, n_c in zip(self.true[:, sel], self.context_totals[:, sel]):
+                view = CellCounts(true, None)
+                view.context_totals = n_c
+                yield view
             return
         fields = (self.true, self.noise, self.true_total, self.noise_total, self.half_diff, self.half_sum)
         for true, noise, true_total, noise_total, half_diff, half_sum in zip(*(a[:, sel] for a in fields)):
@@ -257,20 +267,27 @@ def log_likelihood(params: ModelParams, counts: np.ndarray) -> float | np.ndarra
 
 
 def grad_log_likelihood(
-    params: ModelParams, counts: np.ndarray, out: Gradient | None = None
+    params: ModelParams, counts: CellCounts, out: Gradient | None = None
 ) -> Gradient:
-    """Exact gradient of :func:`log_likelihood` for the same count matrix,
-    or the ``true`` counts of a :class:`CellCounts`; one count grid per
-    model for a stack. ``out`` as in :func:`residual_gradient`.
+    """Exact gradient of :func:`log_likelihood` for the pairs counted in
+    ``counts.true``, one count grid per model for a stack or one for all,
+    with their row totals ``counts.context_totals``. ``out`` as in
+    :func:`residual_gradient`.
 
     Per pair the score of the observed word goes up and the expected score
     under the model distribution comes down; accumulated over the multiset
-    this reduces to the residual counts ``N(c, .) - n_c * p(. | c)``.
+    this reduces to the residual counts ``N(c, .) - n_c * p(. | c)``. The
+    score grid becomes that residual in place, with the bits of
+    :func:`softmax_from_scores` of :func:`score_matrix`.
     """
-    n_c = context_totals(counts, "grad_log_likelihood")
-    expected = softmax_from_scores(score_matrix(params))
-    expected *= n_c  # n_c p(w | c), in place
-    return residual_gradient(params, np.subtract(counts, expected, out=expected), Z_EXACT, out)
+    n_c = counts.context_totals
+    grid = params.context_emb @ params.target_emb.mT
+    grid += params.bias[..., None, :]  # the score matrix
+    grid -= np.maximum.reduce(grid, axis=-1, keepdims=True)
+    np.exp(grid, out=grid)
+    grid /= np.add.reduce(grid, axis=-1, keepdims=True)  # p(w | c)
+    grid *= n_c
+    return residual_gradient(params, np.subtract(counts.true, grid, out=grid), Z_EXACT, out)
 
 
 def residual_gradient(

@@ -103,6 +103,8 @@ class TrainConfig:
             raise ValueError("k must be >= 1")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         z_modes = (Z_LEARNED_ZC, Z_FIXED_ONE) if self.objective == OBJ_NCE else Z_MODES
         if self.z_mode not in z_modes:
             raise ValueError(f"{self.objective} z_mode must be one of {z_modes}, got {self.z_mode!r}")
@@ -291,7 +293,7 @@ def _kernels(objective: str, configs: list[TrainConfig], qs, sel):
     ``NceConfig`` indexed by ``sel``: a lone run's k and q, or every run's.
     """
     if objective == OBJ_MLE:
-        return lambda p, c, out: grad_log_likelihood(p, c.true, out), None
+        return lambda p, c, out: grad_log_likelihood(p, c, out), None
     if objective == OBJ_NS:
         # Normalizer parameters have no meaning under negative sampling;
         # freezing them keeps the NCE equivalence checks well-posed.
@@ -345,8 +347,8 @@ def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel):
     and form one CellCounts, so its totals and halves are computed once per
     block; each step gets views of it, (R, n_contexts, n_words) grids
     indexed by ``sel``: all runs, or 0 for a lone run stepped unstacked.
-    Without samplers (exact MLE) nothing is drawn and the noise counts are
-    None.
+    Without samplers (exact MLE) nothing is drawn, the noise counts are
+    None, and the block carries n_c as its float64 ``context_totals``.
     """
     n_runs = len(perms)
     grid = (n_words + 1) * n_words
@@ -363,15 +365,19 @@ def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel):
         true = true.reshape(n_steps, n_runs, n_words + 1, n_words)
         counts = np.empty((1 if samplers is None else 2, *true.shape))
         counts[0] = true
-        if samplers is not None:
-            # id // n_words is the id of the (step, run, context) row.
-            n_c = np.bincount(ids // n_words, minlength=n_steps * n_runs * (n_words + 1))
-            n_c = n_c.reshape(n_steps, n_runs, n_words + 1)
+        # id // n_words is the id of the (step, run, context) row.
+        n_c = np.bincount(ids // n_words, minlength=n_steps * n_runs * (n_words + 1))
+        n_c = n_c.reshape(n_steps, n_runs, n_words + 1)
+        if samplers is None:
+            block = CellCounts(counts[0], None)
+            # Every step holds at least one pair, so no grid is empty.
+            block.context_totals = n_c[..., None].astype(np.float64)
+        else:
             for r, (q, k, rng) in enumerate(samplers):
                 drawn = noise.sample_array(q, k * n_c[:, r], rng)
                 totals[r] += drawn.sum(axis=0)
                 counts[1, :, r] = drawn
-        block = CellCounts(counts[0], None if samplers is None else counts[1])
+            block = CellCounts(counts[0], counts[1])
         for j, step in enumerate(block.unstack(sel)):
             yield min(batch_size, idx.shape[1] - j * batch_size), step
 

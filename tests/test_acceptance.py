@@ -85,7 +85,7 @@ def test_acceptance_3_k_limit_recovers_mle_gradient():
             [rng.integers(0, V + 1, 60), rng.integers(0, V, 60)], axis=1
         )
         counts = pair_count_matrix(pairs, V)
-        g_mle = grad_log_likelihood(params, counts).vector
+        g_mle = grad_log_likelihood(params, CellCounts(counts, None)).vector
         cosines = []
         for k in (1, 10, 100, 1000):
             cfg = nce.NceConfig(k=k, q=noise.uniform(V))

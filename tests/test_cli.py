@@ -26,7 +26,7 @@ from ncelm.corpus import (
     write_truth,
 )
 from ncelm.model import Z_LEARNED_ZC, init_params, load_model, save_model
-from ncelm.trainer import TrainConfig, TrainingDiverged, train
+from ncelm.trainer import TrainConfig, TrainingDiverged, kl_truth_rows, train
 
 
 def run_cli(*args, cwd=None):
@@ -397,6 +397,34 @@ def test_eval_vocab_mismatch_is_error(tmp_path):
     r = run_cli("eval", "--model", model_path, "--corpus", corpus_path)
     assert r.returncode == 2
     assert "vocabulary" in r.stderr
+
+
+def test_eval_reads_a_truth_of_the_same_words_in_another_order(tmp_path):
+    # A model trained without --truth lists its words in corpus order, not
+    # the ground truth's: eval puts the truth in the model's order. A truth
+    # over other words is still refused, naming both files.
+    prefix = gen_fixture(tmp_path)
+    model_path = tmp_path / "m.model"
+    code, _, err = _main("train", "--corpus", f"{prefix}.txt", "--objective", "mle", "--epochs", 2,
+                         "--dim", 3, "--out", model_path)
+    assert (code, err) == (0, "")
+    params, vocab = load_model(model_path)
+    truth, tvocab = read_truth(f"{prefix}.truth")
+    assert vocab.words != tvocab.words and set(vocab.words) == set(tvocab.words)
+    cond = np.array([[truth.cond[tvocab.index[c], tvocab.index[w]] for w in vocab.words]
+                     for c in vocab.words])
+    marginal = np.array([truth.context_marginal[tvocab.index[c]] for c in vocab.words])
+    rows = kl_truth_rows(GroundTruthTable(cond, marginal), params)
+    code, out, err = _main("eval", "--model", model_path, "--corpus", f"{prefix}.txt",
+                           "--truth", f"{prefix}.truth")
+    assert (code, err) == (0, "")
+    want = [f"kl {w} {kl:.9g}" for w, kl in zip(vocab.words, rows)] + [f"kl_mean {rows.mean():.9g}"]
+    assert out.splitlines()[2:] == want
+    other = gen_fixture(tmp_path / "other", vocab_size=9)
+    code, out, err = _main("eval", "--model", model_path, "--corpus", f"{prefix}.txt",
+                           "--truth", f"{other}.truth")
+    assert (code, out) == (2, "")
+    assert err == f"error: {other}.truth: ground-truth vocabulary does not match {model_path}\n"
 
 
 def _eval_fixture(tmp_path):
@@ -777,6 +805,24 @@ def test_noise_spec_outside_its_range_is_a_usage_error(tmp_path, spec, message):
     prefix = gen_fixture(tmp_path, tokens=300)
     code, out, err = _main(*train_args(prefix, tmp_path / "o", "--objective", "nce",
                                        "--noise", spec))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fix.config", "fix.truth", "fix.txt"]
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("gen-data", ["--vocab-size", 4, "--tokens", 10, "--out-prefix", "{tmp}/o"], "--seed must be >= 0"),
+    ("train", ["--corpus", "{prefix}.txt", "--objective", "mle", "--out", "{tmp}/o"], "seed must be >= 0"),
+    ("sweep", ["--corpus", "{prefix}.txt", "--truth", "{prefix}.truth", "--ks", "1,2", "--out", "{tmp}/o"],
+     "seed must be >= 0"),
+    ("gradcheck", [], "--seed must be >= 0"),
+    ("equiv-check", [], "--seed must be >= 0"),
+])
+def test_a_negative_seed_is_a_usage_error_that_writes_nothing(tmp_path, command, flags, message):
+    # Seeds are non-negative: each command refuses -1 with one error line
+    # that names the seed, before any file is written.
+    prefix = gen_fixture(tmp_path, tokens=300)
+    args = [str(a).format(prefix=prefix, tmp=tmp_path) for a in flags]
+    code, out, err = _main(command, *args, "--seed", -1)
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fix.config", "fix.truth", "fix.txt"]
 

@@ -10,10 +10,12 @@ from ncelm import corpus
 from ncelm.corpus import (
     BOS_TOKEN,
     build_vocab,
+    format_row,
     generate_synthetic_corpus,
     generate_synthetic_stream,
     make_zipf_truth,
     pairs_from_tokens,
+    parse_rows,
     read_corpus_tokens,
     read_truth,
     stationary_distribution,
@@ -290,6 +292,22 @@ def test_truth_round_trip_is_bit_faithful(tmp_path):
     assert np.array_equal(back.cond, truth.cond)
     assert np.array_equal(back.context_marginal, truth.context_marginal)
     assert back_vocab.words == v.words
+
+
+def test_format_row_text_is_that_of_numpy_scalars_and_reads_back_bitwise():
+    # Rows are formatted from Python floats: the text is the one numpy
+    # scalars give, for signed zero, subnormals, the top of the range and
+    # 17-digit forms that end in an exponent, and it parses to the same bits.
+    values = np.array([-0.0, 0.0, 5e-324, 2.5e-310, 1e308, np.finfo(np.float64).max,
+                       1e-5, -1.2345678901234567e20, 1e16, 0.1])
+    text = format_row(values)
+    assert text == " ".join(f"{v:.17g}" for v in values)  # numpy scalars
+    assert text.split() == [
+        "-0", "0", "4.9406564584124654e-324", "2.5000000000000171e-310", "1e+308",
+        "1.7976931348623157e+308", "1.0000000000000001e-05", "-1.2345678901234567e+20",
+        "10000000000000000", "0.10000000000000001",
+    ]
+    assert parse_rows([text], values.size, "row").tobytes() == values.tobytes()
 
 
 def test_truth_read_rejects_bad_header(tmp_path):

@@ -190,7 +190,7 @@ def test_kernels_on_cell_counts_equal_the_batch_bitwise(k, z_mode):
     for got, want in (
         (mc_grad(params, floats, cfg), mc_grad(params, counts, cfg)),
         (ns_grad(params, floats), ns_grad(params, counts)),
-        (grad_log_likelihood(mle_params, floats.true), grad_log_likelihood(mle_params, counts.true)),
+        (grad_log_likelihood(mle_params, floats), grad_log_likelihood(mle_params, counts)),
     ):
         assert got.vector.tobytes() == want.vector.tobytes()
 
@@ -212,7 +212,44 @@ def test_grad_log_likelihood_equals_softmax_then_residual_bitwise(n_models, dtyp
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
     want = residual_gradient(params, counts - counts.sum(axis=-1, keepdims=True) * probs, Z_EXACT)
-    assert grad_log_likelihood(params, counts).vector.tobytes() == want.vector.tobytes()
+    assert grad_log_likelihood(params, CellCounts(counts, None)).vector.tobytes() == want.vector.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("layout", ["one model", "stack", "shared grid"])
+def test_grad_log_likelihood_on_block_totals_equals_derived_totals_bitwise(layout, dtype):
+    # The exact gradient reads n_c from counts.context_totals. A step's view
+    # of totals set once for a block of steps, as the trainer sets them from
+    # its bincount, gives the bits of totals derived from the step's own
+    # grid: for one model, for a stack with one grid per model and for a
+    # stack sharing one grid.
+    params, batch, _ = _setup(5, Z_EXACT, seed=93)
+    grid = pair_count_matrix(np.stack([batch.contexts, batch.true_words], axis=1), V).astype(dtype)
+    sel = 0
+    if layout != "one model":
+        noise = derive_rng(94, STREAM_DATA).normal(0.0, 0.1, (3, params.vector.size))
+        params = params.with_vector(params.vector + noise)
+    if layout == "stack":
+        grid, sel = np.stack([np.roll(grid, r, axis=-1) for r in range(3)]), slice(None)
+    # Two steps of one run (or of three), the second this step's grid.
+    block = CellCounts(np.stack([np.ones_like(grid), grid])[:, None if sel == 0 else sel], None)
+    block.context_totals = np.add.reduce(block.true, axis=-1, keepdims=True).astype(np.float64)
+    _, step = block.unstack(sel)
+    assert np.shares_memory(step.context_totals, block.context_totals)
+    want = grad_log_likelihood(params, CellCounts(grid, None))
+    assert grad_log_likelihood(params, step).vector.tobytes() == want.vector.tobytes()
+
+
+def test_grad_log_likelihood_refuses_a_grid_without_pairs():
+    # Checked once per count grid when its totals are derived: an all-zero
+    # grid, alone, as one grid of a stack or shared by a stack, is refused.
+    params, batch, _ = _setup(5, Z_EXACT, seed=93)
+    grid = pair_count_matrix(np.stack([batch.contexts, batch.true_words], axis=1), V)
+    zero = np.zeros_like(grid)
+    stack = params.with_vector(np.stack([params.vector] * 3))
+    for p, true in ((params, zero), (stack, np.stack([grid, zero, grid])), (stack, zero)):
+        with pytest.raises(ValueError, match="^grad_log_likelihood needs at least one pair$"):
+            grad_log_likelihood(p, CellCounts(true, None))
 
 
 @pytest.mark.parametrize("k", [1, 5])
@@ -251,7 +288,7 @@ def test_cell_counts_with_wrong_noise_total_raise():
 # gradient vector's bytes.
 _EXACT_ORACLE = {
     "log_likelihood": lambda p, counts, cfg: float(log_likelihood(p, counts)).hex(),
-    "grad_log_likelihood": lambda p, counts, cfg: grad_log_likelihood(p, counts).vector.tobytes(),
+    "grad_log_likelihood": lambda p, counts, cfg: grad_log_likelihood(p, CellCounts(counts, None)).vector.tobytes(),
     "exact_loss": lambda p, counts, cfg: float(exact_loss(p, counts, cfg)).hex(),
     "exact_grad_analysis": lambda p, counts, cfg: exact_grad_analysis(p, counts, cfg).vector.tobytes(),
 }
@@ -309,7 +346,7 @@ def test_stacked_losses_equal_single_model_calls_bitwise(name, z_mode, n_models)
 
 
 _GRADS = {
-    "grad_log_likelihood": lambda p, counts, cfg, out=None: grad_log_likelihood(p, counts.true, out),
+    "grad_log_likelihood": lambda p, counts, cfg, out=None: grad_log_likelihood(p, counts, out),
     "mc_grad": lambda p, counts, cfg, out=None: mc_grad(p, counts, cfg, out),
     "ns_grad": lambda p, counts, cfg, out=None: ns_grad(p, counts, out),
 }
@@ -355,7 +392,7 @@ def test_stacked_gradient_and_step_equal_single_model_calls_bitwise(name, z_mode
 # Each gradient on one batch; the exact ones read its true counts. The
 # losses on one shared grid are test_stacked_losses_equal_single_model_calls_bitwise.
 _SHARED_GRID_GRADS = {
-    "grad_log_likelihood": lambda p, counts, cfg: grad_log_likelihood(p, counts.true),
+    "grad_log_likelihood": lambda p, counts, cfg: grad_log_likelihood(p, counts),
     "mc_grad": lambda p, counts, cfg: mc_grad(p, counts, cfg),
     "ns_grad": lambda p, counts, cfg: ns_grad(p, counts),
     "exact_grad_analysis": lambda p, counts, cfg: exact_grad_analysis(p, counts.true, cfg),

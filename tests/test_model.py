@@ -12,6 +12,7 @@ from ncelm.model import (
     Z_EXACT,
     Z_FIXED_ONE,
     Z_LEARNED_ZC,
+    CellCounts,
     ModelParams,
     apply_gradient,
     grad_log_likelihood,
@@ -118,7 +119,7 @@ def test_grad_log_likelihood_matches_finite_differences():
     rng = np.random.default_rng(0)
     pairs = np.stack([rng.integers(0, 6, 30), rng.integers(0, 5, 30)], axis=1)
     counts = pair_count_matrix(pairs, 5)
-    analytic = grad_log_likelihood(p, counts)
+    analytic = grad_log_likelihood(p, CellCounts(counts, None))
     fd = finite_diff_gradient(lambda q: log_likelihood(q, counts), p)
     for name in ("target_emb", "context_emb", "bias"):
         assert np.allclose(getattr(analytic, name), getattr(fd, name), atol=1e-7)
@@ -134,7 +135,7 @@ def test_saturated_model_has_zero_gradient():
     p.target_emb[:] = 0.0
     p.context_emb[:] = 0.0
     p.bias[:] = np.log(counts / counts.sum())
-    g = grad_log_likelihood(p, pair_count_matrix(pairs, 3))
+    g = grad_log_likelihood(p, CellCounts(pair_count_matrix(pairs, 3), None))
     assert np.max(np.abs(g.vector)) < 1e-12
 
 
@@ -198,7 +199,7 @@ def test_flat_vector_invariants():
     c.bias[1] = 7.0
     assert p.bias[1] != 7.0
     # A gradient's vector holds its blocks in PARAM_BLOCKS order.
-    g = grad_log_likelihood(p, counts)
+    g = grad_log_likelihood(p, CellCounts(counts, None))
     want = np.concatenate([g.target_emb.ravel(), g.context_emb.ravel(), g.bias, g.log_zc])
     assert np.array_equal(g.vector, want)
 

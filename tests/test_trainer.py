@@ -68,6 +68,8 @@ def test_config_validation():
     for dim in (0, -1):
         with pytest.raises(ValueError, match="dim"):
             TrainConfig(objective="nce", dim=dim)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TrainConfig(objective="nce", seed=-1)
     for objective in ("nce", "ns", "mle_exact"):
         with pytest.raises(ValueError, match="z_mode"):
             TrainConfig(objective=objective, z_mode="bogus")
@@ -86,7 +88,7 @@ def test_single_example_step_increases_own_objective():
         pair = np.array([[rng.integers(0, 6), rng.integers(0, 5)]])
         counts = pair_count_matrix(pair, 5)
         before = log_likelihood(params, counts)
-        apply_gradient(params, grad_log_likelihood(params, counts), 1e-4)
+        apply_gradient(params, grad_log_likelihood(params, CellCounts(counts, None)), 1e-4)
         assert log_likelihood(params, counts) > before
 
 
@@ -172,7 +174,7 @@ def _reference_train(config, pairs, n_words, truth):
                                noise_words=np.empty((idx.size, 0), dtype=np.int64))
             true = cell_counts(batch, n_words + 1, n_words).true
             if config.objective == "mle_exact":
-                grad = grad_log_likelihood(params, true)
+                grad = grad_log_likelihood(params, CellCounts(true, None))
             else:
                 counts = CellCounts(true, noise_rng.multinomial(config.k * true.sum(axis=1), q.probs))
                 noise_total += counts.noise
@@ -220,31 +222,39 @@ def test_train_matches_per_step_batch_reference(objective, z_mode, n_words, n_pa
     assert history == want_history
 
 
+@pytest.mark.parametrize("sampled", [True, False])
 @pytest.mark.parametrize("n_runs", [1, 3])
-def test_block_counts_viewed_per_step_equal_counts_built_per_step_bitwise(n_runs):
-    # An epoch's steps are views into one CellCounts per count block, its
-    # totals and halves computed once for the block: each step's fields
-    # are the bits of a CellCounts built from that step's grids alone.
+def test_block_counts_viewed_per_step_equal_counts_built_per_step_bitwise(n_runs, sampled):
+    # An epoch's steps are views into one CellCounts per count block, the
+    # fields their objective reads computed once for the block: each step's
+    # fields are the bits of a CellCounts built from that step's grids
+    # alone. A sampled block carries the two-class totals and halves; an
+    # exact-MLE block, drawn without samplers, only the context totals n_c.
     # 1003 pairs in batches of 8 at |V| = 8 are two blocks.
     _, pairs = fixture_data(1003)
     q = noise.unigram(stats_from_pairs(pairs, 8))
     perms = np.stack([derive_rng(r, STREAM_SHUFFLE, 1).permutation(len(pairs)) for r in range(n_runs)])
-    samplers = [(q, 1 + 2 * r, derive_rng(r, STREAM_NOISE, 1)) for r in range(n_runs)]
+    samplers = [(q, 1 + 2 * r, derive_rng(r, STREAM_NOISE, 1)) for r in range(n_runs)] if sampled else None
     totals = np.zeros((n_runs, 9, 8), dtype=np.int64)
     sel = 0 if n_runs == 1 else slice(None)
     steps = list(trainer._epoch_counts(pairs, perms, samplers, 8, 8, totals, sel))
     assert [size for size, _ in steps] == [8] * 125 + [3]
-    fields = ("true", "noise", "true_total", "noise_total", "half_diff", "half_sum")
+    derived = ("true_total", "noise_total", "half_diff", "half_sum") if sampled else ("context_totals",)
     for _, got in steps:
-        want = CellCounts(got.true.copy(), got.noise.copy())
-        for field in fields:
+        want = CellCounts(got.true.copy(), got.noise.copy() if sampled else None)
+        assert (got.noise is None) is not sampled
+        for field in ("true", "noise")[: 1 + sampled] + derived:
             g, w = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
             assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), field
-        assert np.array_equal(want.noise_total, np.array([1, 3, 5])[sel] * want.true_total)
-        assert np.array_equal(want.half_diff, (want.true - want.noise) / 2)
-        assert np.array_equal(want.half_sum, (want.true + want.noise) / 2)
-    # The steps of one block view the same halves.
-    for field in fields[4:]:
+        if sampled:
+            assert "context_totals" not in vars(got)  # a sampled step never derives it
+            assert np.array_equal(want.noise_total, np.array([1, 3, 5])[sel] * want.true_total)
+            assert np.array_equal(want.half_diff, (want.true - want.noise) / 2)
+            assert np.array_equal(want.half_sum, (want.true + want.noise) / 2)
+        else:
+            assert np.array_equal(want.context_totals, want.true.sum(axis=-1, keepdims=True))
+    # The steps of one block view the same derived arrays.
+    for field in derived[-2:]:
         first, second = (getattr(counts, field).base for _, counts in steps[:2])
         assert first is not None and first is second
 
