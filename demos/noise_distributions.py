@@ -34,12 +34,12 @@ print("noise probabilities per word id:")
 print("%4s %10s %10s %10s %14s" % ("id", "count", "uniform", "unigram", "flattened:0.75"))
 for w in range(VOCAB):
     print("%4d %10d %10.5f %10.5f %14.5f"
-          % (w, stats.unigram_counts[w], q_uni.probs[w], q_freq.probs[w], q_flat.probs[w]))
+          % (w, stats.unigram_counts[w], q_uni[w], q_freq[w], q_flat[w]))
 print()
 
 # Flattening compresses the dynamic range of q.
 for name, q in (("uniform", q_uni), ("unigram", q_freq), ("flattened", q_flat)):
-    ratio = q.probs.max() / q.probs.min()
+    ratio = q.max() / q.min()
     print("%-10s max/min probability ratio %8.2f" % (name, ratio))
 print()
 
@@ -47,11 +47,11 @@ print()
 # units of the binomial standard error.
 n = 200000
 freq = sample_array(q_flat, n, derive_rng(0, STREAM_NOISE)) / n
-se = np.sqrt(q_flat.probs * (1 - q_flat.probs) / n)
+se = np.sqrt(q_flat * (1 - q_flat) / n)
 print("%4s %10s %10s %8s" % ("id", "expected", "observed", "z"))
 for w in range(VOCAB):
-    z = (freq[w] - q_flat.probs[w]) / se[w]
-    print("%4d %10.5f %10.5f %8.2f" % (w, q_flat.probs[w], freq[w], z))
+    z = (freq[w] - q_flat[w]) / se[w]
+    print("%4d %10.5f %10.5f %8.2f" % (w, q_flat[w], freq[w], z))
 print()
 print("largest |z| over %d draws: %.2f standard errors"
-      % (n, np.abs((freq - q_flat.probs) / se).max()))
+      % (n, np.abs((freq - q_flat) / se).max()))

@@ -59,7 +59,7 @@ print()
 # Closed-form prediction of where biased NS should land: divide each truth
 # row by the actual noise probabilities used in training, then renormalize.
 q = unigram(stats)
-tilted = truth.cond / q.probs
+tilted = truth.cond / q
 tilted /= tilted.sum(axis=1, keepdims=True)
 pred_kl = float(np.mean([
     np.sum(truth.cond[c] * (np.log(truth.cond[c]) - np.log(tilted[c])))

@@ -34,7 +34,7 @@ from .model import (
     save_model,
 )
 from .nce import NceConfig
-from .noise import NoiseDistribution, parse_noise_spec
+from .noise import parse_noise_spec
 from .trainer import (
     MetricsRow,
     TrainConfig,
@@ -54,7 +54,6 @@ __all__ = [
     "MetricsRow",
     "ModelParams",
     "NceConfig",
-    "NoiseDistribution",
     "TrainConfig",
     "TrainingDiverged",
     "Vocabulary",

@@ -48,35 +48,37 @@ from .model import (
     grid_dot,
     residual_gradient,
 )
-from .noise import NoiseDistribution
 
 
 @dataclass(frozen=True)
 class NceConfig:
-    """k noise words per true word, drawn from q; the normalizer mode is the
-    model's. Model r of a stack may take k[r] of (R,) and row r of q.probs."""
+    """k noise words per true word, drawn from the word probabilities q, each
+    > 0; the normalizer mode is the model's. Model r of a stack may take
+    k[r] of (R,) and row r of q, (R, n_words)."""
 
     k: int | np.ndarray
-    q: NoiseDistribution
+    q: np.ndarray
 
     def __post_init__(self):
         if np.any(np.less(self.k, 1)):
             raise ValueError("k must be >= 1")
+        if not np.all(np.greater(self.q, 0)):  # a NaN compares False
+            raise ValueError("unsupported word in noise distribution: probability not > 0")
 
     @classmethod
     def stack(cls, cfgs: Sequence[NceConfig]) -> NceConfig:
         """One config for a stack of models, model r under ``cfgs[r]``."""
-        return cls(np.array([c.k for c in cfgs]), NoiseDistribution(np.stack([c.q.probs for c in cfgs])))
+        return cls(np.array([c.k for c in cfgs]), np.stack([c.q for c in cfgs]))
 
     def __getitem__(self, sel) -> NceConfig:
         """The config of the models of a stack that ``sel`` picks; an int picks one model's."""
-        return NceConfig(self.k[sel], NoiseDistribution(self.q.probs[sel]))
+        return NceConfig(self.k[sel], self.q[sel])
 
     @cached_property
     def log_kq(self) -> np.ndarray:
         """log(k q(w)) per word, or (R, n_words), a row at a time so that row r
         has the bits of model r's own config: the noise term of every logit."""
-        kq = np.asarray(self.k, dtype=np.float64)[..., None] * self.q.probs
+        kq = np.asarray(self.k, dtype=np.float64)[..., None] * self.q
         return np.array([np.log(row) for row in kq.reshape(-1, kq.shape[-1])]).reshape(kq.shape)
 
 
@@ -188,7 +190,7 @@ def _expected_counts(counts: np.ndarray, cfg: NceConfig, caller: str) -> CellCou
     """The pairs counted in ``counts`` and their expected noise counts ``n_c k q(w)``,
     model r of a stacked config's ``n_c k[r] q_r(w)``."""
     k = np.expand_dims(cfg.k, (-2, -1))
-    return CellCounts(counts, context_totals(counts, caller) * k * np.expand_dims(cfg.q.probs, -2))
+    return CellCounts(counts, context_totals(counts, caller) * k * np.expand_dims(cfg.q, -2))
 
 
 def exact_loss(params: ModelParams, counts: np.ndarray, cfg: NceConfig) -> float | np.ndarray:

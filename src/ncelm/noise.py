@@ -1,51 +1,39 @@
 """Noise distributions over the vocabulary: uniform, unigram, and flattened.
 
 Classifier-based estimators contrast observed words against words drawn from
-a fixed noise distribution q. The three standard choices are built here.
+a fixed noise distribution q. The three standard choices are built here,
+each as its float64 probability array of shape (n_words,).
 The estimators see noise only as per-cell counts, so draws are made as
 counts too: n independent words from q are one Multinomial(n, q) vector.
-Full support over the vocabulary is enforced at construction:
-a zero-probability word would pin the classifier posterior of a true sample
-at 1 and silently break the objective, so construction fails fast instead.
+Full support over the vocabulary is enforced by ``nce.NceConfig``, through
+which the estimators and the trainer's sampler read q, whoever built the
+array: a zero-probability word would pin the classifier posterior of a true
+sample at 1 and silently break the objective, so the config refuses it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import CorpusStats
 
-@dataclass(frozen=True)
-class NoiseDistribution:
-    """Categorical distribution over the vocabulary."""
 
-    probs: np.ndarray  # (n_words,), or (R, n_words) for a stack of NCE configs; rows sum to 1, > 0
-
-
-def _build(probs: np.ndarray) -> NoiseDistribution:
-    if np.any(probs <= 0):
-        raise ValueError("unsupported word in noise distribution: zero probability")
-    return NoiseDistribution(probs=probs)
-
-
-def uniform(n_words: int) -> NoiseDistribution:
+def uniform(n_words: int) -> np.ndarray:
     if n_words < 2:
         raise ValueError("noise distribution needs >= 2 words")
-    return _build(np.full(n_words, 1.0 / n_words))
+    return np.full(n_words, 1.0 / n_words)
 
 
-def unigram(stats: CorpusStats) -> NoiseDistribution:
+def unigram(stats: CorpusStats) -> np.ndarray:
     """Empirical word frequencies. Every word must occur at least once."""
     counts = stats.unigram_counts
     if np.any(counts == 0):
         missing = int(np.flatnonzero(counts == 0)[0])
         raise ValueError(f"unsupported word in noise distribution: word id {missing} has count 0")
-    return _build(counts / counts.sum())
+    return counts / counts.sum()
 
 
-def flattened(stats: CorpusStats, alpha: float) -> NoiseDistribution:
+def flattened(stats: CorpusStats, alpha: float) -> np.ndarray:
     """Unigram probabilities raised to ``alpha`` in (0, 1) and renormalized.
 
     Interpolates between the unigram shape (alpha near 1) and uniform (alpha
@@ -53,20 +41,19 @@ def flattened(stats: CorpusStats, alpha: float) -> NoiseDistribution:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"flattening exponent out of range (0, 1): {alpha}")
-    base = unigram(stats).probs
-    p = base**alpha
-    return _build(p / p.sum())
+    p = unigram(stats) ** alpha
+    return p / p.sum()
 
 
-def sample_array(q: NoiseDistribution, totals, rng: np.random.Generator) -> np.ndarray:
+def sample_array(q: np.ndarray, totals, rng: np.random.Generator) -> np.ndarray:
     """Noise counts, int64 of shape ``totals.shape + (n_words,)``: entry
     ``[..., w]`` counts how many of ``totals[...]`` independent draws from q
     are word w. One call over an array gives the same bits as one call per
     row, in order, on the same generator."""
-    return rng.multinomial(totals, q.probs)
+    return rng.multinomial(totals, q)
 
 
-def parse_noise_spec(spec: str, stats: CorpusStats) -> NoiseDistribution:
+def parse_noise_spec(spec: str, stats: CorpusStats) -> np.ndarray:
     """Build a distribution over the words of ``stats`` from a spec string.
 
     Accepted forms: ``uniform``, ``unigram``, ``flattened:<alpha>`` with alpha

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nce, negsampling, noise
-from .corpus import GroundTruthTable, stats_from_pairs
+from .corpus import MAX_VOCAB_SIZE, GroundTruthTable, stats_from_pairs
 from .model import (
     PARAM_BLOCKS,
     CellCounts,
@@ -103,6 +103,9 @@ class TrainConfig:
             raise ValueError("k must be >= 1")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        if self.dim > MAX_VOCAB_SIZE:
+            raise ValueError(f"dim must be <= {MAX_VOCAB_SIZE}, the vocabulary cap: "
+                             "past |V| columns a bilinear score gains no rank")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         z_modes = (Z_LEARNED_ZC, Z_FIXED_ONE) if self.objective == OBJ_NCE else Z_MODES
@@ -178,9 +181,9 @@ def train_lockstep(
     batch_size = min(first.batch_size, n)  # a larger batch trains as one full batch
     stats = stats_from_pairs(pairs, n_words)
     z_mode = {OBJ_MLE: Z_EXACT, OBJ_NS: Z_FIXED_ONE}.get(first.objective, first.z_mode)
-    qs = None if first.objective == OBJ_MLE else [
-        noise.parse_noise_spec(c.noise, stats) for c in configs
-    ]
+    cfg = None if first.objective == OBJ_MLE else nce.NceConfig.stack([
+        nce.NceConfig(c.k, noise.parse_noise_spec(c.noise, stats)) for c in configs
+    ])
     inits = [init_params(n_words, first.dim, c.seed, z_mode=z_mode) for c in configs]
     models = inits[0].with_vector(np.stack([p.vector for p in inits]))
     runs = [models.with_vector(v) for v in models.vector]  # views of each run's row
@@ -189,7 +192,7 @@ def train_lockstep(
     # train-small-k, 79.9 against 87.5 µs on train-large-k;
     # BENCH_lockstep.json). The metrics always take the whole stack.
     sel = 0 if len(configs) == 1 else slice(None)
-    grad_fn, loss_fn = _kernels(first.objective, configs, qs, sel)
+    grad_fn, loss_fn = _kernels(first.objective, cfg, sel)
     model = models.with_vector(models.vector[sel])
     grad = zero_gradient(model)
 
@@ -203,8 +206,8 @@ def train_lockstep(
         perms = np.empty((len(configs), n), dtype=np.int64)  # one shuffle per run, filled in place
         for r, c in enumerate(configs):
             perms[r] = derive_rng(c.seed, STREAM_SHUFFLE, epoch).permutation(n)
-        samplers = None if qs is None else [
-            (q, c.k, derive_rng(c.seed, STREAM_NOISE, epoch)) for c, q in zip(configs, qs)
+        samplers = None if cfg is None else [
+            (q, c.k, derive_rng(c.seed, STREAM_NOISE, epoch)) for c, q in zip(configs, cfg.q)
         ]
         totals = np.zeros((len(configs), n_words + 1, n_words), dtype=np.int64)  # the epoch's noise counts
         steps = _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel)
@@ -281,16 +284,17 @@ def sweep_runs(
 # Internals
 # ---------------------------------------------------------------------------
 
-def _kernels(objective: str, configs: list[TrainConfig], qs, sel):
-    """``(grad_fn, loss_fn)`` of a stack of runs, with one noise distribution
-    per run in ``qs`` (None for MLE), for models indexed by ``sel``.
+def _kernels(objective: str, cfg: nce.NceConfig | None, sel):
+    """``(grad_fn, loss_fn)`` of a stack of runs, with the runs' stacked
+    ``NceConfig`` in ``cfg`` (None for MLE), for models indexed by ``sel``.
 
     ``grad_fn(model, counts, out)`` writes the gradient of every model into
     ``out``; ``loss_fn(models, counts)`` gives each model's total loss. MLE
     has no loss: its objective is minus the cross-entropy. The lambdas look
     kernels up at call time, so rebinding a module attribute (as a tracer
-    does) also reaches the training loop. NCE takes the runs' stacked
-    ``NceConfig`` indexed by ``sel``: a lone run's k and q, or every run's.
+    does) also reaches the training loop. NCE takes ``cfg`` indexed by
+    ``sel``: a lone run's k and q, or every run's. NS reads no config: its
+    logits have no noise term.
     """
     if objective == OBJ_MLE:
         return lambda p, c, out: grad_log_likelihood(p, c, out), None
@@ -299,7 +303,7 @@ def _kernels(objective: str, configs: list[TrainConfig], qs, sel):
         # freezing them keeps the NCE equivalence checks well-posed.
         return (lambda p, c, out: negsampling.ns_grad(p, c, out),
                 lambda p, c: negsampling.ns_loss(p, c))
-    cfg = nce.NceConfig.stack([nce.NceConfig(k=c.k, q=q) for c, q in zip(configs, qs)])[sel]
+    cfg = cfg[sel]
     return lambda p, c, out: nce.mc_grad(p, c, cfg, out), lambda p, c: nce.mc_loss(p, c, cfg)
 
 

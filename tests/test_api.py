@@ -22,6 +22,8 @@ def test_star_import_resolves_every_exported_name():
     assert "CellCounts" in names
     for gone in ("ProxyBatch", "ProxyExample"):
         assert not hasattr(ncelm, gone)
+    # A noise distribution is its probability array; NceConfig checks it.
+    assert not hasattr(ncelm, "NoiseDistribution")
 
 
 def test_demo_imports_resolve():

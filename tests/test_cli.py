@@ -345,11 +345,13 @@ def test_train_divergence_exit_code(tmp_path):
         r = run_cli(*train_args(prefix, tmp_path / "d.model", "--objective", "mle", "--lr", lr))
         assert r.returncode == 2
         assert "learning_rate must be finite and > 0" in r.stderr
-    # So is an empty embedding.
-    r = run_cli(*train_args(prefix, tmp_path / "z.model", "--objective", "mle", "--dim", 0))
-    assert r.returncode == 2
-    assert "dim must be >= 1" in r.stderr
-    assert not (tmp_path / "z.model").exists()
+    # So are an empty embedding and one wider than the vocabulary cap, past
+    # which a bilinear score gains no rank: refused before any allocation.
+    for dim, message in ((0, "dim must be >= 1"), (MAX_VOCAB_SIZE + 1, f"dim must be <= {MAX_VOCAB_SIZE}")):
+        r = run_cli(*train_args(prefix, tmp_path / "z.model", "--objective", "mle", "--dim", dim))
+        assert r.returncode == 2
+        assert message in r.stderr
+        assert not (tmp_path / "z.model").exists()
 
 
 def test_eval_uniform_model_reports_log_vocab(tmp_path):
@@ -746,7 +748,8 @@ def test_sweep_rejects_bad_ks(tmp_path):
     # Each bad flag is an exit-2 usage error raised before any output file
     # is written.
     for bad in (["--ks", "5,2"], ["--ks", "1,x"], ["--ks", "3,3"], ["--ks", "0,2"],
-                ["--ks", "1", "--seeds", 0], ["--ks", "1", "--dim", 0]):
+                ["--ks", "1", "--seeds", 0], ["--ks", "1", "--dim", 0],
+                ["--ks", "1", "--dim", MAX_VOCAB_SIZE + 1]):
         r = run_cli("sweep", "--corpus", f"{prefix}.txt", "--truth", f"{prefix}.truth",
                     *bad, "--out", tmp_path / "s.csv")
         assert r.returncode == 2, bad

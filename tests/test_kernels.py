@@ -52,7 +52,7 @@ def _log_sigmoid(x):
 
 
 def _delta(params, c, w, cfg):
-    d = score(params, c, w) - math.log(cfg.k * cfg.q.probs[w])
+    d = score(params, c, w) - math.log(cfg.k * cfg.q[w])
     if params.z_mode == Z_LEARNED_ZC:
         d -= params.log_zc[c]
     return d

@@ -40,6 +40,21 @@ def test_config_holds_k_and_q_only():
         NceConfig(k=0, q=q)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.25, math.nan])
+def test_config_refuses_a_q_without_full_support(bad):
+    # A word that noise never draws pins its true-sample posterior at 1, and
+    # log(k q(w)) turns -inf or NaN: the config refuses such a q, for one
+    # model and for one bad row of a stack, whoever built the array.
+    q = uniform(4)
+    q[2] = bad
+    with pytest.raises(ValueError, match="noise distribution: probability not > 0"):
+        NceConfig(k=2, q=q)
+    good, row = NceConfig(k=2, q=uniform(4)), NceConfig(k=3, q=uniform(4))
+    row.q[2] = bad  # q is the caller's array: a later write is caught when stacked
+    with pytest.raises(ValueError, match="noise distribution: probability not > 0"):
+        NceConfig.stack([good, row, good])
+
+
 def test_model_posteriors_match_sigmoid_formula():
     params = small_setup()
     q = unigram(stats_from_pairs(np.array([[4, 0], [0, 1], [1, 2], [2, 3], [3, 0]]), 4))
@@ -48,7 +63,7 @@ def test_model_posteriors_match_sigmoid_formula():
     for c in range(5):
         for w in range(4):
             u_adj = math.exp(score(params, c, w)) / math.exp(params.log_zc[c])
-            expected = u_adj / (u_adj + 2 * q.probs[w])
+            expected = u_adj / (u_adj + 2 * q[w])
             assert sigmoid(delta[c, w]) == pytest.approx(expected, rel=1e-12)
             assert sigmoid(-delta[c, w]) == pytest.approx(1 - expected, rel=1e-12)
 
@@ -111,7 +126,7 @@ def _constant_noise_batches(seed, n_pairs):
             true_words=pairs[:, 1],
             noise_words=np.full((n_pairs, 1), w),
         )
-        batches.append((q.probs[w], cell_counts(batch, 5, 4)))
+        batches.append((q[w], cell_counts(batch, 5, 4)))
     return q, batches, pair_count_matrix(pairs, 4)
 
 

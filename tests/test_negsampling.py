@@ -8,7 +8,7 @@ from ncelm.checks import finite_diff_gradient
 from ncelm.model import Z_FIXED_ONE, init_params
 from ncelm.nce import NceConfig, mc_grad, mc_loss
 from ncelm.negsampling import ns_grad, ns_loss
-from ncelm.noise import NoiseDistribution, uniform
+from ncelm.noise import uniform
 from ncelm.seeding import STREAM_DATA, derive_rng
 
 
@@ -72,7 +72,7 @@ def test_differs_from_nce_when_q_not_uniform_or_k_wrong():
         noise_words=rng.integers(0, V, (40, V)),
     )
     skew = np.arange(1.0, V + 1.0)
-    cfg_skew = NceConfig(k=V, q=NoiseDistribution(skew / skew.sum()))
+    cfg_skew = NceConfig(k=V, q=skew / skew.sum())
     counts = cell_counts(batch, V + 1, V)
     assert abs(ns_loss(params, counts) - mc_loss(params, counts, cfg_skew)) > 1e-3
     batch5 = ProxyBatch(

@@ -19,14 +19,14 @@ def small_stats():
 
 def test_uniform_probs():
     q = uniform(4)
-    assert np.allclose(q.probs, 0.25)
+    assert np.allclose(q, 0.25)
     with pytest.raises(ValueError):
         uniform(1)
 
 
 def test_unigram_probs_hand_counts():
     q = unigram(small_stats())
-    assert np.allclose(q.probs, [0.5, 0.25, 0.25])
+    assert np.allclose(q, [0.5, 0.25, 0.25])
 
 
 def test_unigram_rejects_unseen_word():
@@ -41,7 +41,7 @@ def test_flattened_hand_values_and_bounds():
     stats = small_stats()
     q = flattened(stats, 0.75)
     raw = np.array([4.0, 2.0, 2.0]) ** 0.75
-    assert np.allclose(q.probs, raw / raw.sum())
+    assert np.allclose(q, raw / raw.sum())
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError, match="exponent"):
             flattened(stats, bad)
@@ -49,8 +49,8 @@ def test_flattened_hand_values_and_bounds():
 
 def test_flattening_moves_toward_uniform():
     stats = small_stats()
-    sharp = unigram(stats).probs
-    flat = flattened(stats, 0.5).probs
+    sharp = unigram(stats)
+    flat = flattened(stats, 0.5)
     # flattening shrinks the spread but keeps the ordering
     assert flat.max() < sharp.max()
     assert flat.min() > sharp.min()
@@ -62,8 +62,8 @@ def test_sampling_matches_probs_within_three_se():
     q = unigram(stats)
     n = 100000
     freq = sample_array(q, n, derive_rng(5, STREAM_NOISE)) / n
-    se = np.sqrt(q.probs * (1 - q.probs) / n)
-    assert np.all(np.abs(freq - q.probs) <= 3 * se)
+    se = np.sqrt(q * (1 - q) / n)
+    assert np.all(np.abs(freq - q) <= 3 * se)
 
 
 def test_sampling_is_seed_deterministic():
@@ -108,7 +108,7 @@ def test_parse_noise_spec():
     stats = small_stats()
     for spec, want in (("uniform", uniform(3)), (" unigram ", unigram(stats)),
                        ("flattened:0.75", flattened(stats, 0.75))):
-        assert parse_noise_spec(spec, stats).probs.tobytes() == want.probs.tobytes()
+        assert parse_noise_spec(spec, stats).tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="unknown noise spec"):
         parse_noise_spec("gaussian", stats)
     with pytest.raises(ValueError, match="exponent"):

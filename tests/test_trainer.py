@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from batch_reference import ProxyBatch, cell_counts
 from ncelm import noise, trainer
 from ncelm.corpus import (
+    MAX_VOCAB_SIZE,
     build_vocab,
     generate_synthetic_corpus,
     make_zipf_truth,
@@ -68,6 +69,11 @@ def test_config_validation():
     for dim in (0, -1):
         with pytest.raises(ValueError, match="dim"):
             TrainConfig(objective="nce", dim=dim)
+    # No bilinear score over at most MAX_VOCAB_SIZE words gains rank past
+    # that many columns; the cap itself is accepted.
+    TrainConfig(objective="nce", dim=MAX_VOCAB_SIZE)
+    with pytest.raises(ValueError, match=f"dim must be <= {MAX_VOCAB_SIZE}"):
+        TrainConfig(objective="nce", dim=MAX_VOCAB_SIZE + 1)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         TrainConfig(objective="nce", seed=-1)
     for objective in ("nce", "ns", "mle_exact"):
@@ -176,7 +182,7 @@ def _reference_train(config, pairs, n_words, truth):
             if config.objective == "mle_exact":
                 grad = grad_log_likelihood(params, CellCounts(true, None))
             else:
-                counts = CellCounts(true, noise_rng.multinomial(config.k * true.sum(axis=1), q.probs))
+                counts = CellCounts(true, noise_rng.multinomial(config.k * true.sum(axis=1), q))
                 noise_total += counts.noise
                 grad = mc_grad(params, counts, cfg) if config.objective == "nce" else ns_grad(params, counts)
             blocks = PARAM_BLOCKS if params.z_mode == Z_LEARNED_ZC else PARAM_BLOCKS[:3]
