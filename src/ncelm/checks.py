@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nce, negsampling
+from . import nce
 from .corpus import pair_count_matrix
 from .model import (
     PARAM_BLOCKS,
@@ -23,13 +23,12 @@ from .model import (
     CellCounts,
     Gradient,
     ModelParams,
-    grad_log_likelihood,
     init_params,
-    log_likelihood,
     zero_gradient,
 )
 from .noise import sample_array, uniform
 from .seeding import STREAM_DATA, derive_rng
+from .trainer import OBJ_MLE, OBJ_NCE, OBJ_NS, OBJECTIVES
 
 # The gates: finite-difference step, worst per-block error, NS-NCE gap and its draws.
 FD_STEP = 1e-5
@@ -46,20 +45,17 @@ _GC_PAIRS = 40
 FD_BLOCK_CELLS = 2**14  # grid cells, n_contexts * n_words per model, in one stack
 
 # Suite name -> (z_modes, gradient, loss), the kernels taking (params,
-# counts, cfg); None runs the model's exact normalizer. The lambdas look the
-# kernels up at call time, so rebinding a module attribute (as a tracer or a
-# test does) reaches the checks. The exact suites read only the true counts:
-# nce-exact checks the analysis-form gradient against the full-expectation loss.
+# counts, cfg); None runs the model's exact normalizer. The trained
+# objectives' suites check the gradient and loss the trainer steps with,
+# ``trainer.OBJECTIVES``. nce-exact reads only the true counts: it checks
+# the analysis-form gradient against the full-expectation loss.
 _SUITES = {
-    "mle": ((None,), lambda p, c, cfg: grad_log_likelihood(p, c),
-            lambda p, c, cfg: log_likelihood(p, c.true)),
-    "nce-mc": ((Z_LEARNED_ZC, Z_FIXED_ONE), lambda p, c, cfg: nce.mc_grad(p, c, cfg),
-               lambda p, c, cfg: nce.mc_loss(p, c, cfg)),
+    "mle": ((None,), *OBJECTIVES[OBJ_MLE][1:]),
+    "nce-mc": ((Z_LEARNED_ZC, Z_FIXED_ONE), *OBJECTIVES[OBJ_NCE][1:]),
     "nce-exact": ((Z_LEARNED_ZC, Z_FIXED_ONE),
                   lambda p, c, cfg: nce.exact_grad_analysis(p, c.true, cfg),
                   lambda p, c, cfg: nce.exact_loss(p, c.true, cfg)),
-    "ns": ((None,), lambda p, c, cfg: negsampling.ns_grad(p, c),
-           lambda p, c, cfg: negsampling.ns_loss(p, c)),
+    "ns": ((None,), *OBJECTIVES[OBJ_NS][1:]),
 }
 GRADCHECK_SUITES = tuple(_SUITES)
 
@@ -184,17 +180,16 @@ def run_equiv_check(vocab_size: int = 8, seed: int = 1, force_k: int | None = No
         raise ValueError("vocab_size must be >= 2")
     k = vocab_size if force_k is None else force_k
     cfg = nce.NceConfig(k=k, q=uniform(vocab_size))
+    _, nce_grad, nce_loss = OBJECTIVES[OBJ_NCE]
+    z_mode, ns_grad, ns_loss = OBJECTIVES[OBJ_NS]
     dloss, dgrad = np.empty((2, EQUIV_DRAWS))
     for i in range(EQUIV_DRAWS):
         rng = derive_rng(seed, STREAM_DATA, i)
-        params = init_params(vocab_size, 4, seed + i, z_mode=Z_FIXED_ONE)
+        params = init_params(vocab_size, 4, seed + i, z_mode=z_mode)
         counts = _sampled_counts(rng, 30, vocab_size, k)
-        dloss[i] = abs(nce.mc_loss(params, counts, cfg) - negsampling.ns_loss(params, counts))
+        dloss[i] = abs(nce_loss(params, counts, cfg) - ns_loss(params, counts, cfg))
         dgrad[i] = np.max(
-            np.abs(
-                nce.mc_grad(params, counts, cfg).vector
-                - negsampling.ns_grad(params, counts).vector
-            )
+            np.abs(nce_grad(params, counts, cfg).vector - ns_grad(params, counts, cfg).vector)
         )
     max_dloss, max_dgrad = dloss.max(), dgrad.max()  # unlike max(), these keep a NaN
     ok = bool(max_dloss <= EQUIV_TOL and max_dgrad <= EQUIV_TOL)  # a NaN fails

@@ -49,7 +49,25 @@ from .seeding import STREAM_NOISE, STREAM_SHUFFLE, derive_rng
 OBJ_MLE = "mle_exact"
 OBJ_NCE = "nce"
 OBJ_NS = "ns"
-OBJECTIVES = (OBJ_MLE, OBJ_NCE, OBJ_NS)
+
+# Objective -> (the z_mode its models train with, None for the config's;
+# gradient (params, counts, cfg, out=None); loss (params, counts, cfg)), with
+# cfg the runs' NceConfig, None for MLE. The trainer steps with these, and
+# checks.run_gradcheck and run_equiv_check verify these same callables. The
+# lambdas look kernels up at call time, so rebinding a module attribute (as
+# a tracer or a test does) reaches every caller. MLE's loss is the
+# log-likelihood, so its objective metric is minus the cross-entropy.
+OBJECTIVES = {
+    OBJ_MLE: (Z_EXACT, lambda p, c, cfg, out=None: grad_log_likelihood(p, c, out),
+              lambda p, c, cfg: log_likelihood(p, c.true)),
+    OBJ_NCE: (None, lambda p, c, cfg, out=None: nce.mc_grad(p, c, cfg, out),
+              lambda p, c, cfg: nce.mc_loss(p, c, cfg)),
+    # Normalizer parameters have no meaning under negative sampling;
+    # freezing them keeps the NCE equivalence checks well-posed. NS reads
+    # no config: its logits have no noise term.
+    OBJ_NS: (Z_FIXED_ONE, lambda p, c, cfg, out=None: negsampling.ns_grad(p, c, out),
+             lambda p, c, cfg: negsampling.ns_loss(p, c)),
+}
 
 # Cells one bincount counts at most: an epoch's steps are counted a block of
 # consecutive steps at a time (at least one), each step taking one grid of
@@ -108,7 +126,8 @@ class TrainConfig:
                              "past |V| columns a bilinear score gains no rank")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        z_modes = (Z_LEARNED_ZC, Z_FIXED_ONE) if self.objective == OBJ_NCE else Z_MODES
+        # An objective with its own z_mode ignores the config's.
+        z_modes = Z_MODES if OBJECTIVES[self.objective][0] else (Z_LEARNED_ZC, Z_FIXED_ONE)
         if self.z_mode not in z_modes:
             raise ValueError(f"{self.objective} z_mode must be one of {z_modes}, got {self.z_mode!r}")
 
@@ -180,11 +199,11 @@ def train_lockstep(
     _check_lockstep(configs, n)
     batch_size = min(first.batch_size, n)  # a larger batch trains as one full batch
     stats = stats_from_pairs(pairs, n_words)
-    z_mode = {OBJ_MLE: Z_EXACT, OBJ_NS: Z_FIXED_ONE}.get(first.objective, first.z_mode)
+    z_mode, grad_fn, loss_fn = OBJECTIVES[first.objective]
     cfg = None if first.objective == OBJ_MLE else nce.NceConfig.stack([
         nce.NceConfig(c.k, noise.parse_noise_spec(c.noise, stats)) for c in configs
     ])
-    inits = [init_params(n_words, first.dim, c.seed, z_mode=z_mode) for c in configs]
+    inits = [init_params(n_words, first.dim, c.seed, z_mode=z_mode or first.z_mode) for c in configs]
     models = inits[0].with_vector(np.stack([p.vector for p in inits]))
     runs = [models.with_vector(v) for v in models.vector]  # views of each run's row
     # A lone run steps its one model unstacked, (P,): its kernel calls cost
@@ -192,8 +211,8 @@ def train_lockstep(
     # train-small-k, 79.9 against 87.5 µs on train-large-k;
     # BENCH_lockstep.json). The metrics always take the whole stack.
     sel = 0 if len(configs) == 1 else slice(None)
-    grad_fn, loss_fn = _kernels(first.objective, cfg, sel)
     model = models.with_vector(models.vector[sel])
+    model_cfg = None if cfg is None else cfg[sel]
     grad = zero_gradient(model)
 
     results: list = [None] * len(configs)  # a run's entry is set when it finishes or diverges
@@ -212,7 +231,7 @@ def train_lockstep(
         totals = np.zeros((len(configs), n_words + 1, n_words), dtype=np.int64)  # the epoch's noise counts
         steps = _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel)
         for step, (size, counts) in enumerate(steps, 1):
-            apply_gradient(model, grad_fn(model, counts, grad), lr[sel] / size)
+            apply_gradient(model, grad_fn(model, counts, model_cfg, grad), lr[sel] / size)
             if not params_finite(model):
                 for r, run in enumerate(runs):
                     block = next((b for b in PARAM_BLOCKS if not np.isfinite(getattr(run, b)).all()), None)
@@ -222,7 +241,7 @@ def train_lockstep(
                 if all(res is not None for res in results):
                     return results
         if epoch % first.eval_every == 0 or epoch == first.epochs:
-            metrics = _metrics(models, stats, truth, loss_fn, totals, epoch)
+            metrics = _metrics(models, stats, truth, loss_fn, cfg, totals, epoch)
             for r, row in enumerate(metrics):
                 if results[r] is not None:
                     continue
@@ -258,8 +277,9 @@ def sweep_runs(
 
     The arguments are checked when it is called: ValueError unless ``ks`` is
     nonempty and strictly ascending, ``bases`` and ``pairs`` are nonempty,
-    and every (base, k) is a valid config that shares ``LOCKSTEP_FIELDS``
-    and whose k * n noise words per epoch are at most 2**53.
+    and every (base, k) is a valid config that shares ``LOCKSTEP_FIELDS``,
+    whose k * n noise words per epoch are at most 2**53 and, when sampled,
+    whose noise spec parses against the pairs' word counts.
     """
     if not ks:
         raise ValueError("ks must be nonempty")
@@ -271,6 +291,10 @@ def sweep_runs(
         raise ValueError("training needs at least one pair")
     configs = [replace(base, k=k) for base in bases for k in ks]
     _check_lockstep(configs, len(pairs))  # whichever chunks they fall in
+    if configs[0].objective != OBJ_MLE:  # a bad noise spec fails before any run trains
+        stats = stats_from_pairs(pairs, n_words)
+        for spec in dict.fromkeys(c.noise for c in configs):
+            noise.parse_noise_spec(spec, stats)
     chunk = max(1, LOCKSTEP_PAIRS // len(pairs))
     results = (
         result
@@ -283,29 +307,6 @@ def sweep_runs(
 # ---------------------------------------------------------------------------
 # Internals
 # ---------------------------------------------------------------------------
-
-def _kernels(objective: str, cfg: nce.NceConfig | None, sel):
-    """``(grad_fn, loss_fn)`` of a stack of runs, with the runs' stacked
-    ``NceConfig`` in ``cfg`` (None for MLE), for models indexed by ``sel``.
-
-    ``grad_fn(model, counts, out)`` writes the gradient of every model into
-    ``out``; ``loss_fn(models, counts)`` gives each model's total loss. MLE
-    has no loss: its objective is minus the cross-entropy. The lambdas look
-    kernels up at call time, so rebinding a module attribute (as a tracer
-    does) also reaches the training loop. NCE takes ``cfg`` indexed by
-    ``sel``: a lone run's k and q, or every run's. NS reads no config: its
-    logits have no noise term.
-    """
-    if objective == OBJ_MLE:
-        return lambda p, c, out: grad_log_likelihood(p, c, out), None
-    if objective == OBJ_NS:
-        # Normalizer parameters have no meaning under negative sampling;
-        # freezing them keeps the NCE equivalence checks well-posed.
-        return (lambda p, c, out: negsampling.ns_grad(p, c, out),
-                lambda p, c: negsampling.ns_loss(p, c))
-    cfg = cfg[sel]
-    return lambda p, c, out: nce.mc_grad(p, c, cfg, out), lambda p, c: nce.mc_loss(p, c, cfg)
-
 
 def _check_lockstep(configs: list[TrainConfig], n: int) -> None:
     """Raise unless the runs share ``LOCKSTEP_FIELDS`` and, when sampled, the
@@ -386,14 +387,14 @@ def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel):
             yield min(batch_size, idx.shape[1] - j * batch_size), step
 
 
-def _metrics(params, stats, truth, loss_fn, noise_total, epoch) -> list[MetricsRow]:
-    """One row per model of the stack ``params``, its noise counts ``noise_total[r]``."""
+def _metrics(params, stats, truth, loss_fn, cfg, noise_total, epoch) -> list[MetricsRow]:
+    """One row per model of the stack ``params``, its noise counts
+    ``noise_total[r]``; ``loss_fn`` and ``cfg`` as in ``OBJECTIVES``."""
     n = stats.total_tokens
     ce = cross_entropy(params, stats.bigram_counts)
     kl = [None] * len(ce) if truth is None else kl_truth_model(truth, params)
     med_z = np.median(np.abs(log_partitions(params)[..., stats.seen_contexts()]), axis=-1)
-    counts = CellCounts(stats.bigram_counts, noise_total)
-    obj = -ce if loss_fn is None else loss_fn(params, counts) / n
+    obj = loss_fn(params, CellCounts(stats.bigram_counts, noise_total), cfg) / n
     return [
         MetricsRow(epoch=epoch, cross_entropy=float(c), kl_truth=None if k is None else float(k),
                    median_abs_log_z=float(m), objective=float(o))

@@ -3,7 +3,7 @@ import pytest
 
 from batch_reference import ProxyBatch, cell_counts
 from finite_diff_reference import finite_diff_reference
-from ncelm import checks, cli, nce, negsampling
+from ncelm import checks, cli, nce, negsampling, trainer
 from ncelm.checks import (
     finite_diff_gradient,
     run_equiv_check,
@@ -96,14 +96,14 @@ def test_equiv_check_negative_control_and_validation():
 
 
 def test_gradcheck_fails_on_nan(monkeypatch, capsys):
-    exact = checks.grad_log_likelihood
+    exact = trainer.grad_log_likelihood
 
-    def nan_at_first_coordinate(params, counts):
-        grad = exact(params, counts)
+    def nan_at_first_coordinate(params, counts, out=None):
+        grad = exact(params, counts, out)
         grad.target_emb[0, 0] = np.nan
         return grad
 
-    monkeypatch.setattr(checks, "grad_log_likelihood", nan_at_first_coordinate)
+    monkeypatch.setattr(trainer, "grad_log_likelihood", nan_at_first_coordinate)
     res = run_gradcheck(which="mle")
     assert not res.ok
     assert res.lines[0].startswith("gradcheck mle target_emb worst_err nan FAIL at target_emb")
@@ -114,17 +114,17 @@ def test_gradcheck_fails_on_nan(monkeypatch, capsys):
 def test_gradcheck_keeps_a_nan_that_later_finite_models_follow(monkeypatch, capsys):
     # Only the first of the five mle models gets a NaN coordinate; the four
     # finite models after it must not clear it.
-    exact = checks.grad_log_likelihood
+    exact = trainer.grad_log_likelihood
     calls = []
 
-    def nan_in_first_model(params, counts):
-        grad = exact(params, counts)
+    def nan_in_first_model(params, counts, out=None):
+        grad = exact(params, counts, out)
         if not calls:
             grad.bias[3] = np.nan
         calls.append(None)
         return grad
 
-    monkeypatch.setattr(checks, "grad_log_likelihood", nan_in_first_model)
+    monkeypatch.setattr(trainer, "grad_log_likelihood", nan_in_first_model)
     res = run_gradcheck(which="mle")
     assert len(calls) == checks._GC_MODELS and not res.ok
     assert res.lines[2] == "gradcheck mle bias worst_err nan FAIL at bias[3]"
@@ -145,8 +145,8 @@ def test_equiv_check_fails_on_nan(monkeypatch, capsys):
 def test_equiv_check_fails_on_a_nan_gradient(monkeypatch, capsys):
     grad = negsampling.ns_grad
 
-    def nan_at_one_coordinate(params, counts):
-        out = grad(params, counts)
+    def nan_at_one_coordinate(params, counts, out=None):
+        out = grad(params, counts, out)
         out.context_emb[2, 1] = np.nan
         return out
 
@@ -158,6 +158,16 @@ def test_equiv_check_fails_on_a_nan_gradient(monkeypatch, capsys):
     assert cli.main(["equiv-check"]) == 1
     assert capsys.readouterr().out.splitlines()[-2:] == ["max |dgrad| nan",
                                                          "equiv-check FAIL (tolerance 1e-10)"]
+
+
+@pytest.mark.parametrize("suite,objective", [("mle", trainer.OBJ_MLE), ("nce-mc", trainer.OBJ_NCE),
+                                             ("ns", trainer.OBJ_NS)])
+def test_gradcheck_suites_hold_the_trainers_kernels(suite, objective):
+    # gradcheck verifies the very callables the trainer steps with: a kernel
+    # swapped for training cannot skip the check.
+    _, grad, loss = checks._SUITES[suite]
+    _, trained_grad, trained_loss = trainer.OBJECTIVES[objective]
+    assert grad is trained_grad and loss is trained_loss
 
 
 def _record_counts(monkeypatch, module, name):

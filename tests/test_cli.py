@@ -749,7 +749,8 @@ def test_sweep_rejects_bad_ks(tmp_path):
     # is written.
     for bad in (["--ks", "5,2"], ["--ks", "1,x"], ["--ks", "3,3"], ["--ks", "0,2"],
                 ["--ks", "1", "--seeds", 0], ["--ks", "1", "--dim", 0],
-                ["--ks", "1", "--dim", MAX_VOCAB_SIZE + 1]):
+                ["--ks", "1", "--dim", MAX_VOCAB_SIZE + 1], ["--ks", "1", "--noise", "bogus"],
+                ["--ks", "1", "--noise", "flattened:2"]):
         r = run_cli("sweep", "--corpus", f"{prefix}.txt", "--truth", f"{prefix}.truth",
                     *bad, "--out", tmp_path / "s.csv")
         assert r.returncode == 2, bad
@@ -757,6 +758,19 @@ def test_sweep_rejects_bad_ks(tmp_path):
         assert not (tmp_path / "s.csv").exists()
         assert not (tmp_path / "s.csv.config").exists()
 
+
+def test_sweep_refuses_unigram_noise_with_an_unseen_word_before_writing(tmp_path):
+    # The truth lists w0..w7 and the corpus never holds w2: unigram noise
+    # gives it probability 0, a usage error before any file is written.
+    prefix = gen_fixture(tmp_path, tokens=300)
+    corpus = tmp_path / "no_w2.txt"
+    corpus.write_text("w0 w1 w3 w4 w5 w6 w7 w0 w1 w3\n")
+    code, out, err = _main("sweep", "--corpus", corpus, "--truth", f"{prefix}.truth", "--ks", 1,
+                           "--noise", "unigram", "--epochs", 1, "--out", tmp_path / "s.csv")
+    assert (code, out) == (2, "")
+    assert err == "error: unsupported word in noise distribution: word id 2 has count 0\n"
+    assert not (tmp_path / "s.csv").exists()
+    assert not (tmp_path / "s.csv.config").exists()
 
 
 @pytest.mark.parametrize("command,flags,batch", [
