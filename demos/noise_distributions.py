@@ -10,15 +10,17 @@ distribution q. Three families are supported, all derived from corpus counts:
 
 The estimators see noise words only through how often each one was drawn,
 so n independent draws from q are made directly as one Multinomial(n, q)
-count vector: the cost follows the vocabulary, not n. The audit below draws
-200000 words this way and checks every word's frequency against q, in units
-of the binomial standard error.
+count vector, in one of two ways: as one multinomial, whose cost follows the
+vocabulary, not n, or word by word through Walker's alias table, one uniform
+per word, which the trainer takes when its steps hold few noise words for
+the vocabulary. The audit below draws 200000 words both ways and checks
+every word's frequency against q, in units of the binomial standard error.
 """
 
 import numpy as np
 
 from ncelm.corpus import generate_synthetic_corpus, make_zipf_truth, stats_from_pairs
-from ncelm.noise import flattened, sample_array, uniform, unigram
+from ncelm.noise import alias_table, flattened, sample_array, uniform, unigram
 from ncelm.seeding import STREAM_NOISE, derive_rng
 
 VOCAB = 8
@@ -44,14 +46,17 @@ for name, q in (("uniform", q_uni), ("unigram", q_freq), ("flattened", q_flat)):
 print()
 
 # Statistical audit: frequencies from one seeded count vector against q, in
-# units of the binomial standard error.
+# units of the binomial standard error, drawn as a multinomial and word by
+# word.
 n = 200000
-freq = sample_array(q_flat, n, derive_rng(0, STREAM_NOISE)) / n
 se = np.sqrt(q_flat * (1 - q_flat) / n)
-print("%4s %10s %10s %8s" % ("id", "expected", "observed", "z"))
+freqs = [sample_array(q_flat, n, derive_rng(0, STREAM_NOISE), table) / n
+         for table in (None, alias_table(q_flat))]
+print("%4s %10s %12s %8s %12s %8s" % ("id", "expected", "multinomial", "z", "alias", "z"))
 for w in range(VOCAB):
-    z = (freq[w] - q_flat[w]) / se[w]
-    print("%4d %10.5f %10.5f %8.2f" % (w, q_flat[w], freq[w], z))
+    cols = [(f[w], (f[w] - q_flat[w]) / se[w]) for f in freqs]
+    print("%4d %10.5f %12.5f %8.2f %12.5f %8.2f" % (w, q_flat[w], *cols[0], *cols[1]))
 print()
-print("largest |z| over %d draws: %.2f standard errors"
-      % (n, np.abs((freq - q_flat) / se).max()))
+for name, f in zip(("multinomial", "alias"), freqs):
+    print("%-11s largest |z| over %d draws: %.2f standard errors"
+          % (name, n, np.abs((f - q_flat) / se).max()))

@@ -26,7 +26,7 @@ from .model import (
     init_params,
     zero_gradient,
 )
-from .noise import sample_array, uniform
+from .noise import alias_table, draws_words, sample_array, uniform
 from .seeding import STREAM_DATA, derive_rng
 from .trainer import OBJ_MLE, OBJ_NCE, OBJ_NS, OBJECTIVES
 
@@ -143,12 +143,15 @@ def run_gradcheck(which: str = "all", seed: int = 0, corrupt: bool = False) -> C
 def _sampled_counts(rng, n_pairs: int, n_words: int, k: int) -> CellCounts:
     """Cell counts of a random sampled batch: n_pairs uniform (context, word)
     pairs, the sentence-start context included, and for each context c
-    k * n_c noise words from uniform q, drawn as counts. The kernels get
-    float64 counts, cast once here as the trainer casts its own."""
+    k * n_c noise words from uniform q, drawn as counts the way the trainer
+    draws a step of n_pairs pairs. The kernels get float64 counts, cast
+    once here as the trainer casts its own."""
     contexts = rng.integers(0, n_words + 1, n_pairs)
     words = rng.integers(0, n_words, n_pairs)
     true = pair_count_matrix(np.stack([contexts, words], axis=1), n_words)
-    noise = sample_array(uniform(n_words), k * true.sum(axis=1), rng)
+    q = uniform(n_words)
+    table = alias_table(q) if draws_words(k, n_pairs, n_words) else None
+    noise = sample_array(q, k * true.sum(axis=1), rng, table)
     return CellCounts(true.astype(np.float64), noise.astype(np.float64))
 
 

@@ -291,7 +291,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     try:
-        ks = [int(x) for x in args.ks.split(",") if x]
+        ks = [int(x) for x in args.ks.split(",")]  # an empty item is an error too
     except ValueError:
         raise ValueError(f"bad --ks value {args.ks!r}") from None
     if args.seeds < 1:

@@ -5,8 +5,10 @@ objectives, so the optimizer is kept identical across them. Each epoch
 shuffles the pair multiset with a seeded permutation and, for the sampled
 objectives, draws fresh noise from an epoch-derived stream, so runs are
 bit-reproducible while noise is still resampled every pass. A step's noise
-is drawn as counts, k * n_c words from q for each context c it holds n_c
-pairs of, so its cost does not grow with k.
+is k * n_c words from q for each context c it holds n_c pairs of, drawn as
+counts: word by word through an alias table while the run's steps hold few
+noise words for the vocabulary, else as one multinomial per context, whose
+cost does not grow with k (``noise.draws_words``).
 
 Batch updates use the mean gradient over the batch, which keeps the learning
 rate comparable across batch sizes.
@@ -203,13 +205,19 @@ def train_lockstep(
     cfg = None if first.objective == OBJ_MLE else nce.NceConfig.stack([
         nce.NceConfig(c.k, noise.parse_noise_spec(c.noise, stats)) for c in configs
     ])
+    # Each sampled run's draw path is fixed by its shape, its alias table built once.
+    tables = None if cfg is None else [
+        noise.alias_table(q) if noise.draws_words(c.k, batch_size, n_words) else None
+        for c, q in zip(configs, cfg.q)
+    ]
     inits = [init_params(n_words, first.dim, c.seed, z_mode=z_mode or first.z_mode) for c in configs]
     models = inits[0].with_vector(np.stack([p.vector for p in inits]))
     runs = [models.with_vector(v) for v in models.vector]  # views of each run's row
     # A lone run steps its one model unstacked, (P,): its kernel calls cost
-    # less than a stack of one's (step_us 51.3 against 56.7 µs on
-    # train-small-k, 79.9 against 87.5 µs on train-large-k;
-    # BENCH_lockstep.json). The metrics always take the whole stack.
+    # 5-12% less than a stack of one's at the train-* benchmark settings
+    # (NCE k 1 54.3 against 60.9 µs a step, NCE k 50 73.9 against 80.6;
+    # alternating in-process pairs, see the README). The metrics always
+    # take the whole stack.
     sel = 0 if len(configs) == 1 else slice(None)
     model = models.with_vector(models.vector[sel])
     model_cfg = None if cfg is None else cfg[sel]
@@ -226,7 +234,8 @@ def train_lockstep(
         for r, c in enumerate(configs):
             perms[r] = derive_rng(c.seed, STREAM_SHUFFLE, epoch).permutation(n)
         samplers = None if cfg is None else [
-            (q, c.k, derive_rng(c.seed, STREAM_NOISE, epoch)) for c, q in zip(configs, cfg.q)
+            (q, table, c.k, derive_rng(c.seed, STREAM_NOISE, epoch))
+            for c, q, table in zip(configs, cfg.q, tables)
         ]
         totals = np.zeros((len(configs), n_words + 1, n_words), dtype=np.int64)  # the epoch's noise counts
         steps = _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel)
@@ -347,7 +356,10 @@ def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel):
     grids, and its per-step context totals n_c by one bincount over those
     ids' context rows. Each context c of a run's step then gets k * n_c
     noise words from its q, drawn as counts by one ``sample_array`` call
-    per run and block, from the run's ``samplers`` entry (q, k, generator).
+    per run and block, from the run's ``samplers`` entry (q, alias table,
+    k, generator): word by word through the table, or without one (None)
+    as one multinomial per row; either way a block's call gives the bits
+    of one call per step.
     The block's counts are cast to float64 once, T and N each contiguous,
     and form one CellCounts, so its totals and halves are computed once per
     block; each step gets views of it, (R, n_contexts, n_words) grids
@@ -378,8 +390,8 @@ def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel):
             # Every step holds at least one pair, so no grid is empty.
             block.context_totals = n_c[..., None].astype(np.float64)
         else:
-            for r, (q, k, rng) in enumerate(samplers):
-                drawn = noise.sample_array(q, k * n_c[:, r], rng)
+            for r, (q, table, k, rng) in enumerate(samplers):
+                drawn = noise.sample_array(q, k * n_c[:, r], rng, table)
                 totals[r] += drawn.sum(axis=0)
                 counts[1, :, r] = drawn
             block = CellCounts(counts[0], counts[1])

@@ -174,8 +174,10 @@ def test_acceptance_7_monte_carlo_unbiasedness():
     total = np.zeros_like(oracle)
     total_sq = np.zeros_like(oracle)
     n_c = counts.sum(axis=1)
+    # The draw path the trainer takes for one batch of the n pairs.
+    table = noise.alias_table(q) if noise.draws_words(k, n, V) else None
     for r in range(resamples):
-        draws = noise.sample_array(q, k * n_c, derive_rng(11, STREAM_NOISE, r))
+        draws = noise.sample_array(q, k * n_c, derive_rng(11, STREAM_NOISE, r), table)
         g = nce.mc_grad(params, CellCounts(counts, draws), cfg).vector
         total += g
         total_sq += g * g

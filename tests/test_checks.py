@@ -3,7 +3,7 @@ import pytest
 
 from batch_reference import ProxyBatch, cell_counts
 from finite_diff_reference import finite_diff_reference
-from ncelm import checks, cli, nce, negsampling, trainer
+from ncelm import checks, cli, nce, negsampling, noise, trainer
 from ncelm.checks import (
     finite_diff_gradient,
     run_equiv_check,
@@ -186,14 +186,16 @@ def _record_counts(monkeypatch, module, name):
 def _reference_counts(rng, n_pairs, n_words, k):
     """Reference counts of the batch the checks draw: contexts, then true
     words, then k * n_c uniform noise words for each context c, drawn as
-    counts by one multinomial call per context in context order."""
+    counts by one ``noise.sample_array`` call per context in context order,
+    on the path the trainer takes for a step of n_pairs pairs."""
     contexts = rng.integers(0, n_words + 1, n_pairs)
     words = rng.integers(0, n_words, n_pairs)
     batch = ProxyBatch(contexts, words, np.empty((n_pairs, 0), dtype=np.int64))
     true = cell_counts(batch, n_words + 1, n_words).true
-    uniform = np.full(n_words, 1.0 / n_words)
-    noise = np.stack([rng.multinomial(k * int(row.sum()), uniform) for row in true])
-    return CellCounts(true, noise)
+    q = np.full(n_words, 1.0 / n_words)
+    table = noise.alias_table(q) if noise.draws_words(k, n_pairs, n_words) else None
+    drawn = np.stack([noise.sample_array(q, k * int(row.sum()), rng, table) for row in true])
+    return CellCounts(true, drawn)
 
 
 def _assert_same_counts(seen, want):

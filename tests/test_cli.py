@@ -748,6 +748,7 @@ def test_sweep_rejects_bad_ks(tmp_path):
     # Each bad flag is an exit-2 usage error raised before any output file
     # is written.
     for bad in (["--ks", "5,2"], ["--ks", "1,x"], ["--ks", "3,3"], ["--ks", "0,2"],
+                ["--ks", "1,"], ["--ks", "1,,5"], ["--ks", ",1"],
                 ["--ks", "1", "--seeds", 0], ["--ks", "1", "--dim", 0],
                 ["--ks", "1", "--dim", MAX_VOCAB_SIZE + 1], ["--ks", "1", "--noise", "bogus"],
                 ["--ks", "1", "--noise", "flattened:2"]):
@@ -755,6 +756,8 @@ def test_sweep_rejects_bad_ks(tmp_path):
                     *bad, "--out", tmp_path / "s.csv")
         assert r.returncode == 2, bad
         assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+        if "," in bad[1] and "" in bad[1].split(","):  # an empty item
+            assert r.stderr == f"error: bad --ks value {bad[1]!r}\n"
         assert not (tmp_path / "s.csv").exists()
         assert not (tmp_path / "s.csv.config").exists()
 

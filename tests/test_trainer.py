@@ -156,18 +156,21 @@ def test_divergence_raises_with_epoch():
 def _reference_train(config, pairs, n_words, truth):
     """The training loop written out step by step: a ProxyBatch of each
     step's pairs from the same permutation, counted by the reference; k * n_c
-    noise words per context drawn as counts by one multinomial call per step
-    (none for MLE); the kernels run on those counts, and the update applied
+    noise words per context drawn as counts by one ``noise.sample_array``
+    call per step (none for MLE), on the path ``noise.draws_words`` gives
+    the run's shape; the kernels run on those counts, and the update applied
     block by block."""
     stats = stats_from_pairs(pairs, n_words)
     # MLE normalizes exactly; NS freezes the normalizers whatever z_mode says.
     z_mode = {"mle_exact": Z_EXACT, "ns": Z_FIXED_ONE}.get(config.objective, config.z_mode)
     params = init_params(n_words, config.dim, config.seed, z_mode=z_mode)
-    q = cfg = None
+    q = cfg = table = None
+    n = pairs.shape[0]
     if config.objective != "mle_exact":
         q = noise.parse_noise_spec(config.noise, stats)
         cfg = NceConfig(k=config.k, q=q)
-    n = pairs.shape[0]
+        if noise.draws_words(config.k, min(config.batch_size, n), n_words):
+            table = noise.alias_table(q)
     history = []
     for epoch in range(1, config.epochs + 1):
         lr = config.learning_rate * config.lr_decay ** (epoch - 1)
@@ -182,7 +185,8 @@ def _reference_train(config, pairs, n_words, truth):
             if config.objective == "mle_exact":
                 grad = grad_log_likelihood(params, CellCounts(true, None))
             else:
-                counts = CellCounts(true, noise_rng.multinomial(config.k * true.sum(axis=1), q))
+                drawn = noise.sample_array(q, config.k * true.sum(axis=1), noise_rng, table)
+                counts = CellCounts(true, drawn)
                 noise_total += counts.noise
                 grad = mc_grad(params, counts, cfg) if config.objective == "nce" else ns_grad(params, counts)
             blocks = PARAM_BLOCKS if params.z_mode == Z_LEARNED_ZC else PARAM_BLOCKS[:3]
@@ -205,22 +209,24 @@ def _reference_train(config, pairs, n_words, truth):
     return params, history
 
 
-# (|V|, pairs, batch size), each epoch ending on a short step. At 2**13
+# (|V|, pairs, batch size, k), each epoch ending on a short step. At 2**13
 # cells per count block and one (|V| + 1) x |V| grid per step, |V| = 8 fits
 # 113 steps in a block: 300 pairs in batches of 64 are one block and 1003 in
-# batches of 8 are two. |V| = 70 fits one step per block.
-_SHAPES = [(8, 300, 64), (8, 1003, 8), (70, 1500, 48)]
+# batches of 8 are two. |V| = 70 fits one step per block. k 3 draws its
+# noise word by word at every shape, k 40 as one multinomial per row.
+_SHAPES = [(8, 300, 64, 3), (8, 1003, 8, 3), (70, 1500, 48, 3), (8, 300, 64, 40)]
 _RUNS = [("mle_exact", Z_FIXED_ONE), ("nce", Z_LEARNED_ZC), ("nce", Z_FIXED_ONE), ("ns", Z_FIXED_ONE),
          ("ns", Z_LEARNED_ZC)]
 
 
-@pytest.mark.parametrize("n_words,n_pairs,batch_size", _SHAPES)
+@pytest.mark.parametrize("n_words,n_pairs,batch_size,k", _SHAPES)
 @pytest.mark.parametrize("objective,z_mode", _RUNS)
-def test_train_matches_per_step_batch_reference(objective, z_mode, n_words, n_pairs, batch_size):
+def test_train_matches_per_step_batch_reference(objective, z_mode, n_words, n_pairs, batch_size, k):
     assert COUNT_BLOCK_CELLS == 2**13
+    assert noise.draws_words(k, batch_size, n_words) is (k == 3)
     truth = make_zipf_truth(n_words, 1.3, seed=3)
     pairs = generate_synthetic_corpus(truth, n_pairs, seed=4)
-    cfg = TrainConfig(objective=objective, k=3, z_mode=z_mode, noise="unigram", epochs=3,
+    cfg = TrainConfig(objective=objective, k=k, z_mode=z_mode, noise="unigram", epochs=3,
                       eval_every=2, seed=6, batch_size=batch_size, dim=4, learning_rate=0.4)
     params, history = train(cfg, pairs, n_words, truth=truth)
     want_params, want_history = _reference_train(cfg, pairs, n_words, truth)
@@ -240,7 +246,9 @@ def test_block_counts_viewed_per_step_equal_counts_built_per_step_bitwise(n_runs
     _, pairs = fixture_data(1003)
     q = noise.unigram(stats_from_pairs(pairs, 8))
     perms = np.stack([derive_rng(r, STREAM_SHUFFLE, 1).permutation(len(pairs)) for r in range(n_runs)])
-    samplers = [(q, 1 + 2 * r, derive_rng(r, STREAM_NOISE, 1)) for r in range(n_runs)] if sampled else None
+    # Run 1 draws through an alias table, runs 0 and 2 as multinomials.
+    samplers = [(q, noise.alias_table(q) if r == 1 else None, 1 + 2 * r, derive_rng(r, STREAM_NOISE, 1))
+                for r in range(n_runs)] if sampled else None
     totals = np.zeros((n_runs, 9, 8), dtype=np.int64)
     sel = 0 if n_runs == 1 else slice(None)
     steps = list(trainer._epoch_counts(pairs, perms, samplers, 8, 8, totals, sel))
@@ -265,21 +273,23 @@ def test_block_counts_viewed_per_step_equal_counts_built_per_step_bitwise(n_runs
         assert first is not None and first is second
 
 
+@pytest.mark.parametrize("k", [3, 40])  # drawn word by word, and as multinomials
 @pytest.mark.parametrize("n_runs", [1, 2])
-def test_a_short_noise_draw_fails_the_k_check_in_training(n_runs, monkeypatch):
+def test_a_short_noise_draw_fails_the_k_check_in_training(n_runs, k, monkeypatch):
     # The k check reads the totals of the step's counts, computed per count
     # block: a draw one noise word short stops training with "k mismatch".
     _, pairs = fixture_data(400)
     draw = noise.sample_array
 
-    def short(q, totals, rng):
-        drawn = draw(q, totals, rng)
+    def short(q, totals, rng, table):
+        drawn = draw(q, totals, rng, table)
         drawn.flat[np.flatnonzero(drawn)[0]] -= 1
         return drawn
 
     monkeypatch.setattr(noise, "sample_array", short)
-    configs = [TrainConfig(objective="nce", k=3, noise="unigram", epochs=1, batch_size=32, dim=3, seed=s)
+    configs = [TrainConfig(objective="nce", k=k, noise="unigram", epochs=1, batch_size=32, dim=3, seed=s)
                for s in range(n_runs)]
+    assert noise.draws_words(k, 32, 8) is (k == 3)
     with pytest.raises(ValueError, match="k mismatch"):
         train(configs[0], pairs, 8) if n_runs == 1 else train_lockstep(configs, pairs, 8)
 
@@ -313,8 +323,9 @@ def _recorder(calls):
 
 
 # (k, seed, noise, learning rate) of the runs trained in lockstep.
+# k 40 draws its noise as multinomials at batches 48 and 8, the others word by word.
 _MIXED = [(1, 0, "unigram", 0.4), (5, 1, "uniform", 0.3), (3, 2, "flattened:0.5", 0.5),
-          (2, 0, "uniform", 0.4), (4, 3, "unigram", 0.45)]
+          (2, 0, "uniform", 0.4), (4, 3, "unigram", 0.45), (40, 1, "unigram", 0.35)]
 
 
 @pytest.mark.parametrize("batch_size", [48, 8])
