@@ -19,24 +19,24 @@ every word's frequency against q, in units of the binomial standard error.
 
 import numpy as np
 
-from ncelm.corpus import generate_synthetic_corpus, make_zipf_truth, stats_from_pairs
+from ncelm.corpus import generate_synthetic_corpus, make_zipf_truth, pair_count_matrix
 from ncelm.noise import alias_table, flattened, sample_array, uniform, unigram
 from ncelm.seeding import STREAM_NOISE, derive_rng
 
 VOCAB = 8
 truth = make_zipf_truth(VOCAB, 1.4, 2)
 pairs = generate_synthetic_corpus(truth, 30000, 2)
-stats = stats_from_pairs(pairs, VOCAB)
+counts = pair_count_matrix(pairs, VOCAB)
 
 q_uni = uniform(VOCAB)
-q_freq = unigram(stats)
-q_flat = flattened(stats, 0.75)
+q_freq = unigram(counts)
+q_flat = flattened(counts, 0.75)
 
 print("noise probabilities per word id:")
 print("%4s %10s %10s %10s %14s" % ("id", "count", "uniform", "unigram", "flattened:0.75"))
 for w in range(VOCAB):
     print("%4d %10d %10.5f %10.5f %14.5f"
-          % (w, stats.unigram_counts[w], q_uni[w], q_freq[w], q_flat[w]))
+          % (w, counts[:, w].sum(), q_uni[w], q_freq[w], q_flat[w]))
 print()
 
 # Flattening compresses the dynamic range of q.

@@ -26,8 +26,8 @@ Runtime is about fifteen seconds.
 
 import numpy as np
 
-from ncelm.corpus import generate_synthetic_corpus, make_zipf_truth, stats_from_pairs
-from ncelm.model import score_matrix, softmax_from_scores
+from ncelm.corpus import generate_synthetic_corpus, make_zipf_truth, pair_count_matrix
+from ncelm.model import log_softmax_matrix
 from ncelm.noise import unigram
 from ncelm.trainer import TrainConfig, kl_truth_model, train, train_lockstep
 
@@ -36,7 +36,7 @@ SEED = 0
 
 truth = make_zipf_truth(VOCAB, 1.8, 7)
 pairs = generate_synthetic_corpus(truth, 100000, 7)
-stats = stats_from_pairs(pairs, VOCAB)
+counts = pair_count_matrix(pairs, VOCAB)
 base = dict(k=5, learning_rate=0.4, lr_decay=0.95, epochs=25, eval_every=25,
             batch_size=64, seed=SEED, dim=16)
 
@@ -58,7 +58,7 @@ print()
 
 # Closed-form prediction of where biased NS should land: divide each truth
 # row by the actual noise probabilities used in training, then renormalize.
-q = unigram(stats)
+q = unigram(counts)
 tilted = truth.cond / q
 tilted /= tilted.sum(axis=1, keepdims=True)
 pred_kl = float(np.mean([
@@ -71,7 +71,7 @@ print("predicted KL if the model converges to p/q renormalized: %.4f nats" % pre
 # should track the tilted row, not the truth row.
 params = fitted["NS,  unigram noise"]
 c = int(np.argmax(truth.context_marginal))
-row = softmax_from_scores(score_matrix(params)[c])
+row = np.exp(log_softmax_matrix(params)[c])
 print()
 print("context %d, five most frequent words:" % c)
 print("%4s %10s %10s %10s" % ("id", "truth", "tilted", "fitted"))

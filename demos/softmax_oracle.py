@@ -18,13 +18,8 @@ Run it with no arguments; it finishes in a few seconds.
 
 import numpy as np
 
-from ncelm.corpus import (
-    make_zipf_truth,
-    generate_synthetic_corpus,
-    pair_count_matrix,
-    stats_from_pairs,
-)
-from ncelm.model import log_partitions, score_matrix, softmax_from_scores
+from ncelm.corpus import make_zipf_truth, generate_synthetic_corpus, pair_count_matrix
+from ncelm.model import log_partitions, log_softmax_matrix
 from ncelm.trainer import TrainConfig, cross_entropy, kl_truth_model, train
 
 VOCAB = 12
@@ -46,8 +41,8 @@ print("empirical vs true conditional p(w=%d | c=%d), truth %.5f:"
 print("%10s %12s %12s" % ("tokens", "empirical", "abs error"))
 for n_tokens in (1000, 10000, 100000):
     pairs = generate_synthetic_corpus(truth, n_tokens, SEED)
-    stats = stats_from_pairs(pairs, VOCAB)
-    est = stats.bigram_counts[c_top, w_top] / stats.context_counts[c_top]
+    counts = pair_count_matrix(pairs, VOCAB)
+    est = counts[c_top, w_top] / counts[c_top].sum()
     print("%10d %12.5f %12.5f"
           % (n_tokens, est, abs(est - truth.cond[c_top, w_top])))
 print()
@@ -68,7 +63,7 @@ print()
 
 # 3. The oracle in action: the fitted row is a genuine distribution and the
 #    partition function is known exactly, not estimated.
-row0 = softmax_from_scores(score_matrix(params)[0])
+row0 = np.exp(log_softmax_matrix(params)[0])
 print("fitted row for context 0 sums to %.12f" % row0.sum())
 print("log Z(0) = %.6f (computed by direct summation)" % log_partitions(params)[0])
 print("final KL(truth || model) = %.5f nats" % kl_truth_model(truth, params))

@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .corpus import (
     BOS_TOKEN,
-    CorpusStats,
     GroundTruthTable,
     Vocabulary,
     build_vocab,
@@ -18,7 +17,6 @@ from .corpus import (
     make_zipf_truth,
     pair_count_matrix,
     pairs_from_tokens,
-    stats_from_pairs,
 )
 from .model import (
     CellCounts,
@@ -48,7 +46,6 @@ from .trainer import (
 __all__ = [
     "BOS_TOKEN",
     "CellCounts",
-    "CorpusStats",
     "Gradient",
     "GroundTruthTable",
     "MetricsRow",
@@ -73,7 +70,6 @@ __all__ = [
     "pairs_from_tokens",
     "parse_noise_spec",
     "save_model",
-    "stats_from_pairs",
     "sweep_runs",
     "train",
     "train_lockstep",

@@ -29,10 +29,10 @@ from .corpus import (
     check_vocab_cap,
     generate_synthetic_stream,
     make_zipf_truth,
+    pair_count_matrix,
     pairs_from_tokens,
     read_corpus_tokens,
     read_truth,
-    stats_from_pairs,
     write_corpus_tokens,
     write_truth,
 )
@@ -262,9 +262,9 @@ def _cmd_eval(args) -> int:
         raise ValueError(
             f"{args.corpus}: corpus does not match the vocabulary of {args.model}: {exc}"
         ) from None
-    stats = stats_from_pairs(pairs, len(vocab))
-    zstats = normalization_stats(params, stats.seen_contexts())
-    ce = cross_entropy(params, stats.bigram_counts)
+    grid = pair_count_matrix(pairs, len(vocab))
+    zstats = normalization_stats(params, np.flatnonzero(grid.sum(axis=1)))
+    ce = cross_entropy(params, grid)
     values = {"cross-entropy": ce, **{f"log Z {name}": v for name, v in zstats.items()}}
     if args.truth:
         truth, tvocab = _read(read_truth, args.truth)

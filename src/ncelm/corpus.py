@@ -1,4 +1,4 @@
-"""Corpus ingestion, bigram statistics, and synthetic data generation.
+"""Corpus ingestion, the pair count grid, and synthetic data generation.
 
 The model predicts each token from the single previous token, so the corpus
 reduces to a multiset of (context, word) pairs. A reserved ``<s>`` token acts
@@ -44,25 +44,6 @@ class Vocabulary:
     def bos_context(self) -> int:
         """Context id of the begin-of-sequence marker."""
         return len(self.words)
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    """Exact bigram and unigram counts for one token stream.
-
-    ``bigram_counts`` has one row per context (the last row is ``<s>``) and one
-    column per word. Rows sum to ``context_counts``; unigram counts sum to
-    ``total_tokens``.
-    """
-
-    bigram_counts: np.ndarray  # (n_words + 1, n_words), int64
-    context_counts: np.ndarray  # (n_words + 1,), int64
-    unigram_counts: np.ndarray  # (n_words,), int64
-    total_tokens: int
-
-    def seen_contexts(self) -> np.ndarray:
-        """Ids of contexts that occur at least once."""
-        return np.flatnonzero(self.context_counts > 0)
 
 
 @dataclass(frozen=True)
@@ -118,25 +99,21 @@ def pairs_from_tokens(tokens, vocab: Vocabulary) -> np.ndarray:
 
 def pair_count_matrix(pairs: np.ndarray, n_words: int) -> np.ndarray:
     """Multiset of (context, word) pairs as its dense int64 count matrix,
-    (n_words + 1, n_words): the one form in which a corpus reaches the
-    exact objectives."""
-    pairs = np.asarray(pairs, dtype=np.int64)
-    flat = pairs[:, 0] * n_words + pairs[:, 1]
-    return np.bincount(flat, minlength=(n_words + 1) * n_words).reshape(n_words + 1, n_words)
-
-
-def stats_from_pairs(pairs: np.ndarray, n_words: int) -> CorpusStats:
-    """Tally a (context, word) pair multiset into exact count tables."""
+    (n_words + 1, n_words), whose row sums are the context counts, column
+    sums the unigram counts and total the number of pairs: the one form in
+    which a corpus reaches the objectives and the noise. ValueError unless
+    ``pairs`` is a nonempty (n, 2) array with 0 <= context <= n_words (``<s>``
+    is n_words) and 0 <= word < n_words: a pair outside the grid would be
+    counted in another cell."""
     pairs = np.asarray(pairs, dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
         raise ValueError("pairs must be a nonempty (n, 2) array")
-    bigram = pair_count_matrix(pairs, n_words)
-    return CorpusStats(
-        bigram_counts=bigram,
-        context_counts=bigram.sum(axis=1),
-        unigram_counts=bigram.sum(axis=0),
-        total_tokens=int(pairs.shape[0]),
-    )
+    contexts, words = pairs.T
+    if pairs.min() < 0 or contexts.max() > n_words or words.max() >= n_words:
+        raise ValueError(f"pair ids out of range: a context must be in [0, {n_words}], "
+                         f"a word in [0, {n_words})")
+    flat = contexts * n_words + words
+    return np.bincount(flat, minlength=(n_words + 1) * n_words).reshape(n_words + 1, n_words)
 
 
 def generate_synthetic_corpus(truth: GroundTruthTable, n_tokens: int, seed: int) -> np.ndarray:

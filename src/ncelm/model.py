@@ -140,13 +140,6 @@ def log_partitions(params: ModelParams) -> np.ndarray:
     return (m + np.log(np.exp(s - m).sum(axis=-1, keepdims=True)))[..., 0]
 
 
-def softmax_from_scores(scores: np.ndarray) -> np.ndarray:
-    """Shift-invariant softmax over the last axis."""
-    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
-    return e
-
-
 def log_softmax_matrix(params: ModelParams) -> np.ndarray:
     """log p(w | c) of every word after every context, (..., n_contexts, n_words)."""
     s = score_matrix(params)
@@ -258,7 +251,7 @@ def grid_dot(counts: np.ndarray, grid: np.ndarray) -> float | np.ndarray:
 def log_likelihood(params: ModelParams, counts: np.ndarray) -> float | np.ndarray:
     """Total log probability under the exact softmax model of the pairs
     counted in ``counts``, (n_contexts, n_words): ``corpus.pair_count_matrix``
-    of a pair array, or ``CorpusStats.bigram_counts``; one for all models of a stack."""
+    of a pair array; one for all models of a stack."""
     if counts.ndim != 2:
         raise ValueError(f"log_likelihood takes one count grid for all models, got shape {counts.shape}")
     active = np.flatnonzero(context_totals(counts, "log_likelihood"))
@@ -277,8 +270,8 @@ def grad_log_likelihood(
     Per pair the score of the observed word goes up and the expected score
     under the model distribution comes down; accumulated over the multiset
     this reduces to the residual counts ``N(c, .) - n_c * p(. | c)``. The
-    score grid becomes that residual in place, with the bits of
-    :func:`softmax_from_scores` of :func:`score_matrix`.
+    score grid s becomes that residual in place, with p(w | c) formed as
+    ``exp(s - max_w s) / sum_w exp(s - max_w s)`` over each row.
     """
     n_c = counts.context_totals
     grid = params.context_emb @ params.target_emb.mT

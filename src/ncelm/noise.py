@@ -21,8 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import CorpusStats
-
 
 def uniform(n_words: int) -> np.ndarray:
     if n_words < 2:
@@ -30,16 +28,18 @@ def uniform(n_words: int) -> np.ndarray:
     return np.full(n_words, 1.0 / n_words)
 
 
-def unigram(stats: CorpusStats) -> np.ndarray:
-    """Empirical word frequencies. Every word must occur at least once."""
-    counts = stats.unigram_counts
-    if np.any(counts == 0):
-        missing = int(np.flatnonzero(counts == 0)[0])
+def unigram(counts: np.ndarray) -> np.ndarray:
+    """Empirical word frequencies: the column sums of the pair count grid
+    ``counts`` (``corpus.pair_count_matrix``), normalized. Every word must
+    occur at least once."""
+    words = counts.sum(axis=0)
+    if np.any(words == 0):
+        missing = int(np.flatnonzero(words == 0)[0])
         raise ValueError(f"unsupported word in noise distribution: word id {missing} has count 0")
-    return counts / counts.sum()
+    return words / words.sum()
 
 
-def flattened(stats: CorpusStats, alpha: float) -> np.ndarray:
+def flattened(counts: np.ndarray, alpha: float) -> np.ndarray:
     """Unigram probabilities raised to ``alpha`` in (0, 1) and renormalized.
 
     Interpolates between the unigram shape (alpha near 1) and uniform (alpha
@@ -47,7 +47,7 @@ def flattened(stats: CorpusStats, alpha: float) -> np.ndarray:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"flattening exponent out of range (0, 1): {alpha}")
-    p = unigram(stats) ** alpha
+    p = unigram(counts) ** alpha
     return p / p.sum()
 
 
@@ -144,21 +144,22 @@ def _alias_counts(table: AliasTable, totals: np.ndarray, rng: np.random.Generato
     return np.bincount(ids, minlength=totals.size * n_words).reshape(totals.size, n_words)
 
 
-def parse_noise_spec(spec: str, stats: CorpusStats) -> np.ndarray:
-    """Build a distribution over the words of ``stats`` from a spec string.
+def parse_noise_spec(spec: str, counts: np.ndarray) -> np.ndarray:
+    """Build a distribution over the words of the pair count grid ``counts``
+    from a spec string.
 
     Accepted forms: ``uniform``, ``unigram``, ``flattened:<alpha>`` with alpha
     a decimal in (0, 1).
     """
     spec = spec.strip()
     if spec == "uniform":
-        return uniform(stats.unigram_counts.size)
+        return uniform(counts.shape[-1])
     if spec == "unigram":
-        return unigram(stats)
+        return unigram(counts)
     if spec.startswith("flattened:"):
         try:
             alpha = float(spec.split(":", 1)[1])
         except ValueError as exc:
             raise ValueError(f"bad flattening exponent in {spec!r}") from exc
-        return flattened(stats, alpha)
+        return flattened(counts, alpha)
     raise ValueError(f"unknown noise spec {spec!r} (expected uniform, unigram, or flattened:<alpha>)")

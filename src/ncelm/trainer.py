@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nce, negsampling, noise
-from .corpus import MAX_VOCAB_SIZE, GroundTruthTable, stats_from_pairs
+from .corpus import MAX_VOCAB_SIZE, GroundTruthTable, pair_count_matrix
 from .model import (
     PARAM_BLOCKS,
     CellCounts,
@@ -188,6 +188,7 @@ def train_lockstep(
     diverges in; ``params``, run r's view into the stack, is valid only
     during the call, and an exception it raises propagates. An epoch holds
     R permutations of the pairs: R * n int64 values. ValueError when a
+    pair lies outside the count grid (``corpus.pair_count_matrix``) or a
     run's k * n noise words per epoch exceed 2**53, float64's exact integers.
     """
     configs = list(configs)
@@ -200,10 +201,11 @@ def train_lockstep(
     first = configs[0]
     _check_lockstep(configs, n)
     batch_size = min(first.batch_size, n)  # a larger batch trains as one full batch
-    stats = stats_from_pairs(pairs, n_words)
+    # Refuses a pair outside the grid before its cell id lands in another cell.
+    grid = pair_count_matrix(pairs, n_words)
     z_mode, grad_fn, loss_fn = OBJECTIVES[first.objective]
     cfg = None if first.objective == OBJ_MLE else nce.NceConfig.stack([
-        nce.NceConfig(c.k, noise.parse_noise_spec(c.noise, stats)) for c in configs
+        nce.NceConfig(c.k, noise.parse_noise_spec(c.noise, grid)) for c in configs
     ])
     # Each sampled run's draw path is fixed by its shape, its alias table built once.
     tables = None if cfg is None else [
@@ -250,7 +252,7 @@ def train_lockstep(
                 if all(res is not None for res in results):
                     return results
         if epoch % first.eval_every == 0 or epoch == first.epochs:
-            metrics = _metrics(models, stats, truth, loss_fn, cfg, totals, epoch)
+            metrics = _metrics(models, grid, truth, loss_fn, cfg, totals, epoch)
             for r, row in enumerate(metrics):
                 if results[r] is not None:
                     continue
@@ -286,7 +288,7 @@ def sweep_runs(
 
     The arguments are checked when it is called: ValueError unless ``ks`` is
     nonempty and strictly ascending, ``bases`` and ``pairs`` are nonempty,
-    and every (base, k) is a valid config that shares ``LOCKSTEP_FIELDS``,
+    every pair lies in the count grid, and every (base, k) is a valid config that shares ``LOCKSTEP_FIELDS``,
     whose k * n noise words per epoch are at most 2**53 and, when sampled,
     whose noise spec parses against the pairs' word counts.
     """
@@ -300,10 +302,10 @@ def sweep_runs(
         raise ValueError("training needs at least one pair")
     configs = [replace(base, k=k) for base in bases for k in ks]
     _check_lockstep(configs, len(pairs))  # whichever chunks they fall in
-    if configs[0].objective != OBJ_MLE:  # a bad noise spec fails before any run trains
-        stats = stats_from_pairs(pairs, n_words)
+    grid = pair_count_matrix(pairs, n_words)  # bad pairs fail before any run trains
+    if configs[0].objective != OBJ_MLE:  # and so does a bad noise spec
         for spec in dict.fromkeys(c.noise for c in configs):
-            noise.parse_noise_spec(spec, stats)
+            noise.parse_noise_spec(spec, grid)
     chunk = max(1, LOCKSTEP_PAIRS // len(pairs))
     results = (
         result
@@ -399,14 +401,14 @@ def _epoch_counts(pairs, perms, samplers, batch_size, n_words, totals, sel):
             yield min(batch_size, idx.shape[1] - j * batch_size), step
 
 
-def _metrics(params, stats, truth, loss_fn, cfg, noise_total, epoch) -> list[MetricsRow]:
-    """One row per model of the stack ``params``, its noise counts
-    ``noise_total[r]``; ``loss_fn`` and ``cfg`` as in ``OBJECTIVES``."""
-    n = stats.total_tokens
-    ce = cross_entropy(params, stats.bigram_counts)
+def _metrics(params, grid, truth, loss_fn, cfg, noise_total, epoch) -> list[MetricsRow]:
+    """One row per model of the stack ``params`` on the pair count grid, its
+    noise counts ``noise_total[r]``; ``loss_fn`` and ``cfg`` as in ``OBJECTIVES``."""
+    ce = cross_entropy(params, grid)
     kl = [None] * len(ce) if truth is None else kl_truth_model(truth, params)
-    med_z = np.median(np.abs(log_partitions(params)[..., stats.seen_contexts()]), axis=-1)
-    obj = loss_fn(params, CellCounts(stats.bigram_counts, noise_total), cfg) / n
+    seen = np.flatnonzero(grid.sum(axis=1))  # contexts that occur
+    med_z = np.median(np.abs(log_partitions(params)[..., seen]), axis=-1)
+    obj = loss_fn(params, CellCounts(grid, noise_total), cfg) / grid.sum()
     return [
         MetricsRow(epoch=epoch, cross_entropy=float(c), kl_truth=None if k is None else float(k),
                    median_abs_log_z=float(m), objective=float(o))

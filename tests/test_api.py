@@ -24,6 +24,13 @@ def test_star_import_resolves_every_exported_name():
         assert not hasattr(ncelm, gone)
     # A noise distribution is its probability array; NceConfig checks it.
     assert not hasattr(ncelm, "NoiseDistribution")
+    # A corpus is its pair count grid, from pair_count_matrix, and a softmax
+    # row is exp of log_softmax_matrix's.
+    assert "pair_count_matrix" in names
+    for gone in ("CorpusStats", "stats_from_pairs"):
+        assert not hasattr(ncelm, gone)
+        assert not hasattr(ncelm.corpus, gone)
+    assert not hasattr(ncelm.model, "softmax_from_scores")
 
 
 def test_demo_imports_resolve():

@@ -14,12 +14,12 @@ from ncelm.corpus import (
     generate_synthetic_corpus,
     generate_synthetic_stream,
     make_zipf_truth,
+    pair_count_matrix,
     pairs_from_tokens,
     parse_rows,
     read_corpus_tokens,
     read_truth,
     stationary_distribution,
-    stats_from_pairs,
     write_corpus_tokens,
     write_truth,
 )
@@ -99,21 +99,43 @@ def test_pairs_from_tokens_equals_the_loop(known, unknown):
 
 def test_stats_hand_counts():
     v = build_vocab(["a", "b"])
-    stats = stats_from_pairs(pairs_from_tokens(["a", "a", "b", "a"], v), len(v))
+    grid = pair_count_matrix(pairs_from_tokens(["a", "a", "b", "a"], v), len(v))
     # bigrams: (<s>,a) (a,a) (a,b) (b,a); contexts: a twice, b once, <s> once
-    assert np.array_equal(stats.bigram_counts, [[1, 1], [1, 0], [1, 0]])
-    assert np.array_equal(stats.context_counts, [2, 1, 1])
-    assert np.array_equal(stats.unigram_counts, [3, 1])
-    assert stats.total_tokens == 4
-    assert np.array_equal(stats.seen_contexts(), [0, 1, 2])
+    assert grid.dtype == np.int64
+    assert np.array_equal(grid, [[1, 1], [1, 0], [1, 0]])
+    assert np.array_equal(grid.sum(axis=1), [2, 1, 1])
+    assert np.array_equal(grid.sum(axis=0), [3, 1])
+    assert grid.sum() == 4
+    assert np.array_equal(np.flatnonzero(grid.sum(axis=1)), [0, 1, 2])
 
 
 def test_stats_rows_sum_to_context_counts():
     truth = make_zipf_truth(6, 1.2, seed=0)
     pairs = generate_synthetic_corpus(truth, 2000, seed=0)
-    stats = stats_from_pairs(pairs, 6)
-    assert np.array_equal(stats.bigram_counts.sum(axis=1), stats.context_counts)
-    assert stats.unigram_counts.sum() == stats.total_tokens == 2000
+    grid = pair_count_matrix(pairs, 6)
+    assert np.array_equal(grid.sum(axis=1), np.bincount(pairs[:, 0], minlength=7))
+    assert grid.sum(axis=0).sum() == grid.sum() == 2000
+
+
+@pytest.mark.parametrize("pair", [[-1, 0], [0, -1], [0, 2], [3, 0]])
+def test_pair_count_matrix_refuses_ids_outside_the_grid(pair):
+    # With |V| = 2 the grid is 3 x 2: word 2 would land in (context + 1, 0)
+    # and context 3 past the last row, so both are refused, as are negatives.
+    pairs = np.array([[2, 0], pair, [0, 1]])
+    with pytest.raises(ValueError, match="out of range"):
+        pair_count_matrix(pairs, 2)
+
+
+def test_pair_count_matrix_takes_the_bos_context():
+    # Context n_words is <s>: the last row, never a word.
+    assert np.array_equal(pair_count_matrix(np.array([[2, 0], [2, 1], [1, 1]]), 2),
+                          [[0, 0], [0, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("pairs", [np.zeros((0, 2)), np.zeros(4), np.zeros((2, 3))])
+def test_pair_count_matrix_refuses_bad_shapes(pairs):
+    with pytest.raises(ValueError, match="nonempty"):
+        pair_count_matrix(pairs, 2)
 
 
 def test_zipf_truth_rows_are_permuted_zipf_weights():
@@ -139,10 +161,10 @@ def test_zipf_truth_marginal_is_stationary():
 def test_synthetic_corpus_matches_truth_statistically():
     truth = make_zipf_truth(6, 1.2, seed=1)
     pairs = generate_synthetic_corpus(truth, 50000, seed=1)
-    stats = stats_from_pairs(pairs, 6)
+    grid = pair_count_matrix(pairs, 6)
     # context frequencies within 4 standard errors of the marginal
-    n = stats.total_tokens
-    freq = stats.context_counts[:6] / n
+    n = grid.sum()
+    freq = grid.sum(axis=1)[:6] / n
     se = np.sqrt(truth.context_marginal * (1 - truth.context_marginal) / n)
     assert np.all(np.abs(freq - truth.context_marginal) <= 4 * se + 1e-12)
 
@@ -151,10 +173,10 @@ def test_synthetic_corpus_kl_shrinks_with_sample_size():
     truth = make_zipf_truth(6, 1.2, seed=2)
 
     def mean_kl(n_tokens):
-        stats = stats_from_pairs(generate_synthetic_corpus(truth, n_tokens, seed=2), 6)
+        grid = pair_count_matrix(generate_synthetic_corpus(truth, n_tokens, seed=2), 6)
         kls = []
         for c in range(6):
-            emp = stats.bigram_counts[c] / stats.context_counts[c]
+            emp = grid[c] / grid[c].sum()
             mask = truth.cond[c] > 0
             kls.append(np.sum(truth.cond[c][mask] * np.log(truth.cond[c][mask] / emp[mask])))
         return np.mean(kls)

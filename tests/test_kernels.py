@@ -14,7 +14,7 @@ import pytest
 
 from batch_reference import ProxyBatch, cell_counts, score
 from ncelm import nce
-from ncelm.corpus import pair_count_matrix, stats_from_pairs
+from ncelm.corpus import pair_count_matrix
 from ncelm.model import (
     PARAM_BLOCKS,
     Z_EXACT,
@@ -113,7 +113,7 @@ def _setup(k, z_mode, seed, extreme=False):
     noise[3, 0] = 1
     noise[4, -1] = 0
     batch = ProxyBatch(contexts=contexts, true_words=true_words, noise_words=noise)
-    q = unigram(stats_from_pairs(np.stack([contexts, true_words], axis=1), V))
+    q = unigram(pair_count_matrix(np.stack([contexts, true_words], axis=1), V))
     return params, batch, q
 
 
@@ -302,7 +302,7 @@ def test_exact_oracle_takes_any_count_grid(name):
     fn = _EXACT_ORACLE[name]
     params, batch, q = _setup(5, Z_LEARNED_ZC, seed=50, extreme=True)
     cfg = NceConfig(k=5, q=q)
-    counts = stats_from_pairs(np.stack([batch.contexts, batch.true_words], axis=1), V).bigram_counts
+    counts = pair_count_matrix(np.stack([batch.contexts, batch.true_words], axis=1), V)
     assert counts.dtype == np.int64
     assert fn(params, counts.astype(np.float64), cfg) == fn(params, counts, cfg)
     with pytest.raises(ValueError, match="at least one pair"):
@@ -456,7 +456,7 @@ def test_nce_on_a_stack_of_mixed_configs_equals_per_config_calls_bitwise(name, z
     runs = []
     for r, k in enumerate((1, 4, 9)):
         params, batch, _ = _setup(k, z_mode, seed=120 + r, extreme=True)
-        stats = stats_from_pairs(np.stack([batch.contexts, batch.true_words], axis=1), V)
+        stats = pair_count_matrix(np.stack([batch.contexts, batch.true_words], axis=1), V)
         q = (uniform(V), unigram(stats), flattened(stats, 0.5))[r]
         runs.append([params, cell_counts(batch, params.n_contexts, params.n_words), NceConfig(k, q)])
     if shared_grid:

@@ -6,7 +6,7 @@ import pytest
 
 from batch_reference import ProxyBatch, cell_counts, score, sigmoid
 from ncelm.checks import finite_diff_gradient
-from ncelm.corpus import pair_count_matrix, stats_from_pairs
+from ncelm.corpus import pair_count_matrix
 from ncelm.model import Z_FIXED_ONE, Z_LEARNED_ZC, ModelParams, init_params
 from ncelm.nce import (
     NceConfig,
@@ -57,7 +57,7 @@ def test_config_refuses_a_q_without_full_support(bad):
 
 def test_model_posteriors_match_sigmoid_formula():
     params = small_setup()
-    q = unigram(stats_from_pairs(np.array([[4, 0], [0, 1], [1, 2], [2, 3], [3, 0]]), 4))
+    q = unigram(pair_count_matrix(np.array([[4, 0], [0, 1], [1, 2], [2, 3], [3, 0]]), 4))
     cfg = NceConfig(k=2, q=q)
     delta = classifier_logits(params, np.arange(5), np.arange(4)[None, :], cfg)
     for c in range(5):
@@ -118,7 +118,7 @@ def _constant_noise_batches(seed, n_pairs):
     """
     rng = derive_rng(seed, STREAM_DATA)
     pairs = np.stack([rng.integers(0, 5, n_pairs), rng.integers(0, 4, n_pairs)], axis=1)
-    q = unigram(stats_from_pairs(np.array([[4, 0], [0, 1], [1, 2], [2, 3], [3, 0]]), 4))
+    q = unigram(pair_count_matrix(np.array([[4, 0], [0, 1], [1, 2], [2, 3], [3, 0]]), 4))
     batches = []
     for w in range(4):
         batch = ProxyBatch(

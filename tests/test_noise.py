@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncelm.corpus import build_vocab, pairs_from_tokens, stats_from_pairs
+from ncelm.corpus import build_vocab, pair_count_matrix, pairs_from_tokens
 from ncelm.noise import (
     WORD_CHUNK,
     alias_table,
@@ -16,8 +16,8 @@ from ncelm.seeding import STREAM_NOISE, derive_rng
 
 
 def extract_stats(tokens, vocab):
-    """Bigram and unigram counts of a token stream."""
-    return stats_from_pairs(pairs_from_tokens(tokens, vocab), len(vocab))
+    """The pair count grid of a token stream."""
+    return pair_count_matrix(pairs_from_tokens(tokens, vocab), len(vocab))
 
 
 def small_stats():
@@ -41,7 +41,7 @@ def test_unigram_probs_hand_counts():
 def test_unigram_rejects_unseen_word():
     v = build_vocab(["a", "b"])
     stats = extract_stats(["a", "a", "b"], v)
-    stats.unigram_counts[1] = 0  # simulate a word that never occurred
+    stats[:, 1] = 0  # simulate a word that never occurred
     with pytest.raises(ValueError, match="1"):
         unigram(stats)
 

@@ -14,7 +14,6 @@ from ncelm.corpus import (
     generate_synthetic_corpus,
     make_zipf_truth,
     pair_count_matrix,
-    stats_from_pairs,
 )
 from ncelm.model import (
     PARAM_BLOCKS,
@@ -160,14 +159,14 @@ def _reference_train(config, pairs, n_words, truth):
     call per step (none for MLE), on the path ``noise.draws_words`` gives
     the run's shape; the kernels run on those counts, and the update applied
     block by block."""
-    stats = stats_from_pairs(pairs, n_words)
+    grid = pair_count_matrix(pairs, n_words)
     # MLE normalizes exactly; NS freezes the normalizers whatever z_mode says.
     z_mode = {"mle_exact": Z_EXACT, "ns": Z_FIXED_ONE}.get(config.objective, config.z_mode)
     params = init_params(n_words, config.dim, config.seed, z_mode=z_mode)
     q = cfg = table = None
     n = pairs.shape[0]
     if config.objective != "mle_exact":
-        q = noise.parse_noise_spec(config.noise, stats)
+        q = noise.parse_noise_spec(config.noise, grid)
         cfg = NceConfig(k=config.k, q=q)
         if noise.draws_words(config.k, min(config.batch_size, n), n_words):
             table = noise.alias_table(q)
@@ -193,17 +192,17 @@ def _reference_train(config, pairs, n_words, truth):
             for name in blocks:
                 getattr(params, name)[...] += lr / idx.size * getattr(grad, name)
         if epoch % config.eval_every == 0 or epoch == config.epochs:
-            ce = -log_likelihood(params, stats.bigram_counts) / n
+            ce = -log_likelihood(params, grid) / n
             if config.objective == "mle_exact":
                 obj = -ce
             else:
-                counts = CellCounts(stats.bigram_counts, noise_total)
+                counts = CellCounts(grid, noise_total)
                 obj = (mc_loss(params, counts, cfg) if config.objective == "nce" else ns_loss(params, counts)) / n
             history.append(MetricsRow(
                 epoch=epoch,
                 cross_entropy=float(ce),
                 kl_truth=kl_truth_model(truth, params),
-                median_abs_log_z=float(np.median(np.abs(log_partitions(params)[stats.seen_contexts()]))),
+                median_abs_log_z=float(np.median(np.abs(log_partitions(params)[np.flatnonzero(grid.sum(axis=1))]))),
                 objective=float(obj),
             ))
     return params, history
@@ -244,7 +243,7 @@ def test_block_counts_viewed_per_step_equal_counts_built_per_step_bitwise(n_runs
     # exact-MLE block, drawn without samplers, only the context totals n_c.
     # 1003 pairs in batches of 8 at |V| = 8 are two blocks.
     _, pairs = fixture_data(1003)
-    q = noise.unigram(stats_from_pairs(pairs, 8))
+    q = noise.unigram(pair_count_matrix(pairs, 8))
     perms = np.stack([derive_rng(r, STREAM_SHUFFLE, 1).permutation(len(pairs)) for r in range(n_runs)])
     # Run 1 draws through an alias table, runs 0 and 2 as multinomials.
     samplers = [(q, noise.alias_table(q) if r == 1 else None, 1 + 2 * r, derive_rng(r, STREAM_NOISE, 1))
@@ -577,6 +576,18 @@ def test_sweep_trains_its_runs_in_chunks_of_bounded_size(monkeypatch):
         last = train(dataclasses.replace(base, k=k), pairs, 8, truth=truth)[1][-1]
         assert config == dataclasses.replace(base, k=k)
         assert row == last
+
+
+@pytest.mark.parametrize("objective", ["mle_exact", "nce"])
+def test_train_and_sweep_refuse_a_word_outside_the_grid(objective):
+    # Word n_words is no word: its cell id would count as (context + 1, 0).
+    truth, pairs = fixture_data(400)
+    pairs[3] = [0, 8]
+    config = TrainConfig(objective=objective, epochs=1, eval_every=1, batch_size=4, seed=0, dim=2)
+    with pytest.raises(ValueError, match="out of range"):
+        train(config, pairs, 8)
+    with pytest.raises(ValueError, match="out of range"):
+        sweep_runs([config], [1, 2], pairs, 8, truth)  # at the call, before any run trains
 
 
 def test_sweep_validates_ks():
