@@ -8,7 +8,6 @@ a preformatted report; callers decide how to surface it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +42,7 @@ _GC_K = 3
 _GC_MODELS = 5
 _GC_PAIRS = 40
 FD_BLOCK_CELLS = 2**14  # grid cells, n_contexts * n_words per model, in one stack
+EQUIV_BLOCK_CELLS = 2**16  # grid cells, n_contexts * n_words per draw, in one equiv-check stack
 
 # Suite name -> (z_modes, gradient, loss), the kernels taking (params,
 # counts, cfg); None runs the model's exact normalizer. The trained
@@ -70,37 +70,48 @@ class CheckResult:
 
 
 def finite_diff_gradient(loss_fn, params: ModelParams) -> Gradient:
-    """Central-difference gradient of loss_fn over every parameter block.
+    """Central-difference gradient of loss_fn over every parameter block, for
+    one model or each model of a stack, params (..., P).
 
-    loss_fn maps a stack of models, ``params.with_vector`` of (R, P)
-    +-``FD_STEP`` copies of the vector, to its R values and must not mutate
-    ``params``.
+    Each call of loss_fn perturbs the same n coordinates of every model: it
+    gets ``params.with_vector`` of a (2n, ..., P) stack, the +``FD_STEP``
+    copies then the -``FD_STEP`` copies, at most ``FD_BLOCK_CELLS`` grid
+    cells in all (at least one coordinate), and must map it to its (2n, ...)
+    values without mutating ``params``.
     """
     grad = zero_gradient(params)
-    vec = params.vector
-    chunk = max(1, FD_BLOCK_CELLS // (2 * params.n_contexts * params.n_words))
-    for start in range(0, vec.size, chunk):
-        coords = np.arange(start, min(start + chunk, vec.size))
-        stack = np.tile(vec, (2, coords.size, 1))
-        stack[:, range(coords.size), coords] = vec[coords] + np.array([[FD_STEP], [-FD_STEP]])
-        hi, lo = np.reshape(loss_fn(params.with_vector(stack.reshape(-1, vec.size))), (2, -1))
-        grad.vector[coords] = (hi - lo) / (2.0 * FD_STEP)
+    size = params.vector.shape[-1]
+    vec = params.vector.reshape(-1, size)  # (models, P)
+    out = grad.vector.reshape(-1, size)
+    chunk = max(1, FD_BLOCK_CELLS // (2 * len(vec) * params.n_contexts * params.n_words))
+    for start in range(0, size, chunk):
+        coords = np.arange(start, min(start + chunk, size))
+        n = coords.size
+        stack = np.tile(vec, (2, n, 1, 1))
+        # Copy j of each sign moves coordinate coords[j] of every model.
+        stack[:, range(n), :, coords] = vec.T[coords, None, :] + np.array([[FD_STEP], [-FD_STEP]])
+        values = loss_fn(params.with_vector(stack.reshape(2 * n, *params.vector.shape)))
+        hi, lo = np.reshape(values, (2, n, len(vec)))
+        out[:, coords] = ((hi - lo) / (2.0 * FD_STEP)).T
     return grad
 
 
 def _block_errors(analytic: Gradient, fd: Gradient) -> dict[str, tuple[float, tuple]]:
-    """Worst error per block as (error, coordinate index).
+    """Worst error per block over every model of a stack, as (error, the
+    coordinate's index within its model's block): the first NaN, else the
+    first largest error in model order.
 
     Error is |analytic - fd| / max(1, |analytic| + |fd|): relative for large
     coordinates, absolute near zero, so flat directions cannot inflate it.
     """
+    lead = analytic.vector.ndim - 1
     worst = {}
     for name in PARAM_BLOCKS:
         a = getattr(analytic, name)
         f = getattr(fd, name)
         err = np.abs(a - f) / np.maximum(1.0, np.abs(a) + np.abs(f))
-        flat = int(np.argmax(err))
-        worst[name] = (float(err.flat[flat]), tuple(map(int, np.unravel_index(flat, err.shape))))
+        flat = int(np.argmax(err))  # a NaN is the maximum
+        worst[name] = (float(err.flat[flat]), tuple(map(int, np.unravel_index(flat, err.shape)[lead:])))
     return worst
 
 
@@ -108,27 +119,26 @@ def run_gradcheck(which: str = "all", seed: int = 0, corrupt: bool = False) -> C
     """Finite-difference check of every analytic gradient implementation.
 
     which selects one of ``GRADCHECK_SUITES`` or "all". Each suite runs 5
-    random models; sampled-objective suites cover both normalizer
-    treatments. The corrupt flag deliberately damages one analytic
+    random models as one stack, each with its own batch; sampled-objective
+    suites cover both normalizer treatments. The corrupt flag deliberately damages one analytic
     coordinate, as a negative control that the comparison can fail.
     """
     if which != "all" and which not in GRADCHECK_SUITES:
         raise ValueError(f"unknown gradcheck suite {which!r}")
     suites = GRADCHECK_SUITES if which == "all" else (which,)
+    cfg = nce.NceConfig(k=_GC_K, q=uniform(_GC_VOCAB))
     result = CheckResult(ok=True)
     for label in suites:
-        for z_mode in _SUITES[label][0]:
-            worst = {name: (0.0, ()) for name in PARAM_BLOCKS}
-            for i in range(_GC_MODELS):
-                analytic, fd = _one_gradcheck(label, z_mode, seed, i)
-                if corrupt:
-                    analytic.target_emb[0, 0] += 1.0
-                for name, (err, ix) in _block_errors(analytic, fd).items():
-                    if not (err <= worst[name][0] or math.isnan(worst[name][0])):
-                        worst[name] = (err, ix)
+        z_modes, grad, loss = _SUITES[label]
+        for z_mode in z_modes:
+            params, counts = _draws(seed, range(_GC_MODELS), _GC_VOCAB, _GC_DIM,
+                                    z_mode or Z_EXACT, _GC_PAIRS, _GC_K)
+            analytic = grad(params, counts, cfg)
+            if corrupt:
+                analytic.target_emb[..., 0, 0] += 1.0
+            fd = finite_diff_gradient(lambda p: loss(p, counts, cfg), params)
             tag = label if z_mode is None else f"{label}/{z_mode}"
-            for name in PARAM_BLOCKS:
-                err, ix = worst[name]
+            for name, (err, ix) in _block_errors(analytic, fd).items():
                 line = f"gradcheck {tag} {name} worst_err {err:.3e}"
                 if not err <= GRADCHECK_TOL:  # a NaN error fails too
                     line += f" FAIL at {name}{list(ix)}"
@@ -140,32 +150,37 @@ def run_gradcheck(which: str = "all", seed: int = 0, corrupt: bool = False) -> C
     return result
 
 
-def _sampled_counts(rng, n_pairs: int, n_words: int, k: int) -> CellCounts:
-    """Cell counts of a random sampled batch: n_pairs uniform (context, word)
-    pairs, the sentence-start context included, and for each context c
-    k * n_c noise words from uniform q, drawn as counts the way the trainer
-    draws a step of n_pairs pairs. The kernels get float64 counts, cast
-    once here as the trainer casts its own."""
+def _sampled_counts(rng, n_pairs: int, n_words: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """True and noise int64 count grids of a random sampled batch: n_pairs
+    uniform (context, word) pairs, the sentence-start context included, and
+    for each context c k * n_c noise words from uniform q, drawn as counts
+    the way the trainer draws a step of n_pairs pairs."""
     contexts = rng.integers(0, n_words + 1, n_pairs)
     words = rng.integers(0, n_words, n_pairs)
     true = pair_count_matrix(np.stack([contexts, words], axis=1), n_words)
     q = uniform(n_words)
     table = alias_table(q) if draws_words(k, n_pairs, n_words) else None
-    noise = sample_array(q, k * true.sum(axis=1), rng, table)
-    return CellCounts(true.astype(np.float64), noise.astype(np.float64))
+    return true, sample_array(q, k * true.sum(axis=1), rng, table)
 
 
-def _one_gradcheck(label, z_mode, seed, i):
-    """(analytic, finite-difference) gradients of suite ``label`` on model i,
-    with one batch counted outside the finite-difference closure."""
-    rng = derive_rng(seed, STREAM_DATA, i)
-    params = init_params(_GC_VOCAB, _GC_DIM, seed + i, z_mode=z_mode or Z_EXACT)
-    if z_mode == Z_LEARNED_ZC:
-        params.log_zc[:] = rng.normal(0.0, 0.5, params.n_contexts)
-    counts = _sampled_counts(rng, _GC_PAIRS, _GC_VOCAB, _GC_K)
-    cfg = nce.NceConfig(k=_GC_K, q=uniform(_GC_VOCAB))
-    _, grad, loss = _SUITES[label]
-    return grad(params, counts, cfg), finite_diff_gradient(lambda p: loss(p, counts, cfg), params)
+def _draws(seed: int, draws: range, n_words: int, dim: int, z_mode: str,
+           n_pairs: int, k: int) -> tuple[ModelParams, CellCounts]:
+    """Random (model, batch) draws as one stack, its counts one grid per
+    model. Draw i is ``init_params(n_words, dim, seed + i, z_mode)`` and,
+    from ``derive_rng(seed, STREAM_DATA, i)``, a learned_zc model's log_zc
+    drawn N(0, 0.5^2), then a :func:`_sampled_counts` batch, counted once
+    outside the finite-difference closures. The kernels get float64 counts,
+    cast once as the trainer casts its own."""
+    vectors, grids = [], []
+    for i in draws:
+        rng = derive_rng(seed, STREAM_DATA, i)
+        params = init_params(n_words, dim, seed + i, z_mode=z_mode)
+        if z_mode == Z_LEARNED_ZC:
+            params.log_zc[:] = rng.normal(0.0, 0.5, params.n_contexts)
+        vectors.append(params.vector)
+        grids.append(_sampled_counts(rng, n_pairs, n_words, k))
+    counts = CellCounts(*(np.stack(g, dtype=np.float64) for g in zip(*grids)))
+    return params.with_vector(np.stack(vectors)), counts
 
 
 def run_equiv_check(vocab_size: int = 8, seed: int = 1, force_k: int | None = None) -> CheckResult:
@@ -175,9 +190,10 @@ def run_equiv_check(vocab_size: int = 8, seed: int = 1, force_k: int | None = No
     ``EQUIV_DRAWS`` random (model, batch) draws this compares NCE's logit
     grid at k * q(w) = 1 against the score grid, through the losses and full
     gradient vectors of both entry points; the shared sigmoid and residual
-    math is checked against references in the test suite. force_k overrides
-    k away from |V|, as a negative control: the identity needs k * q(w) = 1
-    exactly.
+    math is checked against references in the test suite. The draws go
+    through the kernels as stacks of at most ``EQUIV_BLOCK_CELLS`` grid
+    cells (at least one draw). force_k overrides k away from |V|, as a
+    negative control: the identity needs k * q(w) = 1 exactly.
     """
     if vocab_size < 2:
         raise ValueError("vocab_size must be >= 2")
@@ -185,15 +201,20 @@ def run_equiv_check(vocab_size: int = 8, seed: int = 1, force_k: int | None = No
     cfg = nce.NceConfig(k=k, q=uniform(vocab_size))
     _, nce_grad, nce_loss = OBJECTIVES[OBJ_NCE]
     z_mode, ns_grad, ns_loss = OBJECTIVES[OBJ_NS]
-    dloss, dgrad = np.empty((2, EQUIV_DRAWS))
-    for i in range(EQUIV_DRAWS):
-        rng = derive_rng(seed, STREAM_DATA, i)
-        params = init_params(vocab_size, 4, seed + i, z_mode=z_mode)
-        counts = _sampled_counts(rng, 30, vocab_size, k)
-        dloss[i] = abs(nce_loss(params, counts, cfg) - ns_loss(params, counts, cfg))
-        dgrad[i] = np.max(
-            np.abs(nce_grad(params, counts, cfg).vector - ns_grad(params, counts, cfg).vector)
-        )
+
+    def gaps(params, counts):
+        """|dloss| and max |dgrad| of each draw of a stack."""
+        dloss = np.abs(nce_loss(params, counts, cfg) - ns_loss(params, counts, cfg))
+        dgrad = np.abs(nce_grad(params, counts, cfg).vector - ns_grad(params, counts, cfg).vector)
+        return dloss, dgrad.max(axis=-1)
+
+    per_stack = max(1, EQUIV_BLOCK_CELLS // ((vocab_size + 1) * vocab_size))
+    stacks = [range(EQUIV_DRAWS)[i : i + per_stack] for i in range(0, EQUIV_DRAWS, per_stack)]
+    # Each stack is drawn inside the comprehension, so its grids are freed
+    # before the next one is drawn.
+    dloss, dgrad = np.concatenate(
+        [gaps(*_draws(seed, draws, vocab_size, 4, z_mode, 30, k)) for draws in stacks], axis=1
+    )
     max_dloss, max_dgrad = dloss.max(), dgrad.max()  # unlike max(), these keep a NaN
     ok = bool(max_dloss <= EQUIV_TOL and max_dgrad <= EQUIV_TOL)  # a NaN fails
     lines = [

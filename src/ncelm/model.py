@@ -251,12 +251,11 @@ def grid_dot(counts: np.ndarray, grid: np.ndarray) -> float | np.ndarray:
 def log_likelihood(params: ModelParams, counts: np.ndarray) -> float | np.ndarray:
     """Total log probability under the exact softmax model of the pairs
     counted in ``counts``, (n_contexts, n_words): ``corpus.pair_count_matrix``
-    of a pair array; one for all models of a stack."""
-    if counts.ndim != 2:
-        raise ValueError(f"log_likelihood takes one count grid for all models, got shape {counts.shape}")
-    active = np.flatnonzero(context_totals(counts, "log_likelihood"))
-    log_p = log_softmax_matrix(params).take(active, axis=-2)
-    return per_model((counts[active] * log_p).sum(axis=(-2, -1)))
+    of a pair array; for a stack one grid for all models or one per model,
+    (..., n_contexts, n_words). A context without a pair adds 0 whatever its
+    log p row holds, so no ``0 * -inf`` is summed."""
+    seen = context_totals(counts, "log_likelihood") > 0
+    return grid_dot(counts, np.where(seen, log_softmax_matrix(params), 0.0))
 
 
 def grad_log_likelihood(

@@ -143,11 +143,12 @@ def grad(
 
 def _check_k(counts: CellCounts, k) -> None:
     """Raise unless each count grid holds k noise samples per true sample;
-    for a stack, grid r its own ``k[r]``. Compares the grids' totals: one
-    grid gives a scalar compare."""
+    for a stack, grid r its own ``k[r]``. One compare of the grids' totals,
+    then for a stack one count of its mismatches; one grid gives a scalar
+    compare."""
     true, noise = counts.true_total, counts.noise_total
     bad = noise != k * true
-    if np.logical_or.reduce(bad) if bad.ndim else bad:  # one grid and one k give a numpy bool
+    if np.count_nonzero(bad) if bad.ndim else bad:  # one grid and one k give a numpy bool
         i = np.flatnonzero(bad)[0]
         where = "" if bad.ndim == 0 else f"model {i}: "
         true, noise, k = (np.broadcast_to(a, bad.shape).flat[i] for a in (true, noise, k))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from ncelm.checks import (
     run_equiv_check,
     run_gradcheck,
 )
-from ncelm.model import Z_LEARNED_ZC, CellCounts, init_params
+from ncelm.model import Z_FIXED_ONE, Z_LEARNED_ZC, CellCounts, init_params
 from ncelm.noise import uniform
 from ncelm.seeding import STREAM_DATA, derive_rng
 
@@ -29,36 +31,52 @@ def test_finite_diff_on_linear_function_is_exact():
 
 
 def test_finite_diff_equals_the_coordinate_loop_on_every_gradcheck_suite(monkeypatch):
-    # Each finite-difference gradient of `gradcheck --which all` (every suite
-    # and z_mode) is bitwise the one the per-coordinate loop computes. A model
-    # has 125 coordinates, and a stack of 2^14 cells holds 52 of them.
+    # Each (suite, z_mode) of `gradcheck --which all` takes one finite
+    # difference of its stack of five models, and model i's gradient is
+    # bitwise the one the per-coordinate loop computes on model i alone with
+    # its own count grid. A model has 125 coordinates, and a stack of 2^14
+    # cells holds 10 of them for all five models.
+    drawn = []
+    draws = checks._draws
+    monkeypatch.setattr(checks, "_draws", lambda *args: drawn.append(draws(*args)) or drawn[-1])
+    cfg = nce.NceConfig(k=checks._GC_K, q=uniform(checks._GC_VOCAB))
+    suites = iter([label for label in checks.GRADCHECK_SUITES for _ in checks._SUITES[label][0]])
     compared = []
 
     def both(loss_fn, params):
+        loss = checks._SUITES[next(suites)][2]
+        _, counts = drawn[-1]
         stacks = []
 
-        def loss(p):
+        def recorded(p):
             stacks.append(p.vector.shape)
             return loss_fn(p)
 
-        got = finite_diff_gradient(loss, params)
-        want = finite_diff_reference(loss_fn, params)
-        compared.append((got.vector.tobytes() == want.vector.tobytes(), stacks))
+        got = finite_diff_gradient(recorded, params)
+        same = []
+        for i, vector in enumerate(params.vector):
+            one = CellCounts(counts.true[i], counts.noise[i])
+            want = finite_diff_reference(lambda p: loss(p, one, cfg), params.with_vector(vector.copy()))
+            same.append(got.vector[i].tobytes() == want.vector.tobytes())
+        compared.append((same, stacks))
         return got
 
     monkeypatch.setattr(checks, "finite_diff_gradient", both)
     assert run_gradcheck(which="all", seed=5).ok
-    stacks = [(104, 125), (104, 125), (42, 125)]
-    assert compared == [(True, stacks)] * (6 * checks._GC_MODELS)
+    stacks = [(20, checks._GC_MODELS, 125)] * 12 + [(10, checks._GC_MODELS, 125)]
+    assert compared == [([True] * checks._GC_MODELS, stacks)] * 6
 
 
-def test_finite_diff_equals_the_coordinate_loop_across_chunks(monkeypatch):
-    # At |V| = 64 a stack of 2^16 cells holds 7 coordinates, so the 645
-    # coordinates take 93 loss calls, the last of them on a single coordinate.
-    monkeypatch.setattr(checks, "FD_BLOCK_CELLS", 2**16)
-    params = init_params(64, 4, seed=8, z_mode=Z_LEARNED_ZC)
-    params.log_zc[:] = derive_rng(8, STREAM_DATA).normal(0.0, 0.5, params.n_contexts)
-    counts = checks._sampled_counts(derive_rng(9, STREAM_DATA), 300, 64, 2)
+@pytest.mark.parametrize("n_models,budget", [(1, 2**16), (2, 2**17)])
+def test_finite_diff_equals_the_coordinate_loop_across_chunks(monkeypatch, n_models, budget):
+    # At |V| = 64 the budget holds 7 coordinates of the stack's models (one
+    # model unstacked, or two), so the 645 coordinates take 93 loss calls,
+    # the last of them on a single coordinate.
+    monkeypatch.setattr(checks, "FD_BLOCK_CELLS", budget)
+    params, counts = checks._draws(8, range(n_models), 64, 4, Z_LEARNED_ZC, 300, 2)
+    if n_models == 1:
+        params, counts = params.with_vector(params.vector[0]), CellCounts(*(c[0] for c in counts))
+    lead = params.vector.shape[:-1]
     cfg = nce.NceConfig(k=2, q=uniform(64))
     calls = []
 
@@ -67,9 +85,11 @@ def test_finite_diff_equals_the_coordinate_loop_across_chunks(monkeypatch):
         return nce.mc_loss(p, counts, cfg)
 
     got = finite_diff_gradient(loss, params)
-    assert len(calls) == 93 and calls[0] == (14, 645) and calls[-1] == (2, 645)
-    want = finite_diff_reference(loss, params)
-    assert got.vector.tobytes() == want.vector.tobytes()
+    assert len(calls) == 93 and calls[0] == (14, *lead, 645) and calls[-1] == (2, *lead, 645)
+    for i, vector in enumerate(params.vector.reshape(-1, 645)):
+        one = CellCounts(*(c.reshape(-1, 65, 64)[i] for c in counts))
+        want = finite_diff_reference(lambda p: nce.mc_loss(p, one, cfg), params.with_vector(vector.copy()))
+        assert got.vector.reshape(-1, 645)[i].tobytes() == want.vector.tobytes()
 
 
 def test_gradcheck_single_suite_and_unknown():
@@ -100,7 +120,7 @@ def test_gradcheck_fails_on_nan(monkeypatch, capsys):
 
     def nan_at_first_coordinate(params, counts, out=None):
         grad = exact(params, counts, out)
-        grad.target_emb[0, 0] = np.nan
+        grad.target_emb[..., 0, 0] = np.nan  # in every model of the stack
         return grad
 
     monkeypatch.setattr(trainer, "grad_log_likelihood", nan_at_first_coordinate)
@@ -111,24 +131,24 @@ def test_gradcheck_fails_on_nan(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "gradcheck FAIL (tolerance 1e-05)"
 
 
-def test_gradcheck_keeps_a_nan_that_later_finite_models_follow(monkeypatch, capsys):
-    # Only the first of the five mle models gets a NaN coordinate; the four
-    # finite models after it must not clear it.
+@pytest.mark.parametrize("model", [0, 3])
+def test_gradcheck_keeps_a_nan_that_later_finite_models_follow(monkeypatch, capsys, model):
+    # Only one of the five mle models of the stack gets a NaN coordinate;
+    # the finite models before and after it must not clear it, and the
+    # failing coordinate is named within its model's block.
     exact = trainer.grad_log_likelihood
     calls = []
 
-    def nan_in_first_model(params, counts, out=None):
+    def nan_in_one_model(params, counts, out=None):
         grad = exact(params, counts, out)
-        if not calls:
-            grad.bias[3] = np.nan
-        calls.append(None)
+        grad.bias[model, 3] = np.nan
+        calls.append(params.vector.shape)
         return grad
 
-    monkeypatch.setattr(trainer, "grad_log_likelihood", nan_in_first_model)
+    monkeypatch.setattr(trainer, "grad_log_likelihood", nan_in_one_model)
     res = run_gradcheck(which="mle")
-    assert len(calls) == checks._GC_MODELS and not res.ok
+    assert calls == [(checks._GC_MODELS, 125)] and not res.ok
     assert res.lines[2] == "gradcheck mle bias worst_err nan FAIL at bias[3]"
-    calls.clear()
     assert cli.main(["gradcheck", "--which", "mle"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "gradcheck FAIL (tolerance 1e-05)"
 
@@ -147,7 +167,7 @@ def test_equiv_check_fails_on_a_nan_gradient(monkeypatch, capsys):
 
     def nan_at_one_coordinate(params, counts, out=None):
         out = grad(params, counts, out)
-        out.context_emb[2, 1] = np.nan
+        out.context_emb[..., 2, 1] = np.nan  # in every draw of the stack
         return out
 
     monkeypatch.setattr(negsampling, "ns_grad", nan_at_one_coordinate)
@@ -199,10 +219,14 @@ def _reference_counts(rng, n_pairs, n_words, k):
 
 
 def _assert_same_counts(seen, want):
+    # One stacked kernel call per list of reference batches, model i of its
+    # stack on batch i.
     assert len(seen) == len(want)
-    for got, ref in zip(seen, want):
-        assert np.array_equal(got.true, ref.true)
-        assert np.array_equal(got.noise, ref.noise)
+    for got, batches in zip(seen, want):
+        assert got.true.shape[0] == len(batches)
+        for i, ref in enumerate(batches):
+            assert np.array_equal(got.true[i], ref.true)
+            assert np.array_equal(got.noise[i], ref.noise)
 
 
 @pytest.mark.parametrize("suite", ["ns", "nce-mc"])
@@ -214,11 +238,12 @@ def test_gradcheck_counts_match_reference_batches(monkeypatch, suite):
     want = []
     # nce-mc runs learned_zc, then fixed_one; a learned log_zc is drawn first.
     for learned in ((True, False) if suite == "nce-mc" else (False,)):
+        want.append([])
         for i in range(checks._GC_MODELS):
             rng = derive_rng(2, STREAM_DATA, i)
             if learned:
                 rng.normal(0.0, 0.5, checks._GC_VOCAB + 1)
-            want.append(_reference_counts(rng, checks._GC_PAIRS, checks._GC_VOCAB, checks._GC_K))
+            want[-1].append(_reference_counts(rng, checks._GC_PAIRS, checks._GC_VOCAB, checks._GC_K))
     _assert_same_counts(seen, want)
 
 
@@ -227,7 +252,78 @@ def test_equiv_check_counts_match_reference_batches(monkeypatch, vocab_size, for
     seen = _record_counts(monkeypatch, negsampling, "ns_grad")
     run_equiv_check(vocab_size=vocab_size, seed=4, force_k=force_k)
     k = force_k or vocab_size
-    # Each draw is a batch of 30 pairs.
-    want = [_reference_counts(derive_rng(4, STREAM_DATA, i), 30, vocab_size, k)
-            for i in range(checks.EQUIV_DRAWS)]
+    # Each draw is a batch of 30 pairs, and all 20 go through one stack.
+    want = [[_reference_counts(derive_rng(4, STREAM_DATA, i), 30, vocab_size, k)
+             for i in range(checks.EQUIV_DRAWS)]]
     _assert_same_counts(seen, want)
+
+
+def _per_draw_gaps(vocab_size, seed, k, draws):
+    """|dloss| and max |dgrad| of each equiv-check draw, one draw at a time
+    through the single-model kernels: the loop the stacked check replaced."""
+    cfg = nce.NceConfig(k=k, q=uniform(vocab_size))
+    dloss, dgrad = np.empty((2, draws))
+    for i in range(draws):
+        rng = derive_rng(seed, STREAM_DATA, i)
+        params = init_params(vocab_size, 4, seed + i, z_mode=Z_FIXED_ONE)
+        counts = CellCounts(*(c.astype(np.float64) for c in checks._sampled_counts(rng, 30, vocab_size, k)))
+        dloss[i] = abs(nce.mc_loss(params, counts, cfg) - negsampling.ns_loss(params, counts))
+        dgrad[i] = np.max(np.abs(nce.mc_grad(params, counts, cfg).vector
+                                 - negsampling.ns_grad(params, counts).vector))
+    return dloss, dgrad
+
+
+def _recorded(objective, seen):
+    """An ``OBJECTIVES`` entry whose loss and gradient append their values to seen."""
+    z_mode, grad, loss = trainer.OBJECTIVES[objective]
+
+    def recorded_grad(params, counts, cfg, out=None):
+        result = grad(params, counts, cfg, out)
+        seen.append(result.vector.copy())
+        return result
+
+    def recorded_loss(params, counts, cfg):
+        seen.append(loss(params, counts, cfg))
+        return seen[-1]
+
+    return z_mode, recorded_grad, recorded_loss
+
+
+@pytest.mark.parametrize("vocab_size,force_k,stacks", [(8, None, 1), (5, 3, 1), (64, None, 2)])
+def test_stacked_equiv_check_gives_the_per_draw_loops_gaps(monkeypatch, vocab_size, force_k, stacks):
+    # The 20 draws go through each kernel as one stack at |V| 8 and 5, and
+    # as stacks of 15 and 5 at |V| 64. Each draw's |dloss| and max |dgrad|
+    # are bitwise the per-draw loop's, and so are the report's maxima.
+    seen = {objective: [] for objective in (trainer.OBJ_NCE, trainer.OBJ_NS)}
+    for objective, values in seen.items():
+        monkeypatch.setitem(trainer.OBJECTIVES, objective, _recorded(objective, values))
+    res = run_equiv_check(vocab_size=vocab_size, seed=3, force_k=force_k)
+    nce_seen, ns_seen = seen.values()
+    # Per stack: its two losses, then its two gradients.
+    assert len(nce_seen) == len(ns_seen) == 2 * stacks
+    dloss = np.concatenate([np.abs(a - b) for a, b in zip(nce_seen[::2], ns_seen[::2])])
+    dgrad = np.concatenate([np.abs(a - b).max(axis=-1) for a, b in zip(nce_seen[1::2], ns_seen[1::2])])
+    want = _per_draw_gaps(vocab_size, 3, force_k or vocab_size, checks.EQUIV_DRAWS)
+    assert dloss.tobytes() == want[0].tobytes() and dgrad.tobytes() == want[1].tobytes()
+    assert res.lines[1:3] == [f"max |dloss| {want[0].max():.3e}", f"max |dgrad| {want[1].max():.3e}"]
+
+
+def test_equiv_check_holds_one_large_draw_at_a_time(monkeypatch):
+    # At |V| = 1,024 one draw's grid is past EQUIV_BLOCK_CELLS, so the draws
+    # go through the kernels one at a time, and the check's tracemalloc peak
+    # is no more than the per-draw loop's. Three draws show a draw held over.
+    monkeypatch.setattr(checks, "EQUIV_DRAWS", 3)
+    sizes = []
+    draws = checks._draws
+    monkeypatch.setattr(checks, "_draws",
+                        lambda seed, rows, *rest: sizes.append(len(rows)) or draws(seed, rows, *rest))
+    peaks = []
+    for run in (lambda: _per_draw_gaps(1024, 1, 1024, 3), lambda: run_equiv_check(vocab_size=1024)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert sizes == [1, 1, 1]
+    assert peaks[1] <= peaks[0]

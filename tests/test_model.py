@@ -102,15 +102,48 @@ def test_log_likelihood_hand_value():
 
 
 def test_log_likelihood_takes_one_grid_for_a_stack():
-    # One count grid serves every model of a stack; a grid per model is
-    # refused with its shape named, not with an IndexError.
+    # One count grid serves every model of a stack, and the same grid once
+    # per model gives the same bits.
     p = tiny_params()
     stack = p.with_vector(np.stack([p.vector, 2.0 * p.vector]))
     counts = pair_count_matrix(np.array([[0, 1], [3, 2]]), 3)
     solo = [log_likelihood(stack.with_vector(v), counts) for v in stack.vector]
     assert log_likelihood(stack, counts).tobytes() == np.array(solo).tobytes()
-    with pytest.raises(ValueError, match=r"got shape \(2, 4, 3\)"):
-        log_likelihood(stack, np.stack([counts, counts]))
+    assert log_likelihood(stack, np.stack([counts, counts])).tobytes() == np.array(solo).tobytes()
+
+
+@pytest.mark.parametrize("n_words", [3, 100])
+def test_log_likelihood_on_a_grid_per_model_equals_single_model_calls_bitwise(n_words):
+    # R models with R count grids in one call give the R single-model values
+    # to the bit, for the int64 grids of pair_count_matrix and their float64
+    # copies alike; at |V| = 100 a grid holds 10,100 cells.
+    rng = np.random.default_rng(n_words)
+    p = init_params(n_words, 4, seed=n_words)
+    stack = p.with_vector(p.vector + rng.normal(0.0, 0.5, (4, p.vector.size)))
+    pairs = [np.stack([rng.integers(0, n_words + 1, 200), rng.integers(0, n_words, 200)], axis=1)
+             for _ in range(4)]
+    grids = np.stack([pair_count_matrix(pp, n_words) for pp in pairs])
+    want = np.array([log_likelihood(stack.with_vector(v.copy()), g) for v, g in zip(stack.vector, grids)])
+    for counts in (grids, grids.astype(np.float64)):
+        assert log_likelihood(stack, counts).tobytes() == want.tobytes()
+
+
+def test_log_likelihood_ignores_scores_that_overflow_at_a_context_without_pairs():
+    # Model 1's scores overflow at context 2, where its grid holds no pair:
+    # its log p row there is NaN, and the row still adds 0, in the stacked
+    # call as in model 1's own.
+    p = tiny_params()
+    stack = p.with_vector(np.stack([p.vector, 2.0 * p.vector, -p.vector]))
+    stack.target_emb[1] = [[1.0, 1.0], [-1.0, -1.0], [1.0, 0.5]]
+    stack.context_emb[1, 2] = 1.5e308
+    grids = np.stack([pair_count_matrix(np.array(pairs), 3)
+                      for pairs in ([[0, 1], [2, 2]], [[0, 1], [3, 2], [1, 0]], [[2, 0]])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(log_softmax_matrix(stack)[1, 2]).all()
+        got = log_likelihood(stack, grids)
+        solo = [log_likelihood(stack.with_vector(v.copy()), g) for v, g in zip(stack.vector, grids)]
+    assert np.isfinite(got).all()
+    assert got.tobytes() == np.array(solo).tobytes()
 
 
 def test_grad_log_likelihood_matches_finite_differences():
