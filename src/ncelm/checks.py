@@ -9,6 +9,7 @@ a preformatted report; callers decide how to surface it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .model import (
     init_params,
     zero_gradient,
 )
-from .noise import alias_table, draws_words, sample_array, uniform
+from .noise import alias_table, count_alias_words, draws_words, sample_array, uniform
 from .seeding import STREAM_DATA, derive_rng
 from .trainer import OBJ_MLE, OBJ_NCE, OBJ_NS, OBJECTIVES
 
@@ -87,10 +88,12 @@ def finite_diff_gradient(loss_fn, params: ModelParams) -> Gradient:
     for start in range(0, size, chunk):
         coords = np.arange(start, min(start + chunk, size))
         n = coords.size
-        stack = np.tile(vec, (2, n, 1, 1))
-        # Copy j of each sign moves coordinate coords[j] of every model.
-        stack[:, range(n), :, coords] = vec.T[coords, None, :] + np.array([[FD_STEP], [-FD_STEP]])
-        values = loss_fn(params.with_vector(stack.reshape(2 * n, *params.vector.shape)))
+        # Copy j of each sign moves coordinate coords[j] of every model, by
+        # one broadcast add; x + -0.0 is x for every x, -0.0 and NaN included,
+        # so every other entry is an exact copy.
+        step = np.full((2, n, 1, size), -0.0)
+        step[:, range(n), 0, coords] = [[FD_STEP], [-FD_STEP]]
+        values = loss_fn(params.with_vector((vec + step).reshape(2 * n, *params.vector.shape)))
         hi, lo = np.reshape(values, (2, n, len(vec)))
         out[:, coords] = ((hi - lo) / (2.0 * FD_STEP)).T
     return grad
@@ -127,12 +130,17 @@ def run_gradcheck(which: str = "all", seed: int = 0, corrupt: bool = False) -> C
         raise ValueError(f"unknown gradcheck suite {which!r}")
     suites = GRADCHECK_SUITES if which == "all" else (which,)
     cfg = nce.NceConfig(k=_GC_K, q=uniform(_GC_VOCAB))
+    # The two fixtures, each drawn once: a learned_zc model draws its log_zc
+    # before its batch, and exact and fixed_one models are the same vectors.
+    fixture = cache(lambda learned: _draws(seed, range(_GC_MODELS), _GC_VOCAB, _GC_DIM,
+                                           Z_LEARNED_ZC if learned else Z_EXACT, _GC_PAIRS, _GC_K))
     result = CheckResult(ok=True)
     for label in suites:
         z_modes, grad, loss = _SUITES[label]
         for z_mode in z_modes:
-            params, counts = _draws(seed, range(_GC_MODELS), _GC_VOCAB, _GC_DIM,
-                                    z_mode or Z_EXACT, _GC_PAIRS, _GC_K)
+            drawn, counts = fixture(z_mode == Z_LEARNED_ZC)
+            params = drawn.with_vector(drawn.vector)
+            params.z_mode = z_mode or Z_EXACT
             analytic = grad(params, counts, cfg)
             if corrupt:
                 analytic.target_emb[..., 0, 0] += 1.0
@@ -150,17 +158,26 @@ def run_gradcheck(which: str = "all", seed: int = 0, corrupt: bool = False) -> C
     return result
 
 
-def _sampled_counts(rng, n_pairs: int, n_words: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """True and noise int64 count grids of a random sampled batch: n_pairs
-    uniform (context, word) pairs, the sentence-start context included, and
-    for each context c k * n_c noise words from uniform q, drawn as counts
-    the way the trainer draws a step of n_pairs pairs."""
-    contexts = rng.integers(0, n_words + 1, n_pairs)
-    words = rng.integers(0, n_words, n_pairs)
-    true = pair_count_matrix(np.stack([contexts, words], axis=1), n_words)
+def _sampled_counts(rngs, n_pairs: int, n_words: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """True and noise int64 count grids, (R, n_words + 1, n_words), of one
+    random batch per generator of ``rngs``: n_pairs uniform (context, word)
+    pairs, the sentence-start context included, then k * n_c noise words
+    from uniform q for each context c, drawn the way the trainer draws a
+    step of n_pairs pairs. The stack is counted by whole-stack calls: one
+    ``pair_count_matrix``, and on the word path one ``count_alias_words``
+    over each generator's uniforms, drawn after its pairs; past
+    ``draws_words`` each batch's noise is one multinomial per row."""
+    pairs = np.empty((len(rngs), n_pairs, 2), dtype=np.int64)
+    for pair, rng in zip(pairs, rngs):
+        pair[:, 0] = rng.integers(0, n_words + 1, n_pairs)
+        pair[:, 1] = rng.integers(0, n_words, n_pairs)
+    true = pair_count_matrix(pairs, n_words)
+    totals = k * true.sum(axis=-1)
     q = uniform(n_words)
-    table = alias_table(q) if draws_words(k, n_pairs, n_words) else None
-    return true, sample_array(q, k * true.sum(axis=1), rng, table)
+    if not draws_words(k, n_pairs, n_words):
+        return true, np.stack([sample_array(q, t, rng) for t, rng in zip(totals, rngs)])
+    x = np.concatenate([rng.random(k * n_pairs) for rng in rngs])
+    return true, count_alias_words(alias_table(q), totals, lambda words: x[words])
 
 
 def _draws(seed: int, draws: range, n_words: int, dim: int, z_mode: str,
@@ -168,19 +185,17 @@ def _draws(seed: int, draws: range, n_words: int, dim: int, z_mode: str,
     """Random (model, batch) draws as one stack, its counts one grid per
     model. Draw i is ``init_params(n_words, dim, seed + i, z_mode)`` and,
     from ``derive_rng(seed, STREAM_DATA, i)``, a learned_zc model's log_zc
-    drawn N(0, 0.5^2), then a :func:`_sampled_counts` batch, counted once
-    outside the finite-difference closures. The kernels get float64 counts,
-    cast once as the trainer casts its own."""
-    vectors, grids = [], []
-    for i in draws:
-        rng = derive_rng(seed, STREAM_DATA, i)
-        params = init_params(n_words, dim, seed + i, z_mode=z_mode)
-        if z_mode == Z_LEARNED_ZC:
-            params.log_zc[:] = rng.normal(0.0, 0.5, params.n_contexts)
-        vectors.append(params.vector)
-        grids.append(_sampled_counts(rng, n_pairs, n_words, k))
-    counts = CellCounts(*(np.stack(g, dtype=np.float64) for g in zip(*grids)))
-    return params.with_vector(np.stack(vectors)), counts
+    drawn N(0, 0.5^2), then its batch, the draws' batches counted together
+    by :func:`_sampled_counts` once outside the finite-difference closures.
+    The kernels get float64 counts, cast once as the trainer casts its own."""
+    rngs = [derive_rng(seed, STREAM_DATA, i) for i in draws]
+    models = [init_params(n_words, dim, seed + i, z_mode=z_mode) for i in draws]
+    params = models[0].with_vector(np.stack([model.vector for model in models]))
+    if z_mode == Z_LEARNED_ZC:
+        for log_zc, rng in zip(params.log_zc, rngs):
+            log_zc[:] = rng.normal(0.0, 0.5, params.n_contexts)
+    counts = _sampled_counts(rngs, n_pairs, n_words, k)
+    return params, CellCounts(*(c.astype(np.float64) for c in counts))
 
 
 def run_equiv_check(vocab_size: int = 8, seed: int = 1, force_k: int | None = None) -> CheckResult:

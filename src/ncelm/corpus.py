@@ -13,6 +13,7 @@ refuse a vocabulary over ``MAX_VOCAB_SIZE`` from the header, reading no row.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -101,19 +102,24 @@ def pair_count_matrix(pairs: np.ndarray, n_words: int) -> np.ndarray:
     """Multiset of (context, word) pairs as its dense int64 count matrix,
     (n_words + 1, n_words), whose row sums are the context counts, column
     sums the unigram counts and total the number of pairs: the one form in
-    which a corpus reaches the objectives and the noise. ValueError unless
-    ``pairs`` is a nonempty (n, 2) array with 0 <= context <= n_words (``<s>``
-    is n_words) and 0 <= word < n_words: a pair outside the grid would be
-    counted in another cell."""
+    which a corpus reaches the objectives and the noise. A stack of pair
+    arrays, (..., n, 2), gives one matrix per leading index. ValueError
+    unless ``pairs`` is a nonempty (n, 2) array, or a stack of them, with
+    0 <= context <= n_words (``<s>`` is n_words) and 0 <= word < n_words: a
+    pair outside the grid would be counted in another cell."""
     pairs = np.asarray(pairs, dtype=np.int64)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
-        raise ValueError("pairs must be a nonempty (n, 2) array")
-    contexts, words = pairs.T
+    if pairs.ndim < 2 or pairs.shape[-1] != 2 or pairs.size == 0:
+        raise ValueError("pairs must be a nonempty (n, 2) array or a stack of them")
+    contexts, words = pairs[..., 0], pairs[..., 1]
     if pairs.min() < 0 or contexts.max() > n_words or words.max() >= n_words:
         raise ValueError(f"pair ids out of range: a context must be in [0, {n_words}], "
                          f"a word in [0, {n_words})")
-    flat = contexts * n_words + words
-    return np.bincount(flat, minlength=(n_words + 1) * n_words).reshape(n_words + 1, n_words)
+    lead = pairs.shape[:-2]
+    n_grids, grid = math.prod(lead), (n_words + 1) * n_words
+    # Each matrix of a stack counts into its own run of grid cells.
+    flat = contexts * n_words + words + grid * np.arange(n_grids).reshape(*lead, 1)
+    counts = np.bincount(flat.ravel(), minlength=n_grids * grid)
+    return counts.reshape(*lead, n_words + 1, n_words)
 
 
 def generate_synthetic_corpus(truth: GroundTruthTable, n_tokens: int, seed: int) -> np.ndarray:

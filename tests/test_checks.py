@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from batch_reference import ProxyBatch, cell_counts
-from finite_diff_reference import finite_diff_reference
+from finite_diff_reference import finite_diff_reference, tiled_stack
 from ncelm import checks, cli, nce, negsampling, noise, trainer
 from ncelm.checks import (
     finite_diff_gradient,
     run_equiv_check,
     run_gradcheck,
 )
-from ncelm.model import Z_FIXED_ONE, Z_LEARNED_ZC, CellCounts, init_params
+from ncelm.model import Z_EXACT, Z_FIXED_ONE, Z_LEARNED_ZC, CellCounts, init_params
 from ncelm.noise import uniform
 from ncelm.seeding import STREAM_DATA, derive_rng
 
@@ -35,17 +35,23 @@ def test_finite_diff_equals_the_coordinate_loop_on_every_gradcheck_suite(monkeyp
     # difference of its stack of five models, and model i's gradient is
     # bitwise the one the per-coordinate loop computes on model i alone with
     # its own count grid. A model has 125 coordinates, and a stack of 2^14
-    # cells holds 10 of them for all five models.
-    drawn = []
+    # cells holds 10 of them for all five models. The learned_zc suites read
+    # the learned_zc fixture's counts, the others the second fixture's.
+    drawn = {}
     draws = checks._draws
-    monkeypatch.setattr(checks, "_draws", lambda *args: drawn.append(draws(*args)) or drawn[-1])
+
+    def keep(*args):
+        drawn[args[4] == Z_LEARNED_ZC] = draws(*args)
+        return drawn[args[4] == Z_LEARNED_ZC]
+
+    monkeypatch.setattr(checks, "_draws", keep)
     cfg = nce.NceConfig(k=checks._GC_K, q=uniform(checks._GC_VOCAB))
     suites = iter([label for label in checks.GRADCHECK_SUITES for _ in checks._SUITES[label][0]])
     compared = []
 
     def both(loss_fn, params):
         loss = checks._SUITES[next(suites)][2]
-        _, counts = drawn[-1]
+        _, counts = drawn[params.z_mode == Z_LEARNED_ZC]
         stacks = []
 
         def recorded(p):
@@ -65,6 +71,66 @@ def test_finite_diff_equals_the_coordinate_loop_on_every_gradcheck_suite(monkeyp
     assert run_gradcheck(which="all", seed=5).ok
     stacks = [(20, checks._GC_MODELS, 125)] * 12 + [(10, checks._GC_MODELS, 125)]
     assert compared == [([True] * checks._GC_MODELS, stacks)] * 6
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one-model", "stack"])
+def test_finite_diff_stacks_are_the_tiled_copies_bitwise(monkeypatch, lead):
+    # Each loss call gets the bytes of the tiled construction, so the
+    # entries a call does not move, -0.0, NaNs with a payload and a sign,
+    # and +-inf, are exact copies. At |V| 3 a model has 21 coordinates and
+    # 12 cells, so 2^8 cells take 10 coordinates of one model (calls of 10,
+    # 10 and 1) or 3 of three models (7 calls).
+    monkeypatch.setattr(checks, "FD_BLOCK_CELLS", 2**8)
+    models = np.stack([init_params(3, 2, seed=i).vector for i in range(3)])
+    payload_nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]
+    models[:, [0, 4, 9, 13, 20]] = [-0.0, payload_nan, -np.nan, np.inf, -np.inf]
+    models[1, 15] = -0.0
+    params = init_params(3, 2, seed=0).with_vector(models[0] if not lead else models)
+    stacks = []
+
+    def loss(p):
+        stacks.append(p.vector.copy())
+        return np.zeros(p.vector.shape[:-1])
+
+    finite_diff_gradient(loss, params)
+    vec = params.vector.reshape(-1, 21)
+    assert [len(stack) // 2 for stack in stacks] == ([10, 10, 1] if not lead else [3] * 7)
+    start = 0
+    for stack in stacks:
+        coords = np.arange(start, start + len(stack) // 2)
+        want = tiled_stack(vec, coords).reshape(stack.shape)
+        assert stack.tobytes() == want.tobytes()
+        start = coords[-1] + 1
+
+
+@pytest.mark.parametrize("which,n_draws", [("all", 2), ("mle", 1), ("nce-mc", 2), ("nce-exact", 2),
+                                           ("ns", 1)])
+def test_gradcheck_draws_each_fixture_once(monkeypatch, which, n_draws):
+    # The learned_zc fixture and the one the other z_modes share are drawn
+    # at most once per call, and each (suite, z_mode) gradient call gets
+    # params, their z_mode label included, and counts bitwise equal to a
+    # fresh draw for that suite alone.
+    draws = checks._draws
+    calls = []
+    monkeypatch.setattr(checks, "_draws", lambda *args: calls.append(args) or draws(*args))
+    seen = []
+
+    def fingerprint(params, counts):
+        return params.vector.tobytes(), params.z_mode, counts.true.tobytes(), counts.noise.tobytes()
+
+    for label, (z_modes, grad, loss) in list(checks._SUITES.items()):
+        def recorded(params, counts, cfg, grad=grad):
+            seen.append(fingerprint(params, counts))
+            return grad(params, counts, cfg)
+
+        monkeypatch.setitem(checks._SUITES, label, (z_modes, recorded, loss))
+    assert run_gradcheck(which=which, seed=6).ok
+    assert len(calls) == n_draws
+    want = [fingerprint(*draws(6, range(checks._GC_MODELS), checks._GC_VOCAB, checks._GC_DIM,
+                               z_mode or Z_EXACT, checks._GC_PAIRS, checks._GC_K))
+            for label in (checks.GRADCHECK_SUITES if which == "all" else (which,))
+            for z_mode in checks._SUITES[label][0]]
+    assert seen == want
 
 
 @pytest.mark.parametrize("n_models,budget", [(1, 2**16), (2, 2**17)])
@@ -247,14 +313,22 @@ def test_gradcheck_counts_match_reference_batches(monkeypatch, suite):
     _assert_same_counts(seen, want)
 
 
-@pytest.mark.parametrize("vocab_size,force_k", [(6, None), (5, 3)])
-def test_equiv_check_counts_match_reference_batches(monkeypatch, vocab_size, force_k):
+@pytest.mark.parametrize("vocab_size,force_k,words,per_stack",
+                         [(6, None, False, 20), (5, 3, True, 20), (8, 64, False, 20), (64, None, True, 15)],
+                         ids=["6-None", "5-3", "8-64", "64-None"])
+def test_equiv_check_counts_match_reference_batches(monkeypatch, vocab_size, force_k, words, per_stack):
+    # Each draw is a batch of 30 pairs, its noise drawn word by word or, past
+    # draws_words, one multinomial per row. At |V| 64 the 20 draws go in
+    # stacks of 15 and 5, and the first stack's 28,800 noise words are
+    # counted in several WORD_CHUNK groups.
+    k = force_k or vocab_size
+    assert noise.draws_words(k, 30, vocab_size) == words
+    assert vocab_size < 64 or per_stack * 30 * k > 3 * noise.WORD_CHUNK
     seen = _record_counts(monkeypatch, negsampling, "ns_grad")
     run_equiv_check(vocab_size=vocab_size, seed=4, force_k=force_k)
-    k = force_k or vocab_size
-    # Each draw is a batch of 30 pairs, and all 20 go through one stack.
-    want = [[_reference_counts(derive_rng(4, STREAM_DATA, i), 30, vocab_size, k)
-             for i in range(checks.EQUIV_DRAWS)]]
+    draws = range(checks.EQUIV_DRAWS)
+    want = [[_reference_counts(derive_rng(4, STREAM_DATA, i), 30, vocab_size, k) for i in draws[lo : lo + per_stack]]
+            for lo in range(0, checks.EQUIV_DRAWS, per_stack)]
     _assert_same_counts(seen, want)
 
 
@@ -266,7 +340,7 @@ def _per_draw_gaps(vocab_size, seed, k, draws):
     for i in range(draws):
         rng = derive_rng(seed, STREAM_DATA, i)
         params = init_params(vocab_size, 4, seed + i, z_mode=Z_FIXED_ONE)
-        counts = CellCounts(*(c.astype(np.float64) for c in checks._sampled_counts(rng, 30, vocab_size, k)))
+        counts = CellCounts(*(c.astype(np.float64) for c in _reference_counts(rng, 30, vocab_size, k)))
         dloss[i] = abs(nce.mc_loss(params, counts, cfg) - negsampling.ns_loss(params, counts))
         dgrad[i] = np.max(np.abs(nce.mc_grad(params, counts, cfg).vector
                                  - negsampling.ns_grad(params, counts).vector))

@@ -132,7 +132,21 @@ def test_pair_count_matrix_takes_the_bos_context():
                           [[0, 0], [0, 1], [1, 1]])
 
 
-@pytest.mark.parametrize("pairs", [np.zeros((0, 2)), np.zeros(4), np.zeros((2, 3))])
+def test_pair_count_matrix_counts_a_stack_one_grid_per_array():
+    # A (2, 3, n, 2) stack of pair arrays gives each array's own grid, and
+    # one pair outside the grid in any array is refused.
+    pairs = derive_rng(5, STREAM_DATA).integers(0, 4, (2, 3, 50, 2))
+    pairs[..., 1] %= 3
+    grids = pair_count_matrix(pairs, 3)
+    assert grids.shape == (2, 3, 4, 3) and grids.dtype == np.int64
+    for ix in np.ndindex(2, 3):
+        assert np.array_equal(grids[ix], pair_count_matrix(pairs[ix], 3))
+    pairs[1, 2, 7] = [0, 3]
+    with pytest.raises(ValueError, match="out of range"):
+        pair_count_matrix(pairs, 3)
+
+
+@pytest.mark.parametrize("pairs", [np.zeros((0, 2)), np.zeros(4), np.zeros((2, 3)), np.zeros((3, 0, 2))])
 def test_pair_count_matrix_refuses_bad_shapes(pairs):
     with pytest.raises(ValueError, match="nonempty"):
         pair_count_matrix(pairs, 2)
