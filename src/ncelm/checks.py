@@ -9,7 +9,6 @@ a preformatted report; callers decide how to surface it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from . import nce
 from .corpus import pair_count_matrix
 from .model import (
     PARAM_BLOCKS,
-    Z_EXACT,
     Z_FIXED_ONE,
     Z_LEARNED_ZC,
     CellCounts,
@@ -26,7 +24,7 @@ from .model import (
     init_params,
     zero_gradient,
 )
-from .noise import alias_table, count_alias_words, draws_words, sample_array, uniform
+from .noise import sample_array, uniform
 from .seeding import STREAM_DATA, derive_rng
 from .trainer import OBJ_MLE, OBJ_NCE, OBJ_NS, OBJECTIVES
 
@@ -46,17 +44,17 @@ FD_BLOCK_CELLS = 2**14  # grid cells, n_contexts * n_words per model, in one sta
 EQUIV_BLOCK_CELLS = 2**16  # grid cells, n_contexts * n_words per draw, in one equiv-check stack
 
 # Suite name -> (z_modes, gradient, loss), the kernels taking (params,
-# counts, cfg); None runs the model's exact normalizer. The trained
-# objectives' suites check the gradient and loss the trainer steps with,
-# ``trainer.OBJECTIVES``. nce-exact reads only the true counts: it checks
-# the analysis-form gradient against the full-expectation loss.
+# counts, cfg). The trained objectives' suites check the gradient and loss
+# the trainer steps with, ``trainer.OBJECTIVES``, and MLE and NS the z_mode
+# they train with. nce-exact reads only the true counts: it checks the
+# analysis-form gradient against the full-expectation loss.
 _SUITES = {
-    "mle": ((None,), *OBJECTIVES[OBJ_MLE][1:]),
+    "mle": ((OBJECTIVES[OBJ_MLE][0],), *OBJECTIVES[OBJ_MLE][1:]),
     "nce-mc": ((Z_LEARNED_ZC, Z_FIXED_ONE), *OBJECTIVES[OBJ_NCE][1:]),
     "nce-exact": ((Z_LEARNED_ZC, Z_FIXED_ONE),
                   lambda p, c, cfg: nce.exact_grad_analysis(p, c.true, cfg),
                   lambda p, c, cfg: nce.exact_loss(p, c.true, cfg)),
-    "ns": ((None,), *OBJECTIVES[OBJ_NS][1:]),
+    "ns": ((OBJECTIVES[OBJ_NS][0],), *OBJECTIVES[OBJ_NS][1:]),
 }
 GRADCHECK_SUITES = tuple(_SUITES)
 
@@ -122,30 +120,27 @@ def run_gradcheck(which: str = "all", seed: int = 0, corrupt: bool = False) -> C
     """Finite-difference check of every analytic gradient implementation.
 
     which selects one of ``GRADCHECK_SUITES`` or "all". Each suite runs 5
-    random models as one stack, each with its own batch; sampled-objective
-    suites cover both normalizer treatments. The corrupt flag deliberately damages one analytic
-    coordinate, as a negative control that the comparison can fail.
+    random models as one stack, each with its own batch, under each of its
+    z_modes; sampled-objective suites cover both normalizer treatments. The
+    corrupt flag deliberately damages one analytic coordinate, as a negative
+    control that the comparison can fail.
     """
     if which != "all" and which not in GRADCHECK_SUITES:
         raise ValueError(f"unknown gradcheck suite {which!r}")
     suites = GRADCHECK_SUITES if which == "all" else (which,)
     cfg = nce.NceConfig(k=_GC_K, q=uniform(_GC_VOCAB))
-    # The two fixtures, each drawn once: a learned_zc model draws its log_zc
-    # before its batch, and exact and fixed_one models are the same vectors.
-    fixture = cache(lambda learned: _draws(seed, range(_GC_MODELS), _GC_VOCAB, _GC_DIM,
-                                           Z_LEARNED_ZC if learned else Z_EXACT, _GC_PAIRS, _GC_K))
+    drawn, counts = _draws(seed, range(_GC_MODELS), _GC_VOCAB, _GC_DIM, Z_LEARNED_ZC, _GC_PAIRS, _GC_K)
     result = CheckResult(ok=True)
     for label in suites:
         z_modes, grad, loss = _SUITES[label]
         for z_mode in z_modes:
-            drawn, counts = fixture(z_mode == Z_LEARNED_ZC)
             params = drawn.with_vector(drawn.vector)
-            params.z_mode = z_mode or Z_EXACT
+            params.z_mode = z_mode
             analytic = grad(params, counts, cfg)
             if corrupt:
                 analytic.target_emb[..., 0, 0] += 1.0
             fd = finite_diff_gradient(lambda p: loss(p, counts, cfg), params)
-            tag = label if z_mode is None else f"{label}/{z_mode}"
+            tag = label if len(z_modes) == 1 else f"{label}/{z_mode}"
             for name, (err, ix) in _block_errors(analytic, fd).items():
                 line = f"gradcheck {tag} {name} worst_err {err:.3e}"
                 if not err <= GRADCHECK_TOL:  # a NaN error fails too
@@ -162,38 +157,33 @@ def _sampled_counts(rngs, n_pairs: int, n_words: int, k: int) -> tuple[np.ndarra
     """True and noise int64 count grids, (R, n_words + 1, n_words), of one
     random batch per generator of ``rngs``: n_pairs uniform (context, word)
     pairs, the sentence-start context included, then k * n_c noise words
-    from uniform q for each context c, drawn the way the trainer draws a
-    step of n_pairs pairs. The stack is counted by whole-stack calls: one
-    ``pair_count_matrix``, and on the word path one ``count_alias_words``
-    over each generator's uniforms, drawn after its pairs; past
-    ``draws_words`` each batch's noise is one multinomial per row."""
+    from uniform q for each context c. The true grids are one whole-stack
+    ``pair_count_matrix`` call. Each batch's noise is one ``sample_array``
+    multinomial from its generator, after its pairs: any draw of
+    Multinomial(k * n_c, q) serves the checks, so they do not follow the
+    trainer's choice between the multinomial and the word draws."""
     pairs = np.empty((len(rngs), n_pairs, 2), dtype=np.int64)
     for pair, rng in zip(pairs, rngs):
         pair[:, 0] = rng.integers(0, n_words + 1, n_pairs)
         pair[:, 1] = rng.integers(0, n_words, n_pairs)
     true = pair_count_matrix(pairs, n_words)
-    totals = k * true.sum(axis=-1)
     q = uniform(n_words)
-    if not draws_words(k, n_pairs, n_words):
-        return true, np.stack([sample_array(q, t, rng) for t, rng in zip(totals, rngs)])
-    x = np.concatenate([rng.random(k * n_pairs) for rng in rngs])
-    return true, count_alias_words(alias_table(q), totals, lambda words: x[words])
+    return true, np.stack([sample_array(q, k * t.sum(axis=-1), rng) for t, rng in zip(true, rngs)])
 
 
 def _draws(seed: int, draws: range, n_words: int, dim: int, z_mode: str,
            n_pairs: int, k: int) -> tuple[ModelParams, CellCounts]:
     """Random (model, batch) draws as one stack, its counts one grid per
     model. Draw i is ``init_params(n_words, dim, seed + i, z_mode)`` and,
-    from ``derive_rng(seed, STREAM_DATA, i)``, a learned_zc model's log_zc
-    drawn N(0, 0.5^2), then its batch, the draws' batches counted together
-    by :func:`_sampled_counts` once outside the finite-difference closures.
-    The kernels get float64 counts, cast once as the trainer casts its own."""
+    from ``derive_rng(seed, STREAM_DATA, i)``, its log_zc drawn N(0, 0.5^2)
+    (read by learned_zc kernels only), then its batch, the batches counted
+    together by :func:`_sampled_counts`. The kernels get float64 counts,
+    cast once as the trainer casts its own."""
     rngs = [derive_rng(seed, STREAM_DATA, i) for i in draws]
     models = [init_params(n_words, dim, seed + i, z_mode=z_mode) for i in draws]
     params = models[0].with_vector(np.stack([model.vector for model in models]))
-    if z_mode == Z_LEARNED_ZC:
-        for log_zc, rng in zip(params.log_zc, rngs):
-            log_zc[:] = rng.normal(0.0, 0.5, params.n_contexts)
+    for log_zc, rng in zip(params.log_zc, rngs):
+        log_zc[:] = rng.normal(0.0, 0.5, params.n_contexts)
     counts = _sampled_counts(rngs, n_pairs, n_words, k)
     return params, CellCounts(*(c.astype(np.float64) for c in counts))
 

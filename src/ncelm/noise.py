@@ -114,23 +114,13 @@ def sample_array(q: np.ndarray, totals, rng: np.random.Generator,
 
     Without ``table`` each row is drawn by ``rng.multinomial``. With
     ``table``, ``alias_table(q)``, the words are drawn one by one: one
-    uniform double per word, the rows' words in C order, counted by
-    ``count_alias_words`` with each group's uniforms drawn as it is counted.
+    uniform double per word, the rows' words in C order. The rows go in
+    groups of about ``WORD_CHUNK`` words, each group's uniforms drawn by
+    one ``rng.random`` call and counted in one pass by ``_alias_counts``.
     Either way one call over an array gives the same bits as one call per
     row, in order, on the same generator."""
     if table is None:
         return rng.multinomial(totals, q)
-    return count_alias_words(table, totals, lambda words: rng.random(words.stop - words.start))
-
-
-def count_alias_words(table: AliasTable, totals, uniforms) -> np.ndarray:
-    """Counts, int64 of shape ``totals.shape + (n_words,)``, of the words
-    that the rows of ``totals`` draw through ``table``, one uniform double
-    in [0, 1) per word, the rows' words in C order. The rows go in groups
-    of about ``WORD_CHUNK`` words, each counted in one pass by one bincount
-    from ``uniforms(words)``: the uniforms of the words in the slice
-    ``words``, called on consecutive slices from word 0 on, and overwritten.
-    Rows drawn from several generators pass their uniforms drawn ahead."""
     totals = np.asarray(totals)
     flat = totals.ravel()
     counts = np.empty((flat.size, table.cut.size), dtype=np.int64)
@@ -138,13 +128,13 @@ def count_alias_words(table: AliasTable, totals, uniforms) -> np.ndarray:
     np.cumsum(flat, out=bounds[1:])
     stops = np.searchsorted(bounds[1:], np.arange(WORD_CHUNK, bounds[-1], WORD_CHUNK), side="right")
     for lo, hi in pairwise(np.unique([0, *stops, flat.size])):
-        counts[lo:hi] = _alias_counts(table, flat[lo:hi], uniforms(slice(bounds[lo], bounds[hi])))
+        counts[lo:hi] = _alias_counts(table, flat[lo:hi], rng.random(bounds[hi] - bounds[lo]))
     return counts.reshape(totals.shape + (table.cut.size,))
 
 
 def _alias_counts(table: AliasTable, totals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``count_alias_words`` over the 1-d ``totals`` in one pass: the words'
-    uniforms ``x``, overwritten, counted by one bincount."""
+    """One group of ``sample_array``'s word draws, over the 1-d ``totals``:
+    the words' uniforms ``x``, overwritten, counted by one bincount."""
     n_words = table.cut.size
     x *= n_words
     i = x.astype(np.int64)

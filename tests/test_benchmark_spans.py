@@ -66,3 +66,13 @@ def test_a_stacked_sweep_fires_the_pinned_training_spans(tmp_path):
     assert tracer.calls["cli.main"] == 1 and tracer.calls["trainer.train"] == 0
     for span in _SWEEP_SPANS:
         assert tracer.calls[span] > 0, span
+
+
+@pytest.mark.parametrize("argv,draws", [(["gradcheck"], 5), (["equiv-check"], 20)],
+                         ids=["gradcheck", "equiv-check"])
+def test_the_self_checks_draw_their_noise_through_the_traced_sampler(argv, draws):
+    # One noise.sample_array call per (model, batch) draw: gradcheck's one
+    # fixture of five models, equiv-check's 20 draws.
+    with layers.Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert tracer.calls["noise.sample_array"] == draws

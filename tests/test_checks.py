@@ -11,7 +11,7 @@ from ncelm.checks import (
     run_equiv_check,
     run_gradcheck,
 )
-from ncelm.model import Z_EXACT, Z_FIXED_ONE, Z_LEARNED_ZC, CellCounts, init_params
+from ncelm.model import Z_FIXED_ONE, Z_LEARNED_ZC, CellCounts, init_params
 from ncelm.noise import uniform
 from ncelm.seeding import STREAM_DATA, derive_rng
 
@@ -35,23 +35,18 @@ def test_finite_diff_equals_the_coordinate_loop_on_every_gradcheck_suite(monkeyp
     # difference of its stack of five models, and model i's gradient is
     # bitwise the one the per-coordinate loop computes on model i alone with
     # its own count grid. A model has 125 coordinates, and a stack of 2^14
-    # cells holds 10 of them for all five models. The learned_zc suites read
-    # the learned_zc fixture's counts, the others the second fixture's.
-    drawn = {}
+    # cells holds 10 of them for all five models. Every suite reads the
+    # one fixture's counts.
+    drawn = []
     draws = checks._draws
-
-    def keep(*args):
-        drawn[args[4] == Z_LEARNED_ZC] = draws(*args)
-        return drawn[args[4] == Z_LEARNED_ZC]
-
-    monkeypatch.setattr(checks, "_draws", keep)
+    monkeypatch.setattr(checks, "_draws", lambda *args: drawn.append(draws(*args)) or drawn[-1])
     cfg = nce.NceConfig(k=checks._GC_K, q=uniform(checks._GC_VOCAB))
     suites = iter([label for label in checks.GRADCHECK_SUITES for _ in checks._SUITES[label][0]])
     compared = []
 
     def both(loss_fn, params):
         loss = checks._SUITES[next(suites)][2]
-        _, counts = drawn[params.z_mode == Z_LEARNED_ZC]
+        [(_, counts)] = drawn
         stacks = []
 
         def recorded(p):
@@ -103,13 +98,12 @@ def test_finite_diff_stacks_are_the_tiled_copies_bitwise(monkeypatch, lead):
         start = coords[-1] + 1
 
 
-@pytest.mark.parametrize("which,n_draws", [("all", 2), ("mle", 1), ("nce-mc", 2), ("nce-exact", 2),
-                                           ("ns", 1)])
-def test_gradcheck_draws_each_fixture_once(monkeypatch, which, n_draws):
-    # The learned_zc fixture and the one the other z_modes share are drawn
-    # at most once per call, and each (suite, z_mode) gradient call gets
-    # params, their z_mode label included, and counts bitwise equal to a
-    # fresh draw for that suite alone.
+@pytest.mark.parametrize("which", ["all", *checks.GRADCHECK_SUITES])
+def test_gradcheck_draws_each_fixture_once(monkeypatch, which):
+    # The one fixture that every (suite, z_mode) relabels is drawn once per
+    # call, and each (suite, z_mode) gradient call gets params, their z_mode
+    # label included, and counts bitwise equal to a fresh draw for that
+    # suite alone.
     draws = checks._draws
     calls = []
     monkeypatch.setattr(checks, "_draws", lambda *args: calls.append(args) or draws(*args))
@@ -125,12 +119,25 @@ def test_gradcheck_draws_each_fixture_once(monkeypatch, which, n_draws):
 
         monkeypatch.setitem(checks._SUITES, label, (z_modes, recorded, loss))
     assert run_gradcheck(which=which, seed=6).ok
-    assert len(calls) == n_draws
+    assert len(calls) == 1
     want = [fingerprint(*draws(6, range(checks._GC_MODELS), checks._GC_VOCAB, checks._GC_DIM,
-                               z_mode or Z_EXACT, checks._GC_PAIRS, checks._GC_K))
+                               z_mode, checks._GC_PAIRS, checks._GC_K))
             for label in (checks.GRADCHECK_SUITES if which == "all" else (which,))
             for z_mode in checks._SUITES[label][0]]
     assert seen == want
+
+
+def test_check_reports_do_not_depend_on_the_trainers_draw_rule(monkeypatch):
+    # The trainer draws a step's noise word by word or as multinomials by
+    # noise.draws_words; the checks draw one multinomial per batch either
+    # way, so moving the rule's threshold to either end moves no digit.
+    reports = []
+    for per_cell in (0, 10**6):
+        monkeypatch.setattr(noise, "WORD_DRAWS_PER_CELL", per_cell)
+        assert noise.draws_words(checks._GC_K, checks._GC_PAIRS, checks._GC_VOCAB) is (per_cell > 0)
+        reports.append([run_gradcheck("all").lines, run_equiv_check(vocab_size=8).lines,
+                        run_equiv_check(vocab_size=64).lines])
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("n_models,budget", [(1, 2**16), (2, 2**17)])
@@ -270,18 +277,15 @@ def _record_counts(monkeypatch, module, name):
 
 
 def _reference_counts(rng, n_pairs, n_words, k):
-    """Reference counts of the batch the checks draw: contexts, then true
-    words, then k * n_c uniform noise words for each context c, drawn as
-    counts by one ``noise.sample_array`` call per context in context order,
-    on the path the trainer takes for a step of n_pairs pairs."""
+    """Reference counts of the batch the checks draw: after the model's
+    N(0, 0.5^2) log_zc, contexts, then true words, then k * n_c uniform
+    noise words for each context c, drawn as counts by one multinomial."""
+    rng.normal(0.0, 0.5, n_words + 1)
     contexts = rng.integers(0, n_words + 1, n_pairs)
     words = rng.integers(0, n_words, n_pairs)
     batch = ProxyBatch(contexts, words, np.empty((n_pairs, 0), dtype=np.int64))
     true = cell_counts(batch, n_words + 1, n_words).true
-    q = np.full(n_words, 1.0 / n_words)
-    table = noise.alias_table(q) if noise.draws_words(k, n_pairs, n_words) else None
-    drawn = np.stack([noise.sample_array(q, k * int(row.sum()), rng, table) for row in true])
-    return CellCounts(true, drawn)
+    return CellCounts(true, rng.multinomial(k * true.sum(axis=1), np.full(n_words, 1.0 / n_words)))
 
 
 def _assert_same_counts(seen, want):
@@ -301,29 +305,18 @@ def test_gradcheck_counts_match_reference_batches(monkeypatch, suite):
     module, name = (negsampling, "ns_grad") if suite == "ns" else (nce, "mc_grad")
     seen = _record_counts(monkeypatch, module, name)
     assert run_gradcheck(which=suite, seed=2).ok
-    want = []
-    # nce-mc runs learned_zc, then fixed_one; a learned log_zc is drawn first.
-    for learned in ((True, False) if suite == "nce-mc" else (False,)):
-        want.append([])
-        for i in range(checks._GC_MODELS):
-            rng = derive_rng(2, STREAM_DATA, i)
-            if learned:
-                rng.normal(0.0, 0.5, checks._GC_VOCAB + 1)
-            want[-1].append(_reference_counts(rng, checks._GC_PAIRS, checks._GC_VOCAB, checks._GC_K))
-    _assert_same_counts(seen, want)
+    # nce-mc runs learned_zc, then fixed_one, on the same batches.
+    batches = [_reference_counts(derive_rng(2, STREAM_DATA, i), checks._GC_PAIRS, checks._GC_VOCAB, checks._GC_K)
+               for i in range(checks._GC_MODELS)]
+    _assert_same_counts(seen, [batches] * len(checks._SUITES[suite][0]))
 
 
-@pytest.mark.parametrize("vocab_size,force_k,words,per_stack",
-                         [(6, None, False, 20), (5, 3, True, 20), (8, 64, False, 20), (64, None, True, 15)],
+@pytest.mark.parametrize("vocab_size,force_k,per_stack", [(6, None, 20), (5, 3, 20), (8, 64, 20), (64, None, 15)],
                          ids=["6-None", "5-3", "8-64", "64-None"])
-def test_equiv_check_counts_match_reference_batches(monkeypatch, vocab_size, force_k, words, per_stack):
-    # Each draw is a batch of 30 pairs, its noise drawn word by word or, past
-    # draws_words, one multinomial per row. At |V| 64 the 20 draws go in
-    # stacks of 15 and 5, and the first stack's 28,800 noise words are
-    # counted in several WORD_CHUNK groups.
+def test_equiv_check_counts_match_reference_batches(monkeypatch, vocab_size, force_k, per_stack):
+    # Each draw is a batch of 30 pairs, its noise one multinomial. At |V| 64
+    # the 20 draws go in stacks of 15 and 5.
     k = force_k or vocab_size
-    assert noise.draws_words(k, 30, vocab_size) == words
-    assert vocab_size < 64 or per_stack * 30 * k > 3 * noise.WORD_CHUNK
     seen = _record_counts(monkeypatch, negsampling, "ns_grad")
     run_equiv_check(vocab_size=vocab_size, seed=4, force_k=force_k)
     draws = range(checks.EQUIV_DRAWS)
@@ -334,13 +327,15 @@ def test_equiv_check_counts_match_reference_batches(monkeypatch, vocab_size, for
 
 def _per_draw_gaps(vocab_size, seed, k, draws):
     """|dloss| and max |dgrad| of each equiv-check draw, one draw at a time
-    through the single-model kernels: the loop the stacked check replaced."""
+    through the single-model kernels: the loop the stacked check replaced.
+    Each model takes its draw's log_zc, which fixed_one kernels never read."""
     cfg = nce.NceConfig(k=k, q=uniform(vocab_size))
     dloss, dgrad = np.empty((2, draws))
     for i in range(draws):
-        rng = derive_rng(seed, STREAM_DATA, i)
         params = init_params(vocab_size, 4, seed + i, z_mode=Z_FIXED_ONE)
-        counts = CellCounts(*(c.astype(np.float64) for c in _reference_counts(rng, 30, vocab_size, k)))
+        params.log_zc[:] = derive_rng(seed, STREAM_DATA, i).normal(0.0, 0.5, vocab_size + 1)
+        batch = _reference_counts(derive_rng(seed, STREAM_DATA, i), 30, vocab_size, k)
+        counts = CellCounts(*(c.astype(np.float64) for c in batch))
         dloss[i] = abs(nce.mc_loss(params, counts, cfg) - negsampling.ns_loss(params, counts))
         dgrad[i] = np.max(np.abs(nce.mc_grad(params, counts, cfg).vector
                                  - negsampling.ns_grad(params, counts).vector))

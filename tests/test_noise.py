@@ -5,7 +5,6 @@ from ncelm.corpus import build_vocab, pair_count_matrix, pairs_from_tokens
 from ncelm.noise import (
     WORD_CHUNK,
     alias_table,
-    count_alias_words,
     draws_words,
     flattened,
     parse_noise_spec,
@@ -166,24 +165,6 @@ def test_alias_draw_equals_a_word_by_word_loop():
             i = int(x)
             want[row][i if x < table.cut[i] else table.words[6 + i]] += 1
     assert np.array_equal(sample_array(q, totals, derive_rng(11, STREAM_NOISE), table), want)
-
-
-def test_uniforms_drawn_ahead_give_each_generators_own_counts():
-    # Rows from several generators, each generator's uniforms drawn ahead
-    # into one array, are counted in WORD_CHUNK groups that span
-    # generators: each generator's rows get the bits of its own
-    # sample_array call, and the groups read the array's consecutive slices.
-    q = _skewed_q(7)
-    table = alias_table(q)
-    totals = derive_rng(12, STREAM_NOISE).integers(0, 900, (5, 8))
-    totals[2, 3] = WORD_CHUNK + 5
-    x = np.concatenate([derive_rng(13, STREAM_NOISE, r).random(t.sum()) for r, t in enumerate(totals)])
-    slices = []
-    got = count_alias_words(table, totals, lambda words: slices.append(words) or x[words])
-    want = [sample_array(q, t, derive_rng(13, STREAM_NOISE, r), table) for r, t in enumerate(totals)]
-    assert np.array_equal(got, np.stack(want))
-    assert len(slices) > 2 and slices[0].start == 0 and slices[-1].stop == totals.sum()
-    assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
 
 
 class _TopUniform:
