@@ -42,8 +42,8 @@ print("%12s %14s" % ("objective", "final KL"))
 print("%12s %14.5f" % ("MLE", mle_kl))
 # The k grid trains in lockstep: one stack of runs, each bitwise its solo run.
 ks = (1, 5, 25)
-nce_runs = train_lockstep([TrainConfig(objective="nce", k=k, z_mode="fixed_one",
-                                       noise="unigram", **base) for k in ks], pairs, VOCAB)
+nce_runs = list(train_lockstep([TrainConfig(objective="nce", k=k, z_mode="fixed_one",
+                                            noise="unigram", **base) for k in ks], pairs, VOCAB))
 for k, (params, _) in zip(ks, nce_runs):
     print("%12s %14.5f" % ("NCE k=%d" % k, kl_truth_model(truth, params)))
 print()

@@ -43,12 +43,13 @@ base = dict(k=5, learning_rate=0.4, lr_decay=0.95, epochs=25, eval_every=25,
 nce_params, _ = train(TrainConfig(objective="nce", z_mode="learned_zc",
                                   noise="unigram", **base), pairs, VOCAB)
 # The two NS runs differ only in their noise, so they train in lockstep.
-ns_runs = train_lockstep([TrainConfig(objective="ns", noise=q_name, **base)
-                          for q_name in ("uniform", "unigram")], pairs, VOCAB)
+(ns_uniform, _), (ns_unigram, _) = train_lockstep(
+    [TrainConfig(objective="ns", noise=q_name, **base) for q_name in ("uniform", "unigram")],
+    pairs, VOCAB)
 fitted = {
     "NCE, unigram noise": nce_params,
-    "NS,  uniform noise": ns_runs[0][0],
-    "NS,  unigram noise": ns_runs[1][0],
+    "NS,  uniform noise": ns_uniform,
+    "NS,  unigram noise": ns_unigram,
 }
 
 print("KL(truth || model) after identical training budgets, dim 16:")

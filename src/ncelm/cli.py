@@ -303,10 +303,10 @@ def _cmd_sweep(args) -> int:
     bases = [replace(base, seed=args.seed + offset) for offset in range(args.seeds)]
     rows = sweep_runs(bases, ks, pairs, n_words, truth)
     _write_config(args.out, args)
-    # The (seed, k) runs train in lockstep, up to trainer.LOCKSTEP_PAIRS
-    # shuffled pairs per call. Rows are flushed as each call finishes, and a
-    # diverged run leaves the rows of the runs before it in (seed, k) order,
-    # as a serial loop would.
+    # train_lockstep trains the (seed, k) runs in chunks of up to
+    # trainer.LOCKSTEP_PAIRS shuffled pairs. Rows are flushed as each chunk
+    # finishes, and a diverged run leaves the rows of the runs before it in
+    # (seed, k) order, as a serial loop would.
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(SWEEP_HEADER + "\n")
         fh.flush()

@@ -76,9 +76,9 @@ OBJECTIVES = {
 # (n_words + 1) * n_words cells, so memory stays bounded for any |V| and n.
 COUNT_BLOCK_CELLS = 2**13
 
-# Shuffled pair indices one lockstep call holds at most: an epoch keeps one
-# permutation of the n pairs per run, so a sweep trains its runs in chunks
-# of max(1, LOCKSTEP_PAIRS // n) runs: 32 MB of them, or one run's if more.
+# Shuffled pair indices one lockstep stack holds at most: an epoch keeps one
+# permutation of the n pairs per run, so train_lockstep trains its runs in
+# chunks of max(1, LOCKSTEP_PAIRS // n) runs: 32 MB of them, or one run's if more.
 LOCKSTEP_PAIRS = 2**22
 
 
@@ -113,6 +113,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
+        for name in ("k", "epochs", "batch_size", "eval_every", "dim", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be finite and > 0")
         if not 0.0 < self.lr_decay <= 1.0:
@@ -172,24 +175,29 @@ def train_lockstep(
     n_words: int,
     truth: GroundTruthTable | None = None,
     on_eval: Callable[[int, int, ModelParams, MetricsRow], None] | None = None,
-) -> list[tuple[ModelParams, list[MetricsRow]] | TrainingDiverged]:
-    """Train R runs on the same pairs in lockstep: each SGD step is one call
-    per kernel on the stack of their R models.
+) -> Iterator[tuple[ModelParams, list[MetricsRow]] | TrainingDiverged]:
+    """Train R runs on the same pairs in lockstep, a chunk of runs at a time
+    (see ``LOCKSTEP_PAIRS``): each SGD step is one call per kernel on the
+    stack of a chunk's models. Yields the runs' results in run order, a
+    chunk's once the chunk is trained.
 
     The runs share ``LOCKSTEP_FIELDS``. Each keeps its own shuffle and noise
     streams, and every kernel treats the models of a stack independently, so
     run r's result is bitwise what :func:`train` gives for ``configs[r]``
     alone: ``(params, history)``, or the :class:`TrainingDiverged` that
-    :func:`train` would raise. The stack keeps its R rows until the call
-    returns: a run that diverges is parked, its row zeroed and its rate 0,
-    and the others go on; once every run has diverged the call returns.
-    ``on_eval(r, epoch, params, row)`` is called right after run r's row is
-    appended to its history, never for a diverged run or the epoch it
-    diverges in; ``params``, run r's view into the stack, is valid only
-    during the call, and an exception it raises propagates. An epoch holds
-    R permutations of the pairs: R * n int64 values. ValueError when a
-    pair lies outside the count grid (``corpus.pair_count_matrix``) or a
-    run's k * n noise words per epoch exceed 2**53, float64's exact integers.
+    :func:`train` would raise. A chunk's stack keeps its rows until the chunk
+    is done: a run that diverges is parked, its row zeroed and its rate 0,
+    and the others go on; once every run of the chunk has diverged the
+    chunk ends. ``on_eval(r, epoch, params, row)`` is called right after run
+    r's row is appended to its history, never for a diverged run or the
+    epoch it diverges in; ``params``, run r's view into the stack, is valid
+    only during the call, and an exception it raises propagates.
+
+    Every run is checked at the call, before any step: ValueError unless
+    ``configs`` and ``pairs`` are nonempty, the runs share ``LOCKSTEP_FIELDS``,
+    every pair lies in the count grid, a truth covers ``n_words`` words and,
+    when sampled, each noise spec parses and k * n noise words per epoch are
+    at most 2**53, so that every count a run holds is exact in float64.
     """
     configs = list(configs)
     pairs = np.asarray(pairs, dtype=np.int64)
@@ -199,14 +207,66 @@ def train_lockstep(
     if n == 0:
         raise ValueError("training needs at least one pair")
     first = configs[0]
-    _check_lockstep(configs, n)
-    batch_size = min(first.batch_size, n)  # a larger batch trains as one full batch
+    if any(getattr(c, f) != getattr(first, f) for c in configs for f in LOCKSTEP_FIELDS):
+        raise ValueError(f"runs trained in lockstep must share {', '.join(LOCKSTEP_FIELDS)}")
+    if first.objective != OBJ_MLE and (k := max(c.k for c in configs)) * n > 2**53:
+        raise ValueError(f"k={k} is too large: k noise words for each of an epoch's {n} "
+                         "pairs exceed 2**53, past which float64 counts are inexact")
+    if truth is not None and truth.n_words != n_words:
+        raise ValueError(f"the truth covers {truth.n_words} words, the pairs {n_words}")
     # Refuses a pair outside the grid before its cell id lands in another cell.
     grid = pair_count_matrix(pairs, n_words)
+    cfgs = [None if first.objective == OBJ_MLE else
+            nce.NceConfig(c.k, noise.parse_noise_spec(c.noise, grid)) for c in configs]
+    chunk = max(1, LOCKSTEP_PAIRS // n)
+    return (
+        result
+        for lo in range(0, len(configs), chunk)
+        for result in _train_chunk(configs[lo : lo + chunk], cfgs[lo : lo + chunk], lo,
+                                   pairs, grid, truth, on_eval)
+    )
+
+
+def sweep_runs(
+    bases: Sequence[TrainConfig],
+    ks: list[int],
+    pairs: np.ndarray,
+    n_words: int,
+    truth: GroundTruthTable,
+) -> Iterator[tuple[TrainConfig, MetricsRow]]:
+    """One run per (base, k), trained by :func:`train_lockstep`; yields
+    (config, the run's last MetricsRow) in (base, k) order. At the first run
+    that diverged it raises TrainingDiverged naming its seed and k, after
+    the rows before it, as training the runs one after another would.
+
+    The arguments are checked when it is called: ValueError unless ``ks`` is
+    nonempty and strictly ascending, ``bases`` is nonempty, every (base, k)
+    is a valid config, and the runs pass :func:`train_lockstep`'s checks.
+    """
+    if not ks:
+        raise ValueError("ks must be nonempty")
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("ks must be sorted ascending")
+    if not bases:
+        raise ValueError("a sweep needs at least one base config")
+    configs = [replace(base, k=k) for base in bases for k in ks]
+    return map(_last_row, configs, train_lockstep(configs, pairs, n_words, truth=truth))
+
+
+# ---------------------------------------------------------------------------
+# Internals
+# ---------------------------------------------------------------------------
+
+def _train_chunk(configs, cfgs, first_run, pairs, grid, truth, on_eval) -> list:
+    """The results of :func:`train_lockstep`'s runs ``first_run``, ...,
+    ``first_run + len(configs) - 1``, trained as one stack; ``cfgs`` holds
+    each run's NceConfig (None for MLE) and ``grid`` the pairs' count grid."""
+    first = configs[0]
+    n = pairs.shape[0]
+    n_words = grid.shape[1]
+    batch_size = min(first.batch_size, n)  # a larger batch trains as one full batch
     z_mode, grad_fn, loss_fn = OBJECTIVES[first.objective]
-    cfg = None if first.objective == OBJ_MLE else nce.NceConfig.stack([
-        nce.NceConfig(c.k, noise.parse_noise_spec(c.noise, grid)) for c in configs
-    ])
+    cfg = None if first.objective == OBJ_MLE else nce.NceConfig.stack(cfgs)
     # Each sampled run's draw path is fixed by its shape, its alias table built once.
     tables = None if cfg is None else [
         noise.alias_table(q) if noise.draws_words(c.k, batch_size, n_words) else None
@@ -228,7 +288,7 @@ def train_lockstep(
     results: list = [None] * len(configs)  # a run's entry is set when it finishes or diverges
     histories: list[list[MetricsRow]] = [[] for _ in configs]
     for epoch in range(1, first.epochs + 1):
-        # A diverged run is parked until the call returns: a zero row stepped
+        # A diverged run is parked until the chunk ends: a zero row stepped
         # at rate 0 stays finite and leaves the others' bits.
         lr = np.array([c.learning_rate * c.lr_decay ** (epoch - 1) if res is None else 0.0
                        for c, res in zip(configs, results)])
@@ -264,71 +324,13 @@ def train_lockstep(
                     continue
                 histories[r].append(row)
                 if on_eval is not None:
-                    on_eval(r, epoch, runs[r], row)
+                    on_eval(first_run + r, epoch, runs[r], row)
             if all(res is not None for res in results):
                 return results
     for r, run in enumerate(runs):
         if results[r] is None:
             results[r] = (run.copy(), histories[r])
     return results
-
-
-def sweep_runs(
-    bases: Sequence[TrainConfig],
-    ks: list[int],
-    pairs: np.ndarray,
-    n_words: int,
-    truth: GroundTruthTable,
-) -> Iterator[tuple[TrainConfig, MetricsRow]]:
-    """One run per (base, k), trained in lockstep a chunk of runs at a time
-    (see ``LOCKSTEP_PAIRS``); yields (config, the run's last MetricsRow) in
-    (base, k) order, a chunk's runs once the chunk is trained. At the first
-    run that diverged it raises TrainingDiverged naming its seed and k, after
-    the rows before it, as training the runs one after another would.
-
-    The arguments are checked when it is called: ValueError unless ``ks`` is
-    nonempty and strictly ascending, ``bases`` and ``pairs`` are nonempty,
-    every pair lies in the count grid, and every (base, k) is a valid config that shares ``LOCKSTEP_FIELDS``,
-    whose k * n noise words per epoch are at most 2**53 and, when sampled,
-    whose noise spec parses against the pairs' word counts.
-    """
-    if not ks:
-        raise ValueError("ks must be nonempty")
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("ks must be sorted ascending")
-    if not bases:
-        raise ValueError("a sweep needs at least one base config")
-    if len(pairs) == 0:
-        raise ValueError("training needs at least one pair")
-    configs = [replace(base, k=k) for base in bases for k in ks]
-    _check_lockstep(configs, len(pairs))  # whichever chunks they fall in
-    grid = pair_count_matrix(pairs, n_words)  # bad pairs fail before any run trains
-    if configs[0].objective != OBJ_MLE:  # and so does a bad noise spec
-        for spec in dict.fromkeys(c.noise for c in configs):
-            noise.parse_noise_spec(spec, grid)
-    chunk = max(1, LOCKSTEP_PAIRS // len(pairs))
-    results = (
-        result
-        for lo in range(0, len(configs), chunk)
-        for result in train_lockstep(configs[lo : lo + chunk], pairs, n_words, truth=truth)
-    )
-    return (_last_row(config, result) for config, result in zip(configs, results))
-
-
-# ---------------------------------------------------------------------------
-# Internals
-# ---------------------------------------------------------------------------
-
-def _check_lockstep(configs: list[TrainConfig], n: int) -> None:
-    """Raise unless the runs share ``LOCKSTEP_FIELDS`` and, when sampled, the
-    k noise words for each of an epoch's n pairs are at most 2**53: then
-    every count a run holds, a step's float64 or the epoch's int64, is exact."""
-    first = configs[0]
-    if any(getattr(c, f) != getattr(first, f) for c in configs for f in LOCKSTEP_FIELDS):
-        raise ValueError(f"runs trained in lockstep must share {', '.join(LOCKSTEP_FIELDS)}")
-    if first.objective != OBJ_MLE and (k := max(c.k for c in configs)) * n > 2**53:
-        raise ValueError(f"k={k} is too large: k noise words for each of an epoch's {n} "
-                         "pairs exceed 2**53, past which float64 counts are inexact")
 
 
 def _last_row(config: TrainConfig, result) -> tuple[TrainConfig, MetricsRow]:

@@ -75,6 +75,13 @@ def test_config_validation():
         TrainConfig(objective="nce", dim=MAX_VOCAB_SIZE + 1)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         TrainConfig(objective="nce", seed=-1)
+    # Counts must be integers, numpy's included: a float one would fail
+    # mid-training or, for eval_every, silently evaluate less often.
+    for field in ("k", "epochs", "batch_size", "eval_every", "dim", "seed"):
+        for value in (1.5, 2.0):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                TrainConfig(objective="nce", **{field: value})
+        assert getattr(TrainConfig(objective="nce", **{field: np.int64(3)}), field) == 3
     for objective in ("nce", "ns", "mle_exact"):
         with pytest.raises(ValueError, match="z_mode"):
             TrainConfig(objective=objective, z_mode="bogus")
@@ -290,7 +297,7 @@ def test_a_short_noise_draw_fails_the_k_check_in_training(n_runs, k, monkeypatch
                for s in range(n_runs)]
     assert noise.draws_words(k, 32, 8) is (k == 3)
     with pytest.raises(ValueError, match="k mismatch"):
-        train(configs[0], pairs, 8) if n_runs == 1 else train_lockstep(configs, pairs, 8)
+        train(configs[0], pairs, 8) if n_runs == 1 else list(train_lockstep(configs, pairs, 8))
 
 
 @pytest.mark.parametrize("objective", ["mle_exact", "nce", "ns"])
@@ -339,7 +346,7 @@ def test_lockstep_runs_equal_solo_runs_bitwise(objective, z_mode, batch_size, tm
                            learning_rate=lr, epochs=3, eval_every=2, batch_size=batch_size, dim=4)
                for k, seed, noise, lr in _MIXED]
     calls = []
-    results = train_lockstep(configs, pairs, 8, truth=truth, on_eval=_recorder(calls))
+    results = list(train_lockstep(configs, pairs, 8, truth=truth, on_eval=_recorder(calls)))
     # One call per run at each eval epoch, epoch by epoch and in run order.
     assert [c[:2] for c in calls] == [(r, e) for e in (2, 3) for r in range(len(configs))]
     for r, (config, (params, history)) in enumerate(zip(configs, results)):
@@ -374,7 +381,7 @@ def test_lockstep_divergence_matches_solo_runs(objective, lrs):
     # neither for the epoch it diverges in nor after, alone or stacked.
     calls = []
     with np.errstate(over="ignore", invalid="ignore"):
-        results = train_lockstep(configs, pairs, 8, truth=truth, on_eval=_recorder(calls))
+        results = list(train_lockstep(configs, pairs, 8, truth=truth, on_eval=_recorder(calls)))
         for r, (config, result) in enumerate(zip(configs, results)):
             solo_calls = []
             try:
@@ -433,7 +440,7 @@ def test_lockstep_parked_runs_stay_finite_and_raise_no_float_errors(objective, l
     checks = []
     check = trainer.params_finite
     monkeypatch.setattr(trainer, "params_finite", lambda p: checks.append(check(p)) or checks[-1])
-    results, stacked = _float_errors(lambda: train_lockstep(configs, pairs, 8, truth=truth))
+    results, stacked = _float_errors(lambda: list(train_lockstep(configs, pairs, 8, truth=truth)))
     assert 0 < stacked <= solo
     diverged = {(r.epoch, r.step) for r in results
                 if isinstance(r, TrainingDiverged) and r.block in PARAM_BLOCKS}
@@ -448,7 +455,7 @@ def test_lockstep_returns_once_every_run_has_diverged(monkeypatch):
     steps = []
     step = trainer.apply_gradient
     monkeypatch.setattr(trainer, "apply_gradient", lambda *a: steps.append(a) or step(*a))
-    results, _ = _float_errors(lambda: train_lockstep(configs, pairs, 8, truth=truth))
+    results, _ = _float_errors(lambda: list(train_lockstep(configs, pairs, 8, truth=truth)))
     for got, want in zip(results, solo):
         assert isinstance(got, TrainingDiverged) and want.block in PARAM_BLOCKS
         assert (str(got), got.epoch, got.step, got.block, got.lr) == (
@@ -484,7 +491,7 @@ def test_lockstep_random_stacks_equal_solo_runs_bitwise(data):
                for k, noise, lr, seed in runs]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trainer, "COUNT_BLOCK_CELLS", block_cells)
-        results = train_lockstep(configs, pairs, n_words, truth=truth)
+        results = list(train_lockstep(configs, pairs, n_words, truth=truth))
         for config, (params, history) in zip(configs, results, strict=True):
             want_params, want_history = train(config, pairs, n_words, truth=truth)
             assert params.vector.tobytes() == want_params.vector.tobytes()
@@ -543,7 +550,7 @@ def test_an_exception_from_on_eval_propagates():
             raise OSError("disk full")
 
     with pytest.raises(OSError, match="disk full"):
-        train_lockstep([cfg, dataclasses.replace(cfg, seed=1)], pairs, 8, on_eval=hook)
+        list(train_lockstep([cfg, dataclasses.replace(cfg, seed=1)], pairs, 8, on_eval=hook))
 
 
 def test_sweep_degenerate_equals_single_run():
@@ -565,9 +572,9 @@ def test_sweep_trains_its_runs_in_chunks_of_bounded_size(monkeypatch):
     truth, pairs = fixture_data(300)
     monkeypatch.setattr(trainer, "LOCKSTEP_PAIRS", 4 * 300 + 299)
     sizes = []
-    lockstep = trainer.train_lockstep
-    monkeypatch.setattr(trainer, "train_lockstep",
-                        lambda configs, *a, **kw: sizes.append(len(configs)) or lockstep(configs, *a, **kw))
+    chunk = trainer._train_chunk
+    monkeypatch.setattr(trainer, "_train_chunk",
+                        lambda configs, *a: sizes.append(len(configs)) or chunk(configs, *a))
     bases = [TrainConfig(objective="nce", noise="unigram", epochs=2, eval_every=2, seed=seed,
                          batch_size=32, dim=3) for seed in (0, 1)]
     rows = list(sweep_runs(bases, [1, 2, 5], pairs, 8, truth))
@@ -576,6 +583,52 @@ def test_sweep_trains_its_runs_in_chunks_of_bounded_size(monkeypatch):
         last = train(dataclasses.replace(base, k=k), pairs, 8, truth=truth)[1][-1]
         assert config == dataclasses.replace(base, k=k)
         assert row == last
+
+
+def test_lockstep_trains_more_runs_than_one_chunk(monkeypatch):
+    # Room for 2 permutations of the 300 pairs: 5 runs train as 2 + 2 + 1,
+    # each bitwise its solo run, and on_eval sees the runs by their index
+    # in the whole set, one chunk after another.
+    truth, pairs = fixture_data(300)
+    monkeypatch.setattr(trainer, "LOCKSTEP_PAIRS", 2 * 300 + 299)
+    sizes = []
+    chunk = trainer._train_chunk
+    monkeypatch.setattr(trainer, "_train_chunk",
+                        lambda configs, *a: sizes.append(len(configs)) or chunk(configs, *a))
+    configs = [TrainConfig(objective="nce", k=k, noise=noise, seed=seed, learning_rate=lr,
+                           epochs=2, eval_every=1, batch_size=32, dim=3)
+               for k, seed, noise, lr in _MIXED[:5]]
+    calls = []
+    results = list(train_lockstep(configs, pairs, 8, truth=truth, on_eval=_recorder(calls)))
+    assert sizes == [2, 2, 1]
+    assert [c[:2] for c in calls] == [(r, e) for runs in ((0, 1), (2, 3), (4,))
+                                      for e in (1, 2) for r in runs]
+    for r, (config, (params, history)) in enumerate(zip(configs, results, strict=True)):
+        solo_calls = []
+        want_params, want_history = train(config, pairs, 8, truth=truth, on_eval=_recorder(solo_calls))
+        assert params.vector.tobytes() == want_params.vector.tobytes()
+        assert _exact(history) == _exact(want_history)
+        assert [c[1:] for c in calls if c[0] == r] == [c[1:] for c in solo_calls]
+    # A bad run in the last chunk fails at the call, before any step.
+    steps = []
+    monkeypatch.setattr(trainer, "apply_gradient", lambda *a: steps.append(a))
+    for bad, match in ((dict(noise="flattened:2"), "flattening exponent"), (dict(dim=4), "must share")):
+        with pytest.raises(ValueError, match=match):
+            train_lockstep(configs[:4] + [dataclasses.replace(configs[4], **bad)], pairs, 8)
+    assert steps == []
+
+
+def test_train_and_sweep_refuse_a_truth_of_another_vocabulary_at_the_call(monkeypatch):
+    _, pairs = fixture_data(400)
+    truth = make_zipf_truth(16, 1.2, 7)
+    steps = []
+    monkeypatch.setattr(trainer, "apply_gradient", lambda *a: steps.append(a))
+    config = TrainConfig(objective="nce", epochs=1, eval_every=1, seed=0, dim=2)
+    with pytest.raises(ValueError, match="truth covers 16 words, the pairs 8"):
+        train(config, pairs, 8, truth=truth)
+    with pytest.raises(ValueError, match="truth covers 16 words, the pairs 8"):
+        sweep_runs([config], [1, 2], pairs, 8, truth)
+    assert steps == []
 
 
 @pytest.mark.parametrize("objective", ["mle_exact", "nce"])
